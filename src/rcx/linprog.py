@@ -1,15 +1,18 @@
 """Exact linear programming over the rationals.
 
 A two-phase primal simplex with Bland's rule (no cycling, fully
-deterministic). Every answer carries an exact certificate which is
-re-checked before it is returned: an optimal point with matching dual
-multipliers, an infeasibility witness, or a feasible improving ray.
+deterministic). The tableau pivots in integers with exact division
+(fraction-free, as in Bareiss 1968); answers are read out as Fractions.
+Every answer carries an exact certificate which is re-checked before it
+is returned: an optimal point with matching dual multipliers, an
+infeasibility witness, or a feasible improving ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DimMismatch, EmptySet
 from .rational import is_zero_vector, vdot
@@ -96,75 +99,117 @@ class LPOutcome:
     ray: tuple | None = None
 
 
-def _div(a, b):
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return a / b
-    return Fraction(a, b)
+def _den_lcm(vals, m=1):
+    """Least common multiple of m and the denominators of ints and Fractions."""
+    for v in vals:
+        d = v.denominator
+        if m % d:
+            m = m * d // gcd(m, d)
+    return m
 
 
 class _Tableau:
-    """Standard form max c.z : A z <= b, z >= 0, dense rational tableau."""
+    """Standard form max c.z : A z <= b, z >= 0, fraction-free integer tableau.
+
+    Row i of the rational tableau is T[i] / den[i]: integer entries, rhs
+    last, over the row's own positive denominator. The reduced costs are
+    red / (scale * rden), and red[-1] is minus the objective value.
+
+    Each input row is scaled to integers by the lcm of its denominators
+    (mult[i]) with its slack coefficient kept at 1, so the start basis is
+    the identity. delta is |det| of the current basis in that integer
+    system, so delta times any tableau row is an integer row (Cramer's
+    rule) and every pivot update divides exactly (Sylvester's identity;
+    Edmonds 1967, Bareiss 1968). Rescaling rows and columns by positive
+    factors changes no sign and no ratio that Bland's rule compares, so
+    the pivots are those of the rational tableau; the scale factors are
+    undone when answers are read out.
+    """
 
     def __init__(self, ncols, rows):
         self.n = ncols
         self.m = len(rows)
-        self.T = []      # each row: coefficients over all columns, rhs last
+        self.T = []
+        self.den = []
+        self.mult = []
         self.basis = []
-        self.red = []    # reduced costs of the current objective
-        self.val = 0
+        self.delta = 1
+        self.red = []
+        self.rden = 1
+        self.scale = 1
         neg = [i for i, (_, rhs) in enumerate(rows) if rhs < 0]
         self.art0 = self.n + self.m
-        ncols_total = self.art0 + len(neg)
+        self.width = self.art0 + len(neg) + 1
         art_of = {r: self.art0 + k for k, r in enumerate(neg)}
         for i, (coeffs, rhs) in enumerate(rows):
-            row = [0] * (ncols_total + 1)
+            m = _den_lcm(coeffs, rhs.denominator)
             flip = -1 if rhs < 0 else 1
+            s = flip * m
+            row = [0] * self.width
             for j, v in enumerate(coeffs):
                 if v:
-                    row[j] = flip * v
+                    row[j] = s * v.numerator // v.denominator
             row[self.n + i] = flip
-            row[-1] = flip * rhs
+            row[-1] = s * rhs.numerator // rhs.denominator
             if flip < 0:
                 row[art_of[i]] = 1
                 self.basis.append(art_of[i])
             else:
                 self.basis.append(self.n + i)
             self.T.append(row)
+            self.den.append(1)
+            self.mult.append(m)
         self.n_art = len(neg)
 
     def price_out(self, costs):
-        """Install an objective (list over all columns) as reduced costs."""
-        red = list(costs) + [0] * (len(self.T[0]) - 1 - len(costs))
-        val = 0
-        for i, b in enumerate(self.basis):
-            f = red[b]
+        """Install an objective (list over leading columns) as reduced costs."""
+        scale = _den_lcm(costs)
+        delta = self.delta
+        ints = [v.numerator * (scale // v.denominator) for v in costs]
+        red = [delta * c for c in ints] + [0] * (self.width - len(ints))
+        for row, d, b in zip(self.T, self.den, self.basis):
+            f = ints[b] if b < len(ints) else 0
             if f:
-                row = self.T[i]
-                val += f * row[-1]
+                if d != delta:
+                    row = [v * delta // d for v in row]
                 red = [x - f * y for x, y in zip(red, row)]
         self.red = red
-        self.val = val
+        self.rden = delta
+        self.scale = scale
 
     def pivot(self, r, e):
-        row = self.T[r]
-        piv = row[e]
-        if not isinstance(piv, Fraction):
-            piv = Fraction(piv)
-        row = [v / piv for v in row]
-        self.T[r] = row
-        for i, other in enumerate(self.T):
-            if i != r:
-                f = other[e]
-                if f:
-                    self.T[i] = [x - f * y for x, y in zip(other, row)]
+        """Bring row r to denominator delta, then eliminate column e.
+
+        Rows with a 0 in column e keep their entries and denominator.
+        """
+        T, den = self.T, self.den
+        row = T[r]
+        d = den[r]
+        if d != self.delta:
+            row = [v * self.delta // d for v in row]
+        p = row[e]
+        if p < 0:
+            row = [-v for v in row]
+            p = -p
+        for i, other in enumerate(T):
+            f = other[e]
+            if f and i != r:
+                d = den[i]
+                T[i] = [(p * x - f * y) // d for x, y in zip(other, row)]
+                den[i] = p
         f = self.red[e]
         if f:
-            self.val += f * row[-1]
-            self.red = [x - f * y for x, y in zip(self.red, row)]
+            d = self.rden
+            self.red = [(p * x - f * y) // d for x, y in zip(self.red, row)]
+            self.rden = p
+        T[r] = row
+        den[r] = p
         self.basis[r] = e
+        self.delta = p
 
     def run(self, last_col):
         """Bland's rule until optimal or unbounded; entering cols < last_col."""
+        basis = self.basis
         while True:
             e = None
             red = self.red
@@ -174,13 +219,18 @@ class _Tableau:
                     break
             if e is None:
                 return "optimal", None
-            best_key, best_row = None, None
+            best_row = None
             for i, row in enumerate(self.T):
                 coef = row[e]
                 if coef > 0:
-                    key = (_div(row[-1], coef), self.basis[i])
-                    if best_key is None or key < best_key:
-                        best_key, best_row = key, i
+                    # compare row[-1] / coef with the best ratio so far;
+                    # the row's denominator cancels
+                    if best_row is None:
+                        best_row, best_rhs, best_coef = i, row[-1], coef
+                        continue
+                    lhs, rhs = row[-1] * best_coef, best_rhs * coef
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[best_row]):
+                        best_row, best_rhs, best_coef = i, row[-1], coef
             if best_row is None:
                 return "unbounded", e
             self.pivot(best_row, e)
@@ -200,49 +250,60 @@ class _Tableau:
                 self.pivot(r, e)
             keep.append(r)
         self.T = [self.T[r][:cut] + [self.T[r][-1]] for r in keep]
+        self.den = [self.den[r] for r in keep]
         self.basis = [self.basis[r] for r in keep]
+        self.width = cut + 1
+
+    def value(self):
+        return Fraction(-self.red[-1], self.scale * self.rden)
 
     def solution(self):
         x = [0] * self.n
-        for i, b in enumerate(self.basis):
+        for row, d, b in zip(self.T, self.den, self.basis):
             if b < self.n:
-                x[b] = self.T[i][-1]
-        return tuple(x)
+                x[b] = Fraction(row[-1], d)
+        return x
 
     def slack_duals(self):
-        return tuple(-self.red[self.n + i] for i in range(self.m))
+        # slack i stands for mult[i] units of the unscaled row's slack
+        red, n, den = self.red, self.n, self.scale * self.rden
+        return [Fraction(-red[n + i] * m, den) for i, m in enumerate(self.mult)]
 
     def ray(self, e):
+        k = self.mult[e - self.n] if e >= self.n else 1
         r = [0] * self.n
         if e < self.n:
             r[e] = 1
-        for i, b in enumerate(self.basis):
+        for row, d, b in zip(self.T, self.den, self.basis):
             if b < self.n:
-                r[b] = -self.T[i][e]
-        return tuple(r)
+                r[b] = Fraction(-row[e] * k, d)
+        return r
 
 
 def _solve_standard(ncols, rows, costs):
     """max costs . z subject to rows (coeffs, rhs) as <=, z >= 0.
 
-    Returns (status, x, value, duals, farkas, ray); duals/farkas are over
-    the rows, everything exact.
+    Returns (status, x, value, duals, farkas, ray); x, duals, farkas and
+    ray are lists, duals/farkas are over the rows, everything exact.
     """
     tab = _Tableau(ncols, rows)
     if tab.n_art:
-        phase1 = [0] * tab.art0 + [-1] * tab.n_art
+        # the artificial of a row scaled by m stands for m units of the
+        # unscaled one, so it costs -1/m
+        phase1 = [0] * tab.art0 + [Fraction(-1, tab.mult[i])
+                                   for i, (_, rhs) in enumerate(rows) if rhs < 0]
         tab.price_out(phase1)
         status, _ = tab.run(tab.art0)
         if status != "optimal":  # pragma: no cover - box below is bounded
             raise RuntimeError("phase 1 cannot be unbounded")
-        if tab.val < 0:
+        if tab.red[-1] > 0:
             return "infeasible", None, None, None, tab.slack_duals(), None
         tab.drop_artificials()
-    tab.price_out(list(costs))
+    tab.price_out(costs)
     status, e = tab.run(tab.n + tab.m)
     if status == "unbounded":
         return "unbounded", tab.solution(), None, None, None, tab.ray(e)
-    return "optimal", tab.solution(), tab.val, tab.slack_duals(), None, None
+    return "optimal", tab.solution(), tab.value(), tab.slack_duals(), None, None
 
 
 def _check(cond, what):

@@ -38,22 +38,6 @@ def vdot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    if len(u) != len(v):
-        raise DimMismatch(f"sum of {len(u)}-vector with {len(v)}-vector")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    if len(u) != len(v):
-        raise DimMismatch(f"difference of {len(u)}-vector with {len(v)}-vector")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(t, v):
-    return tuple(t * a for a in v)
-
-
 def is_zero_vector(v):
     return all(a == 0 for a in v)
 

@@ -280,8 +280,8 @@ class RcBoundReport:
 
 # how far each certification step goes by default; past these sizes the
 # report still carries the construction counts, just marked unverified
-# (arb stops at 3 because its 12-dimensional per-point system is already
-# past the dense-tableau budget, so even-n reports stay uncertified)
+# (arb stops at 3 because its 12-dimensional per-point system is past
+# the default certification budget, so even-n reports stay uncertified)
 _LOWER_CERT_MAX = {"stsp": 8, "atsp": 8, "conn": 6, "spt": 6, "arb": 5,
                    "diff": 4, "perm": 6, "even": 6, "tjoins": 6}
 _UPPER_CERT_MAX = {"stsp": 6, "atsp": 5, "conn": 4, "spt": 4, "arb": 3,
