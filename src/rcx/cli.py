@@ -83,24 +83,19 @@ def _cmd_gen(ns):
         0, ns.out, f"{ns.family}: {len(X.points)} points, dim {X.dim} -> {ns.out}")
 
 
+_HIDING_BUILDERS = {
+    "tsp": lambda p, ns: build_tsp_hiding(*p, directed=not ns.undirected),
+    "arb": lambda p, ns: build_arb_hiding(*p, directed=not ns.undirected),
+    "diff": lambda p, ns: build_diff_hiding(*p),
+    "perm": lambda p, ns: build_perm_hiding(*p),
+    "parity": lambda p, ns: build_parity_hiding(*p),
+    "tjoin": lambda p, ns: build_tjoin_hiding(*p)[ns.part - 1],
+}
+
+
 def _cmd_hiding_build(ns):
-    params = _params(ns.params)
     kind = ns.construction
-    if kind == "tsp":
-        H = build_tsp_hiding(*params, directed=not ns.undirected)
-    elif kind == "arb":
-        H = build_arb_hiding(*params, directed=not ns.undirected)
-    elif kind == "diff":
-        H = build_diff_hiding(*params)
-    elif kind == "perm":
-        H = build_perm_hiding(*params)
-    elif kind == "parity":
-        H = build_parity_hiding(*params)
-    elif kind == "tjoin":
-        pair = build_tjoin_hiding(*params)
-        H = pair[ns.part - 1]
-    else:
-        raise ValueError(f"unknown construction {kind!r}")
+    H = _HIDING_BUILDERS[kind](_params(ns.params), ns)
     fileio.write_doc(ns.out, fileio.pointset_doc(H))
     return CommandResult(
         0, ns.out, f"{kind}: {len(H.points)} points, dim {H.dim} -> {ns.out}")
@@ -241,8 +236,7 @@ def _build_parser():
     hiding = sub.add_parser("hiding", help="hiding-set constructions and checks")
     hsub = hiding.add_subparsers(dest="subcommand", required=True)
     hb = hsub.add_parser("build")
-    hb.add_argument("construction",
-                    choices=("tsp", "arb", "diff", "perm", "parity", "tjoin"))
+    hb.add_argument("construction", choices=tuple(_HIDING_BUILDERS))
     hb.add_argument("params", nargs="*")
     hb.add_argument("-o", "--out", required=True)
     hb.add_argument("--undirected", action="store_true")

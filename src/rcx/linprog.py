@@ -531,10 +531,13 @@ def segment_hits_hull(a, b, X):
     status, z, _, _, _, _ = _solve_standard(nv, rows, [0] * nv)
     if status != "optimal":
         return False, None
-    t = Fraction(z[-1])
+    lam, t = z[:-1], Fraction(z[-1])
+    _check(0 <= t <= 1 and min(lam) >= 0 and sum(lam) == 1,
+           "segment multipliers")
     witness = tuple(Fraction(vb) + t * (va - vb) for va, vb in zip(a, b))
-    inside, _ = conv_membership(witness, X)
-    _check(inside, "segment witness lies in the hull")
+    comb = [sum(l * pts[i][k] for i, l in zip(idx, lam) if l) for k in range(d)]
+    _check(all(u == v for u, v in zip(comb, witness)),
+           "segment witness lies in the hull")
     return True, witness
 
 

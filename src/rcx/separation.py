@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb, factorial
 
 from .errors import EmptySet, InvalidSystem, TooLarge
-from .families import (DEFAULT_CAP, PointSet, atsp, conn, diff, even, perm,
-                       spt, stsp, tjoins)
-from .families import arb as arb_family
+from .families import DEFAULT_CAP, PointSet, generate
 from .hiding import (_max_clique, build_arb_hiding, build_diff_hiding,
                      build_parity_hiding, build_perm_hiding, build_tjoin_hiding,
                      build_tsp_hiding, max_hiding_in_box, verify_hiding)
@@ -278,50 +275,121 @@ class RcBoundReport:
             raise RuntimeError("certified floor above certified ceiling")
 
 
-# how far each certification step goes by default; past these sizes the
-# report still carries the construction counts, just marked unverified
-# (arb stops at 3 because its 12-dimensional per-point system is past
-# the default certification budget, so even-n reports stay uncertified)
-_LOWER_CERT_MAX = {"stsp": 8, "atsp": 8, "conn": 6, "spt": 6, "arb": 5,
-                   "diff": 4, "perm": 6, "even": 6, "tjoins": 6}
-_UPPER_CERT_MAX = {"stsp": 6, "atsp": 5, "conn": 4, "spt": 4, "arb": 3,
-                   "diff": 3, "perm": 4, "even": 6, "tjoins": 4}
-
-
-def _certify_hiding(H, make_family, notes, what):
-    X = make_family()
-    cert = verify_hiding(H, X)
-    if not cert.valid:
-        notes.append(f"{what}: hiding verification failed ({cert.failure[0]})")
-        return False, X
-    return True, X
-
-
-def _certify_relaxation(P, X, notes, what, box=None):
-    # the explicit descriptions all carry enclosing box rows, so the
-    # bounding LPs can be skipped without losing exactness
-    rep = verify_relaxation(P, X, box=box)
-    if rep.status != "verified":
-        notes.append(f"{what}: relaxation verification failed ({rep.reason})")
-        return False
-    return True
-
-
-def _unit_box(d):
-    return LatticeBox((0,) * d, (1,) * d)
-
-
-def _binary_ceiling(d, family_count):
-    rows = 2 ** d - family_count + d + 1
-    return rows, (f"one row per excluded 0/1 point plus the cube rows "
-                  f"({rows} rows in dimension {d})")
-
-
-def _even_n(n, least):
+def _graph_params(n, least=4):
     n = int(n)
     if n < least or n % 2 == 1:
         raise ValueError(f"need an even parameter >= {least}")
-    return n
+    return {"n": n}
+
+
+def _diff_params(m, n):
+    m, n = int(m), int(n)
+    if m != 2:
+        raise ValueError("the duplicated-block hiding set needs m = 2")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return {"m": 2, "n": n}
+
+
+def _tjoin_params(n, terminals):
+    params = _graph_params(n, least=2)
+    try:
+        params["terminals"] = tuple(sorted(int(t) for t in terminals))
+    except TypeError:
+        raise ValueError("tjoins terminals must be a comma list "
+                         "such as 1,2,3,4") from None
+    return params
+
+
+def _counted(H, what):
+    return H, f"{len(H)} {what}"
+
+
+def _pattern_floor(build, n, directed, what):
+    N = n // 2 - 1
+    return _counted(build(N, directed=directed),
+                    f"even-pattern {what} points (N = {N})")
+
+
+def _parity_floor(n):
+    H = build_parity_hiding(n)
+    if n == 2:
+        return H, "the 2 diagonal points (-1,-1) and (2,2) flanking even(2)"
+    return H, f"the {len(H)} odd-weight cube points"
+
+
+def _tjoin_floor(n, terminals):
+    H1, H2 = build_tjoin_hiding(n, terminals)
+    H = H1 if len(H1) >= len(H2) else H2
+    return H, (f"larger of two matching-union families "
+               f"({len(H1)} and {len(H2)} points)")
+
+
+@dataclass(frozen=True)
+class _ReportFamily:
+    """How bound_report bounds one family.
+
+    The callables take the report's params as keywords. Builders are
+    named inside lambdas, so they are looked up on this module when they
+    run and a patched builder is the one called. Past its limit on
+    params["n"] a bound carries its count only, marked unverified.
+    """
+
+    names: tuple          # parameter names, in order
+    parse: object         # raw parameters -> the report's params dict
+    floor: object         # -> (hiding set, lower_source)
+    limits: tuple         # largest n certified for the floor, the ceiling
+    relaxation: tuple = ()    # (name, builder) of an explicit ceiling system;
+    count: object = None      # else the point count for one row per excluded
+                              # 0/1 point plus the cube rows
+    box_top: object = lambda **p: 1    # the certification box is [0, top]^d
+
+
+# arb's ceiling limit of 3 is below every valid n: its 12-dimensional
+# per-point system at n = 4 is past the default certification budget
+_REPORTS = {
+    "stsp": _ReportFamily(
+        ("n",), _graph_params,
+        lambda n: _pattern_floor(build_tsp_hiding, n, False, "cycle-pair"), (8, 6),
+        relaxation=("subtour relaxation",
+                    lambda n: build_subtour_relaxation(n, directed=False))),
+    "atsp": _ReportFamily(
+        ("n",), _graph_params,
+        lambda n: _pattern_floor(build_tsp_hiding, n, True, "cycle-pair"), (8, 5),
+        relaxation=("subtour relaxation",
+                    lambda n: build_subtour_relaxation(n, directed=True))),
+    "conn": _ReportFamily(
+        ("n",), _graph_params,
+        lambda n: _pattern_floor(build_tsp_hiding, n, False, "cycle-pair"), (6, 4),
+        relaxation=("cut relaxation", lambda n: build_conn_cut_relaxation(n))),
+    "spt": _ReportFamily(
+        ("n",), _graph_params,
+        lambda n: _pattern_floor(build_arb_hiding, n, False, "dropped-arc path"),
+        (6, 4), count=lambda n: n ** (n - 2)),
+    "arb": _ReportFamily(
+        ("n",), _graph_params,
+        lambda n: _pattern_floor(build_arb_hiding, n, True, "dropped-arc path"),
+        (5, 3), count=lambda n: n ** (n - 1)),
+    "diff": _ReportFamily(
+        ("m", "n"), _diff_params,
+        lambda m, n: _counted(build_diff_hiding(n), "duplicated-block points"),
+        (4, 3), count=lambda m, n: 2 ** n * (2 ** n - 1)),
+    "perm": _ReportFamily(
+        ("n",), lambda n: {"n": int(n)},
+        lambda n: _counted(build_perm_hiding(n), "sorted-block swap points"), (6, 4),
+        relaxation=("permutahedron description",
+                    lambda n: build_rado_permutahedron(n)),
+        box_top=lambda n: n),
+    "even": _ReportFamily(
+        ("n",), lambda n: {"n": int(n)}, _parity_floor, (6, 6),
+        count=lambda n: 2 ** (n - 1)),
+    "tjoins": _ReportFamily(
+        ("n", "terminals"), _tjoin_params, _tjoin_floor, (6, 4),
+        count=lambda n, terminals: 2 ** (n * (n - 1) // 2 - n + 1)),
+}
+# perfbench/workloads.py reads the limits under these names
+_LOWER_CERT_MAX = {f: r.limits[0] for f, r in _REPORTS.items()}
+_UPPER_CERT_MAX = {f: r.limits[1] for f, r in _REPORTS.items()}
 
 
 def bound_report(family, *params, box=None, max_candidates=None):
@@ -335,144 +403,53 @@ def bound_report(family, *params, box=None, max_candidates=None):
     additionally searches for a larger hiding set when the family is
     small enough to enumerate.
     """
+    try:
+        spec = _REPORTS[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r} (no hiding construction)") from None
+    if len(params) != len(spec.names):
+        k = len(spec.names)
+        raise ValueError(f"{family} takes {k} parameter{'s' if k > 1 else ''} "
+                         f"({', '.join(spec.names)}), got {len(params)}")
+    pdict = spec.parse(*params)
+    H, lower_src = spec.floor(**pdict)
+    lower, d = len(H), H.dim
+    if spec.relaxation:
+        name, build = spec.relaxation
+        P = build(**pdict)
+        upper = len(P.constraints)
+        upper_src = f"{name} with {upper} rows"
+    else:
+        P = None
+        upper = 2 ** d - spec.count(**pdict) + d + 1
+        upper_src = (f"one row per excluded 0/1 point plus the cube rows "
+                     f"({upper} rows in dimension {d})")
+
     notes = []
     lower_cert = upper_cert = False
     X = None
-
-    if family in ("stsp", "atsp"):
-        (n,) = params
-        n = _even_n(n, 4)
-        N = n // 2 - 1
-        directed = family == "atsp"
-        H = build_tsp_hiding(N, directed=directed)
-        lower = len(H)
-        lower_src = f"{len(H)} even-pattern cycle-pair points (N = {N})"
-        P = build_subtour_relaxation(n, directed=directed)
-        upper = len(P.constraints)
-        upper_src = f"subtour relaxation with {upper} rows"
-        make = (lambda: atsp(n)) if directed else (lambda: stsp(n))
-        if n <= _LOWER_CERT_MAX[family]:
-            lower_cert, X = _certify_hiding(H, make, notes, family)
-        if n <= _UPPER_CERT_MAX[family]:
-            X = X if X is not None else make()
-            upper_cert = _certify_relaxation(P, X, notes, family,
-                                             box=_unit_box(P.dim))
-        pdict = {"n": n}
-    elif family == "conn":
-        (n,) = params
-        n = _even_n(n, 4)
-        N = n // 2 - 1
-        H = build_tsp_hiding(N, directed=False)
-        lower = len(H)
-        lower_src = f"{len(H)} even-pattern cycle-pair points (N = {N})"
-        P = build_conn_cut_relaxation(n)
-        upper = len(P.constraints)
-        upper_src = f"cut relaxation with {upper} rows"
-        if n <= _LOWER_CERT_MAX[family]:
-            lower_cert, X = _certify_hiding(H, lambda: conn(n), notes, family)
-        if n <= _UPPER_CERT_MAX[family]:
-            X = X if X is not None else conn(n)
-            upper_cert = _certify_relaxation(P, X, notes, family,
-                                             box=_unit_box(P.dim))
-        pdict = {"n": n}
-    elif family in ("spt", "arb"):
-        (n,) = params
-        n = _even_n(n, 4)
-        N = n // 2 - 1
-        directed = family == "arb"
-        H = build_arb_hiding(N, directed=directed)
-        lower = len(H)
-        lower_src = f"{len(H)} even-pattern dropped-arc path points (N = {N})"
-        d = n * (n - 1) if directed else n * (n - 1) // 2
-        count = n ** (n - 1) if directed else n ** (n - 2)
-        upper, upper_src = _binary_ceiling(d, count)
-        make = (lambda: arb_family(n)) if directed else (lambda: spt(n))
-        if n <= _LOWER_CERT_MAX[family]:
-            lower_cert, X = _certify_hiding(H, make, notes, family)
-        if n <= _UPPER_CERT_MAX[family]:
-            X = X if X is not None else make()
-            upper_cert = _certify_relaxation(
-                build_binary_relaxation(X), X, notes, family, box=_unit_box(d))
-        pdict = {"n": n}
-    elif family == "diff":
-        m, n = params
-        m, n = int(m), int(n)
-        if m != 2:
-            raise ValueError("the duplicated-block hiding set needs m = 2")
-        if n < 1:
-            raise ValueError("need n >= 1")
-        H = build_diff_hiding(n)
-        lower = len(H)
-        lower_src = f"{len(H)} duplicated-block points"
-        d = 2 * n
-        count = 2 ** n * (2 ** n - 1)
-        upper, upper_src = _binary_ceiling(d, count)
-        if n <= _LOWER_CERT_MAX[family]:
-            lower_cert, X = _certify_hiding(H, lambda: diff(2, n), notes, family)
-        if n <= _UPPER_CERT_MAX[family]:
-            X = X if X is not None else diff(2, n)
-            upper_cert = _certify_relaxation(
-                build_binary_relaxation(X), X, notes, family, box=_unit_box(d))
-        pdict = {"m": 2, "n": n}
-    elif family == "perm":
-        (n,) = params
-        n = int(n)
-        H = build_perm_hiding(n)
-        lower = len(H)
-        lower_src = f"{len(H)} sorted-block swap points"
-        P = build_rado_permutahedron(n)
-        upper = len(P.constraints)
-        upper_src = f"permutahedron description with {upper} rows"
-        if n <= _LOWER_CERT_MAX[family]:
-            lower_cert, X = _certify_hiding(H, lambda: perm(n), notes, family)
-        if n <= _UPPER_CERT_MAX[family]:
-            X = X if X is not None else perm(n)
-            upper_cert = _certify_relaxation(P, X, notes, family,
-                                             box=LatticeBox((0,) * n, (n,) * n))
-        pdict = {"n": n}
-    elif family == "even":
-        (n,) = params
-        n = int(n)
-        H = build_parity_hiding(n)
-        lower = len(H)
-        if n == 2:
-            lower_src = "the 2 diagonal points (-1,-1) and (2,2) flanking even(2)"
-        else:
-            lower_src = f"the {len(H)} odd-weight cube points"
-        upper, upper_src = _binary_ceiling(n, 2 ** (n - 1))
-        if n <= _LOWER_CERT_MAX[family]:
-            lower_cert, X = _certify_hiding(H, lambda: even(n), notes, family)
-        if n <= _UPPER_CERT_MAX[family]:
-            X = X if X is not None else even(n)
-            upper_cert = _certify_relaxation(
-                build_binary_relaxation(X), X, notes, family, box=_unit_box(n))
-        pdict = {"n": n}
-    elif family == "tjoins":
-        n, terminals = params
-        n = _even_n(n, 2)
-        terminals = tuple(sorted(int(t) for t in terminals))
-        H1, H2 = build_tjoin_hiding(n, terminals)
-        H = H1 if len(H1) >= len(H2) else H2
-        lower = len(H)
-        lower_src = (f"larger of two matching-union families "
-                     f"({len(H1)} and {len(H2)} points)")
-        d = n * (n - 1) // 2
-        count = 2 ** (d - n + 1)
-        upper, upper_src = _binary_ceiling(d, count)
-        make = lambda: tjoins(n, terminals)
-        if n <= _LOWER_CERT_MAX[family]:
-            lower_cert, X = _certify_hiding(H, make, notes, family)
-        if n <= _UPPER_CERT_MAX[family]:
-            X = X if X is not None else make()
-            upper_cert = _certify_relaxation(
-                build_binary_relaxation(X), X, notes, family, box=_unit_box(d))
-        pdict = {"n": n, "terminals": terminals}
-    else:
-        raise ValueError(f"unknown family {family!r} (no hiding construction)")
-
-    if not lower_cert and not any("hiding verification failed" in s for s in notes):
+    n = pdict["n"]
+    lower_max, upper_max = spec.limits
+    if n <= lower_max:
+        X = generate(family, *pdict.values())
+        cert = verify_hiding(H, X)
+        lower_cert = cert.valid
+        if not lower_cert:
+            notes.append(f"{family}: hiding verification failed ({cert.failure[0]})")
+    if n <= upper_max:
+        X = X if X is not None else generate(family, *pdict.values())
+        if P is None:
+            P = build_binary_relaxation(X)
+        # the explicit descriptions all carry enclosing box rows, so the
+        # bounding LPs can be skipped without losing exactness
+        top = spec.box_top(**pdict)
+        rep = verify_relaxation(P, X, box=LatticeBox((0,) * d, (top,) * d))
+        upper_cert = rep.status == "verified"
+        if not upper_cert:
+            notes.append(f"{family}: relaxation verification failed ({rep.reason})")
+    if n > lower_max:
         notes.append("floor carries the construction count only at this size")
-    if not upper_cert and not any("relaxation verification failed" in s for s in notes):
+    if n > upper_max:
         notes.append("ceiling carries the row count only at this size")
 
     if box is not None:

@@ -1,6 +1,7 @@
 """End-to-end checks of the rcx command line: exit codes, pinned
 summaries, byte-stable files, and diagnostics that name the bad input."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from rcx import fileio
 from rcx.cli import main, run
 from rcx.families import PointSet
+from rcx.separation import _REPORTS
 
 
 def doc_bytes(path):
@@ -291,6 +293,48 @@ class TestReportCommand:
         res = run(["report", "zonotope", "3"])
         assert res.exit_code == 2
         assert "zonotope" in res.summary
+
+    @pytest.mark.parametrize("args, message", [
+        (["stsp"], "error: stsp takes 1 parameter (n), got 0"),
+        (["stsp", "4", "5"], "error: stsp takes 1 parameter (n), got 2"),
+        (["tjoins", "6", "1"],
+         "error: tjoins terminals must be a comma list such as 1,2,3,4"),
+    ])
+    def test_wrong_arity_names_the_parameters(self, args, message):
+        res = run(["report", *args])
+        assert res.exit_code == 2
+        assert res.summary == message
+
+
+# sha256 of `rcx report ... -o FILE` for one small size per family, so any
+# change to the floors, ceilings, sources, notes or params shows here
+REPORT_DIGESTS = {
+    ("stsp", "6"): "d3a207c50fd278e8bd646a76715419428e53821dbe489e710c22ff5261025b8d",
+    ("stsp", "8"): "cda4087d96cfd2b5b5314fed07768f7b284d64847c2542c588b489ef12fb3472",
+    ("atsp", "4"): "f3fc3bc97e509daf5140c86b6db20232ae97e9cc7b075060364aaba07ba24a00",
+    ("conn", "4"): "a0484b16a07dde3bbc3dad2a4908fddd83699ac2b05ee8ac2d594bc3f57fe1b0",
+    ("spt", "4"): "efd54e2b7e76b18954927f0d0d2a2c0fb5d1c1354fc2b7e511cbf6cc0d148d0f",
+    ("arb", "4"): "fdcc6c5adc4fa4e7f6ae904b6fbedfb4ef8e412d4cd07479df61536a4e5b105d",
+    ("diff", "2", "2"): "08433f87025bba617552dd90c20907787c305f4eac69a12f02ece5fd8f274330",
+    ("perm", "4"): "dcf375aa651e13c455567badade4c484d5596eb95c6bce8466fc4fe36d4d3af7",
+    ("even", "2"): "b8a329f79eae2c3d9cedc91123b0a66d414377c01949724abdf9ce7bf351efe7",
+    ("even", "3", "--box=-1:2,-1:2,-1:2"):
+        "277c633544b2e7839aa348a99f6885359ba76149d6360910c10c73f109cc3778",
+    ("tjoins", "4", ","): "b2c46bfcdab921b61d45c7607c72dcf3f87a039509c025c5ee695f6d16b868f2",
+    ("tjoins", "8", "1,2,3,4"):
+        "090d9ade261133e64697f40193d9c9bcaf40bdc44ac025c5c5a92434159f5598",
+}
+
+
+class TestReportBytes:
+    def test_every_report_family_is_pinned(self):
+        assert {args[0] for args in REPORT_DIGESTS} == set(_REPORTS)
+
+    @pytest.mark.parametrize("args", list(REPORT_DIGESTS), ids=" ".join)
+    def test_report_bytes_match_digest(self, tmp_path, args):
+        rep = tmp_path / "rep.json"
+        assert run(["report", *args, "-o", str(rep)]).exit_code == 0
+        assert hashlib.sha256(doc_bytes(rep)).hexdigest() == REPORT_DIGESTS[args]
 
 
 class TestDiagnostics:

@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from rcx import linprog
 from rcx.errors import DimMismatch, EmptySet
 from rcx.linprog import (
     Halfspace,
@@ -173,6 +174,38 @@ def test_segment_degenerate_point():
     simplex = [(0, 0), (1, 0), (0, 1)]
     assert segment_hits_hull((0, 0), (0, 0), simplex) == (True, (0, 0))
     assert segment_hits_hull((1, 1), (1, 1), simplex) == (False, None)
+
+
+def _shift_weight(z):
+    # keep the sum, make the smallest multiplier negative
+    i = min(range(len(z) - 1), key=z.__getitem__)
+    j = next(k for k in range(len(z) - 1) if k != i)
+    z[i] -= 1
+    z[j] += 1
+    return z
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda z: z[:-1] + [F(2)],                              # t past the segment
+    lambda z: [2 * v for v in z[:-1]] + z[-1:],             # weights sum to 2
+    _shift_weight,                                          # a negative weight
+    lambda z: [F(1)] + [F(0)] * (len(z) - 2) + z[-1:],      # wrong combination
+], ids=["t", "sum", "sign", "combination"])
+def test_segment_rejects_tampered_multipliers(monkeypatch, tamper):
+    # the vertical segment x = 1/2 crosses the unit square; a tampered
+    # answer from the LP must fail the one-scan certificate check
+    square = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    a, b = (F(1, 2), -1), (F(1, 2), 2)
+    assert segment_hits_hull(a, b, square)[0]
+    solve = linprog._solve_standard
+
+    def tampered(*args):
+        status, z, *rest = solve(*args)
+        return (status, tamper(list(z)), *rest)
+
+    monkeypatch.setattr(linprog, "_solve_standard", tampered)
+    with pytest.raises(RuntimeError, match="internal certificate check failed"):
+        segment_hits_hull(a, b, square)
 
 
 def test_segment_endpoint_inside():
