@@ -393,6 +393,20 @@ def branch(n, root=None, max_candidates=None):
                     legend=idx.legend(), validate=False)
 
 
+def tjoin_terminals(n, terminals):
+    """The sorted terminal set T of a T-join on nodes 1..n, checked."""
+    try:
+        T = sorted(set(terminals))
+    except TypeError:
+        raise ValueError("tjoins terminals must be a comma list "
+                         "such as 1,2,3,4") from None
+    if any(not 1 <= t <= n for t in T):
+        raise ValueError("terminals out of range")
+    if len(T) % 2 == 1:
+        raise OddNodeSet(f"terminal set of odd size {len(T)}")
+    return T
+
+
 def tjoins(n, terminals=(), max_candidates=None):
     """Characteristic vectors of edge sets whose odd-degree nodes are
     exactly the given terminals.
@@ -403,11 +417,7 @@ def tjoins(n, terminals=(), max_candidates=None):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    T = sorted(set(terminals))
-    if any(not 1 <= t <= n for t in T):
-        raise ValueError("terminals out of range")
-    if len(T) % 2 == 1:
-        raise OddNodeSet(f"terminal set of odd size {len(T)}")
+    T = tjoin_terminals(n, terminals)
     idx = EdgeIndexer(n)
     m = idx.dim
     _cap_check(2**m, max_candidates, f"tjoins({n})")

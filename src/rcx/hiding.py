@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import DimMismatch, EmptySet, OddNodeSet, TooLarge
-from .families import DEFAULT_CAP, EdgeIndexer, PointSet, odd
+from .errors import DimMismatch, EmptySet, TooLarge
+from .families import DEFAULT_CAP, EdgeIndexer, PointSet, odd, tjoin_terminals
 from .linprog import conv_membership, segment_hits_hull
 from .rational import affine_hull, in_affine_hull
 
@@ -196,11 +196,7 @@ def build_tjoin_hiding(n, terminals):
     """
     if n < 2 or n % 2 == 1:
         raise ValueError("need an even number of nodes, n >= 2")
-    T = sorted(set(terminals))
-    if any(not 1 <= t <= n for t in T):
-        raise ValueError("terminals out of range")
-    if len(T) % 2 == 1:
-        raise OddNodeSet(f"terminal set of odd size {len(T)}")
+    T = tjoin_terminals(n, terminals)
     U = [v for v in range(1, n + 1) if v not in set(T)]
     k, l = len(T) // 2, len(U) // 2
     T1, T2 = T[:k], T[k:]

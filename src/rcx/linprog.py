@@ -6,6 +6,10 @@ deterministic). The tableau pivots in integers with exact division
 Every answer carries an exact certificate which is re-checked before it
 is returned: an optimal point with matching dual multipliers, an
 infeasibility witness, or a feasible improving ray.
+
+The hull oracles conv_membership and segment_hits_hull share one
+bounds presolve, one LP and one certificate check (_hull_point); a point
+is the segment [p, p].
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DimMismatch, EmptySet
+from .families import PointSet
 from .rational import is_zero_vector, vdot
 
 SENSES = ("<=", "=", ">=")
@@ -403,142 +408,102 @@ def solve_lp(P, objective, maximize=True):
                      dual=tuple(y))
 
 
-def _points_view(X):
-    """Accept a point-set object (with .points/.dim/.bounds) or a plain list."""
+def _point_set(X):
+    """X if it has .points/.dim/.bounds, else a PointSet in the list's order."""
     if hasattr(X, "points"):
-        return X.points, X.dim, X.bounds()
+        return X
     pts = list(X)
-    if not pts:
-        return [], None, None
-    d = len(pts[0])
-    lo = list(pts[0])
-    hi = list(pts[0])
-    for p in pts:
-        for k, v in enumerate(p):
-            if v < lo[k]:
-                lo[k] = v
-            elif v > hi[k]:
-                hi[k] = v
-    return pts, d, (tuple(lo), tuple(hi))
+    return PointSet(len(pts[0]) if pts else None, pts, validate=False)
 
 
-def _filter_at_bounds(pts, fixed):
-    """Indices of points matching every (coordinate, value) pin.
+def _hull_point(a, b, X, mismatch):
+    """A point of the closed segment [a, b] in conv(X), or None.
 
-    Exact presolve: if a convex combination attains the minimum (or
-    maximum) of some coordinate over the whole set, only points attaining
-    that bound can carry weight. Restricting to them loses nothing.
+    Returns (multipliers aligned with X, the point): tuple(a) when a == b,
+    else b + t (a - b). A dimension mismatch raises DimMismatch(mismatch).
+
+    Exact presolve: where a[k] == b[k] lies outside the bounds of X,
+    nothing is hit; where it attains a bound, only points attaining that
+    bound can carry weight. The LP has one column per remaining point,
+    plus t on a proper segment, and its answer is re-checked: weights
+    >= 0 summing to 1, 0 <= t <= 1, and their combination the point.
     """
-    if not fixed:
-        return list(range(len(pts)))
-    out = []
-    for i, x in enumerate(pts):
-        for k, v in fixed:
-            if x[k] != v:
-                break
-        else:
-            out.append(i)
-    return out
-
-
-def conv_membership(p, X):
-    """Is p in conv(X)? Returns (bool, multipliers aligned with X or None)."""
-    pts, d, bounds = _points_view(X)
+    S = _point_set(X)
+    pts = S.points
     if not pts:
-        return False, None
-    if len(p) != d:
-        raise DimMismatch("point dimension does not match point set")
-    lo, hi = bounds
-    fixed = []
-    free = []
-    for k, v in enumerate(p):
-        if v < lo[k] or v > hi[k]:
-            return False, None
-        if lo[k] == hi[k]:
-            continue
-        if v == lo[k] or v == hi[k]:
-            fixed.append((k, v))
-        else:
-            free.append(k)
-    idx = _filter_at_bounds(pts, fixed)
-    if not idx:
-        return False, None
-    tup = tuple(p)
-    for i in idx:
-        if pts[i] == tup:
-            mult = [Fraction(0)] * len(pts)
-            mult[i] = Fraction(1)
-            return True, tuple(mult)
-    rows = []
-    for k in free:
-        coeffs = [pts[i][k] for i in idx]
-        rows.append((coeffs, p[k]))
-        rows.append(([-v for v in coeffs], -p[k]))
-    ones = [1] * len(idx)
-    rows.append((ones, 1))
-    rows.append(([-1] * len(idx), -1))
-    status, lam, _, _, _, _ = _solve_standard(len(idx), rows, [0] * len(idx))
-    if status != "optimal":
-        return False, None
-    mult = [Fraction(0)] * len(pts)
-    for i, l in zip(idx, lam):
-        mult[i] = Fraction(l)
-    comb = [sum(mult[i] * pts[i][k] for i in idx) for k in range(d)]
-    _check(all(u == v for u, v in zip(comb, p)), "membership multipliers")
-    return True, tuple(mult)
-
-
-def segment_hits_hull(a, b, X):
-    """Does the closed segment [a, b] meet conv(X)? Returns (bool, witness)."""
-    pts, d, bounds = _points_view(X)
-    if not pts:
-        return False, None
+        return None
+    d = S.dim
     if len(a) != d or len(b) != d:
-        raise DimMismatch("segment endpoints do not match point set dimension")
-    if tuple(a) == tuple(b):
-        inside, _ = conv_membership(a, X)
-        return (True, tuple(a)) if inside else (False, None)
-    lo, hi = bounds
+        raise DimMismatch(mismatch)
+    lo, hi = S.bounds()
     fixed = []
     free = []
     for k in range(d):
         va, vb = a[k], b[k]
-        if va == vb:
-            if va < lo[k] or va > hi[k]:
-                return False, None
-            if lo[k] == hi[k]:
-                continue
-            if va == lo[k] or va == hi[k]:
-                fixed.append((k, va))
-            else:
-                free.append(k)
+        if va != vb:
+            free.append(k)
+        elif va < lo[k] or va > hi[k]:
+            return None
+        elif lo[k] == hi[k]:
+            continue
+        elif va == lo[k] or va == hi[k]:
+            fixed.append((k, va))
         else:
             free.append(k)
-    idx = _filter_at_bounds(pts, fixed)
+    idx = list(range(len(pts)))
+    for k, v in fixed:
+        idx = [i for i in idx if pts[i][k] == v]
     if not idx:
-        return False, None
-    # variables: one multiplier per kept point, then the segment parameter t;
-    # the segment point is b + t (a - b) with t in [0, 1]
-    nv = len(idx) + 1
+        return None
+    segment = tuple(a) != tuple(b)
+    if not segment:
+        tup = tuple(a)
+        for i in idx:
+            if pts[i] == tup:
+                mult = [Fraction(0)] * len(pts)
+                mult[i] = Fraction(1)
+                return tuple(mult), tup
+    # columns: one multiplier per kept point, then t on a proper segment
+    n = len(idx)
+    nt = 1 if segment else 0
     rows = []
     for k in free:
-        coeffs = [pts[i][k] for i in idx] + [b[k] - a[k]]
+        coeffs = [pts[i][k] for i in idx] + [b[k] - a[k]] * nt
         rows.append((coeffs, b[k]))
         rows.append(([-v for v in coeffs], -b[k]))
-    rows.append(([1] * len(idx) + [0], 1))
-    rows.append(([-1] * len(idx) + [0], -1))
-    rows.append(([0] * len(idx) + [1], 1))
-    status, z, _, _, _, _ = _solve_standard(nv, rows, [0] * nv)
+    rows.append(([1] * n + [0] * nt, 1))
+    rows.append(([-1] * n + [0] * nt, -1))
+    if segment:
+        rows.append(([0] * n + [1], 1))
+    status, z, _, _, _, _ = _solve_standard(n + nt, rows, [0] * (n + nt))
     if status != "optimal":
-        return False, None
-    lam, t = z[:-1], Fraction(z[-1])
-    _check(0 <= t <= 1 and min(lam) >= 0 and sum(lam) == 1,
-           "segment multipliers")
-    witness = tuple(Fraction(vb) + t * (va - vb) for va, vb in zip(a, b))
+        return None
+    lam = z[:n]
+    if segment:
+        t = Fraction(z[n])
+        _check(0 <= t <= 1, "segment parameter in [0, 1]")
+        point = tuple(Fraction(vb) + t * (va - vb) for va, vb in zip(a, b))
+    else:
+        point = tuple(a)
+    _check(min(lam) >= 0 and sum(lam) == 1, "hull multipliers")
     comb = [sum(l * pts[i][k] for i, l in zip(idx, lam) if l) for k in range(d)]
-    _check(all(u == v for u, v in zip(comb, witness)),
-           "segment witness lies in the hull")
-    return True, witness
+    _check(all(u == v for u, v in zip(comb, point)), "hull point lies in the hull")
+    mult = [Fraction(0)] * len(pts)
+    for i, l in zip(idx, lam):
+        mult[i] = Fraction(l)
+    return tuple(mult), point
+
+
+def conv_membership(p, X):
+    """Is p in conv(X)? Returns (bool, multipliers aligned with X or None)."""
+    hit = _hull_point(p, p, X, "point dimension does not match point set")
+    return (True, hit[0]) if hit else (False, None)
+
+
+def segment_hits_hull(a, b, X):
+    """Does the closed segment [a, b] meet conv(X)? Returns (bool, witness)."""
+    hit = _hull_point(a, b, X, "segment endpoints do not match point set dimension")
+    return (True, hit[1]) if hit else (False, None)
 
 
 def strict_separation(X, C):
@@ -547,11 +512,11 @@ def strict_separation(X, C):
     The unit gap is a normalization: any strictly separating row can be
     scaled to it, so None really means no strict separation exists.
     """
-    ptsx, d, _ = _points_view(X)
+    X, C = _point_set(X), _point_set(C)
+    ptsx, ptsc, d = X.points, C.points, X.dim
     if not ptsx:
         raise EmptySet("strict separation needs a nonempty valid side")
-    ptsc, dc, _ = _points_view(C)
-    if ptsc and dc != d:
+    if ptsc and C.dim != d:
         raise DimMismatch("point sets of different dimensions")
     if not ptsc:
         m = max(p[0] for p in ptsx)

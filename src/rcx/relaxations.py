@@ -300,7 +300,7 @@ def verify_relaxation(P, X, max_points=None, box=None):
     for z in lattice:
         if z in known:
             continue
-        if len(X) == 0 or not conv_membership(z, X)[0]:
+        if not conv_membership(z, X)[0]:
             return RelaxationReport("failed", ("extra_lattice_point", z))
     return RelaxationReport("verified", None, len(lattice))
 

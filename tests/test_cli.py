@@ -363,6 +363,14 @@ class TestDiagnostics:
         assert res.exit_code == 2
         assert "constraints" in res.summary
 
+    @pytest.mark.parametrize("command", [["gen", "tjoins"], ["hiding", "build", "tjoin"]],
+                             ids=" ".join)
+    def test_tjoin_terminals_must_be_a_list(self, tmp_path, command):
+        res = run([*command, "6", "1", "-o", str(tmp_path / "x.json")])
+        assert res.exit_code == 2
+        assert res.summary == ("error: tjoins terminals must be a comma list "
+                               "such as 1,2,3,4")
+
     def test_no_arguments_is_usage_error(self):
         assert run([]).exit_code == 2
 

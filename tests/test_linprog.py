@@ -1,11 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
 from rcx import linprog
 from rcx.errors import DimMismatch, EmptySet
+from rcx.families import PointSet, generate
+from rcx.hiding import build_perm_hiding, build_tsp_hiding
 from rcx.linprog import (
     Halfspace,
     HPolyhedron,
@@ -159,6 +162,8 @@ def test_membership_vertex_and_edge():
 
 def test_membership_empty_set():
     assert conv_membership((0,), []) == (False, None)
+    assert conv_membership((0, 0), PointSet(2, [])) == (False, None)
+    assert segment_hits_hull((0, 0), (1, 1), PointSet(2, [])) == (False, None)
 
 
 def test_segment_through_hull():
@@ -176,6 +181,13 @@ def test_segment_degenerate_point():
     assert segment_hits_hull((1, 1), (1, 1), simplex) == (False, None)
 
 
+def _kernel_shift(z):
+    # (0,0) - (0,1) - (1,0) + (1,1) = 0 on the unit square: keep the sum
+    # and the combination, make the first weight negative
+    c = z[0] + 1
+    return [z[0] - c, z[1] + c, z[2] + c, z[3] - c]
+
+
 def _shift_weight(z):
     # keep the sum, make the smallest multiplier negative
     i = min(range(len(z) - 1), key=z.__getitem__)
@@ -185,18 +197,28 @@ def _shift_weight(z):
     return z
 
 
-@pytest.mark.parametrize("tamper", [
-    lambda z: z[:-1] + [F(2)],                              # t past the segment
-    lambda z: [2 * v for v in z[:-1]] + z[-1:],             # weights sum to 2
-    _shift_weight,                                          # a negative weight
-    lambda z: [F(1)] + [F(0)] * (len(z) - 2) + z[-1:],      # wrong combination
-], ids=["t", "sum", "sign", "combination"])
-def test_segment_rejects_tampered_multipliers(monkeypatch, tamper):
-    # the vertical segment x = 1/2 crosses the unit square; a tampered
-    # answer from the LP must fail the one-scan certificate check
+@pytest.mark.parametrize("oracle, tamper", [
+    ("segment", lambda z: z[:-1] + [F(2)]),                          # t past the segment
+    ("segment", lambda z: [2 * v for v in z[:-1]] + z[-1:]),         # weights sum to 2
+    ("segment", _shift_weight),                                      # a negative weight
+    ("segment", lambda z: [F(1)] + [F(0)] * (len(z) - 2) + z[-1:]),  # wrong combination
+    ("membership", lambda z: [2 * v for v in z]),                    # weights sum to 2
+    ("membership", _kernel_shift),               # a negative weight, same combination
+    ("membership", lambda z: [F(1)] + [F(0)] * (len(z) - 1)),        # wrong combination
+], ids=["t", "sum", "sign", "combination",
+        "membership-sum", "membership-sign", "membership-combination"])
+def test_segment_rejects_tampered_multipliers(monkeypatch, oracle, tamper):
+    # the vertical segment x = 1/2 crosses the unit square, and (1/2, 1/3)
+    # lies inside it without being one of its points, so both answers come
+    # from the LP; a tampered answer must fail the one-scan certificate check
     square = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    a, b = (F(1, 2), -1), (F(1, 2), 2)
-    assert segment_hits_hull(a, b, square)[0]
+
+    def ask():
+        if oracle == "segment":
+            return segment_hits_hull((F(1, 2), -1), (F(1, 2), 2), square)
+        return conv_membership((F(1, 2), F(1, 3)), square)
+
+    assert ask()[0]
     solve = linprog._solve_standard
 
     def tampered(*args):
@@ -205,7 +227,7 @@ def test_segment_rejects_tampered_multipliers(monkeypatch, tamper):
 
     monkeypatch.setattr(linprog, "_solve_standard", tampered)
     with pytest.raises(RuntimeError, match="internal certificate check failed"):
-        segment_hits_hull(a, b, square)
+        ask()
 
 
 def test_segment_endpoint_inside():
@@ -230,8 +252,11 @@ def test_separation_gap_normalized():
 def test_separation_empty_sides():
     with pytest.raises(EmptySet):
         strict_separation([], [(1, 1)])
+    with pytest.raises(EmptySet):
+        strict_separation(PointSet(2, []), [(1, 1)])
     h = strict_separation([(2, 3)], [])
     assert h.satisfied_by((2, 3))
+    assert strict_separation([(2, 3)], PointSet(2, [])) == h
 
 
 def test_recession_box_trivial():
@@ -349,3 +374,76 @@ def test_membership_multipliers_cover_square():
         inside, mult = conv_membership(p, sq)
         assert inside
         assert sum(mult) == 1 and all(m >= 0 for m in mult)
+
+
+def _hiding_answers(H, X):
+    out = [conv_membership(h, X) for h in H]
+    return out + [segment_hits_hull(a, b, X) for a, b in combinations(H.points, 2)]
+
+
+def _seeded_answers():
+    rng = random.Random(6)
+    out = []
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(d))
+               for _ in range(rng.randint(1, 6))]
+        X = PointSet(d, pts) if rng.random() < 0.5 else pts
+
+        def probe():
+            return tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
+
+        p = probe()
+        out.append(conv_membership(p, X))
+        out.append(segment_hits_hull(p, probe(), X))
+        out.append(segment_hits_hull(p, p, X))
+        out.append(segment_hits_hull(pts[0], probe(), X))
+    return out
+
+
+def _even4_answers():
+    X = generate("even", 4)
+    odd = list(generate("odd", 4))
+    out = [conv_membership(p, X) for p in product((0, F(1, 2), 1), repeat=4)]
+    out += [segment_hits_hull(a, b, X) for a, b in combinations(odd, 2)]
+    return out + [segment_hits_hull(a, (2, 2, 2, 2), X) for a in odd]
+
+
+def _simplex2_answers():
+    X = generate("simplex", 2)
+    box = list(product(range(-1, 3), repeat=2))
+    out = [conv_membership(p, X) for p in box]
+    return out + [segment_hits_hull(a, b, list(X))
+                  for a, b in combinations_with_replacement(box, 2)]
+
+
+def _simplex3_answers():
+    X = generate("simplex", 3)
+    box = list(product(range(-1, 2), repeat=3))
+    out = [conv_membership(p, X) for p in product((F(-1, 2), 0, F(1, 3), 1), repeat=3)]
+    return out + [segment_hits_hull(a, b, X) for a, b in combinations(box, 2)]
+
+
+# sha256 of repr() of each corpus's answers, as written by the code these
+# oracles replaced; repr tells an int from an equal Fraction
+ORACLE_DIGESTS = {
+    "even4": (_even4_answers,
+              "b66b1b146838d8fb0c0f17606d75c8bfde2dafffd1730694852c48d4fdc77e02"),
+    "simplex2": (_simplex2_answers,
+                 "3db8aab2cee93d909424d1181840ecc4eb3f4f90f4346655ba39f54dfac8e460"),
+    "simplex3": (_simplex3_answers,
+                 "f71749a5e6608899ed7c4037b8a8f548619c24f9a8d31c335595bcc73b698c72"),
+    "seeded": (_seeded_answers,
+               "219bf127aad310e86ce945c0890f4cb73ef01424116529af829911c0b9c34906"),
+    "perm5": (lambda: _hiding_answers(build_perm_hiding(5), generate("perm", 5)),
+              "3abf8864f355baacc576636820300383e9b8b322b09360a036be599073bff234"),
+    "stsp8": (lambda: _hiding_answers(build_tsp_hiding(3, directed=False),
+                                      generate("stsp", 8)),
+              "4723789c703ca7f9eaeea8df7717bc56c4d8ac41d28c696e8dac90ea69b18fef"),
+}
+
+
+@pytest.mark.parametrize("corpus", list(ORACLE_DIGESTS))
+def test_hull_oracle_answers_match_digest(corpus):
+    answers, digest = ORACLE_DIGESTS[corpus]
+    assert hashlib.sha256(repr(answers()).encode()).hexdigest() == digest
