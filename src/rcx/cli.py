@@ -11,12 +11,13 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import dataclass
 
 from . import fileio
 from .errors import TooLarge
-from .families import generate
+from .families import FAMILIES, generate
 from .hiding import (build_arb_hiding, build_diff_hiding, build_parity_hiding,
                      build_perm_hiding, build_tjoin_hiding, build_tsp_hiding,
                      max_hiding_in_box, verify_hiding)
@@ -53,6 +54,23 @@ def _params(tokens):
     return out
 
 
+def _arity(name, fn, params, option, given=False):
+    """params, once they fit fn's parameters but the one an option fills
+    (which fn must take if given); a misfit is named as `rcx report` does."""
+    if fn is None:
+        return params
+    sig = inspect.signature(fn).parameters
+    names = [q for q in sig.values() if q.name != option]
+    least, k = sum(q.default is q.empty for q in names), len(names)
+    if not least <= len(params) <= k:
+        count = k if least == k else f"{least} to {k}"
+        raise ValueError(f"{name} takes {count} parameter{'s' if k > 1 else ''} "
+                         f"({', '.join(q.name for q in names)}), got {len(params)}")
+    if given and option not in sig:
+        raise ValueError(f"{name} takes no --{option.replace('_', '-')}")
+    return params
+
+
 def _parse_box(text):
     """'lo:hi,lo:hi,...' into a (lows, highs) pair of integer tuples."""
     lows, highs = [], []
@@ -74,28 +92,30 @@ def _write_report(ns, doc):
 
 
 def _cmd_gen(ns):
-    kwargs = {}
-    if ns.max_candidates is not None:
-        kwargs["max_candidates"] = ns.max_candidates
-    X = generate(ns.family, *_params(ns.params), **kwargs)
+    kwargs = {} if ns.max_candidates is None else {"max_candidates": ns.max_candidates}
+    params = _arity(ns.family, FAMILIES.get(ns.family), _params(ns.params),
+                    "max_candidates", bool(kwargs))
+    X = generate(ns.family, *params, **kwargs)
     fileio.write_doc(ns.out, fileio.pointset_doc(X))
     return CommandResult(
         0, ns.out, f"{ns.family}: {len(X.points)} points, dim {X.dim} -> {ns.out}")
 
 
+# builders take the parsed options, then the named positionals
 _HIDING_BUILDERS = {
-    "tsp": lambda p, ns: build_tsp_hiding(*p, directed=not ns.undirected),
-    "arb": lambda p, ns: build_arb_hiding(*p, directed=not ns.undirected),
-    "diff": lambda p, ns: build_diff_hiding(*p),
-    "perm": lambda p, ns: build_perm_hiding(*p),
-    "parity": lambda p, ns: build_parity_hiding(*p),
-    "tjoin": lambda p, ns: build_tjoin_hiding(*p)[ns.part - 1],
+    "tsp": lambda ns, N: build_tsp_hiding(N, directed=not ns.undirected),
+    "arb": lambda ns, N: build_arb_hiding(N, directed=not ns.undirected),
+    "diff": lambda ns, n: build_diff_hiding(n),
+    "perm": lambda ns, n: build_perm_hiding(n),
+    "parity": lambda ns, n: build_parity_hiding(n),
+    "tjoin": lambda ns, n, terminals: build_tjoin_hiding(n, terminals)[ns.part - 1],
 }
 
 
 def _cmd_hiding_build(ns):
     kind = ns.construction
-    H = _HIDING_BUILDERS[kind](_params(ns.params), ns)
+    build = _HIDING_BUILDERS[kind]
+    H = build(ns, *_arity(kind, build, _params(ns.params), "ns"))
     fileio.write_doc(ns.out, fileio.pointset_doc(H))
     return CommandResult(
         0, ns.out, f"{kind}: {len(H.points)} points, dim {H.dim} -> {ns.out}")
@@ -129,10 +149,10 @@ def _cmd_hiding_max(ns):
 
 
 _RELAX_BUILDERS = {
-    "cube": lambda p, ns: build_cube_relaxation(*p),
-    "subtour": lambda p, ns: build_subtour_relaxation(*p, directed=ns.directed),
-    "conncut": lambda p, ns: build_conn_cut_relaxation(*p),
-    "rado": lambda p, ns: build_rado_permutahedron(*p),
+    "cube": lambda ns, d: build_cube_relaxation(d),
+    "subtour": lambda ns, n: build_subtour_relaxation(n, directed=ns.directed),
+    "conncut": lambda ns, n: build_conn_cut_relaxation(n),
+    "rado": lambda ns, n: build_rado_permutahedron(n),
 }
 
 
@@ -141,7 +161,7 @@ def _cmd_relax_build(ns):
         builder = _RELAX_BUILDERS[ns.name]
     except KeyError:
         raise ValueError(f"unknown relaxation {ns.name!r}") from None
-    P = builder(_params(ns.params), ns)
+    P = builder(ns, *_arity(ns.name, builder, _params(ns.params), "ns"))
     fileio.write_doc(ns.out, fileio.polyhedron_doc(P))
     return CommandResult(
         0, ns.out,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 from .errors import DimMismatch, EmptySet, TooLarge
 from .families import DEFAULT_CAP, EdgeIndexer, PointSet, odd, tjoin_terminals
@@ -303,24 +304,33 @@ def verify_hiding(H, X):
     return done(True, integral, in_aff, excluded, pairs)
 
 
-def _greedy_color(order, adj):
-    classes = []
-    color = {}
-    for v in order:
-        for ci, cl in enumerate(classes):
-            if not (adj[v] & cl):
-                cl.add(v)
-                color[v] = ci + 1
-                break
-        else:
-            classes.append({v})
-            color[v] = len(classes)
-    return color
+def _conflict_graph(points, X):
+    """Adjacency bitmasks: i and j are joined when segment_hits_hull hits,
+    so every edge rests on a re-checked witness in conv(X)."""
+    adj = [0] * len(points)
+    for i, j in combinations(range(len(points)), 2):
+        if segment_hits_hull(points[i], points[j], X)[0]:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def _greedy_color(P, adj):
+    """(color, vertex) for each vertex of the bitmask P, sorted."""
+    classes, colored = [], []
+    for v in range(P.bit_length()):
+        if P >> v & 1:
+            c = next(c for c, cl in enumerate(classes + [0]) if not adj[v] & cl)
+            if c == len(classes):
+                classes.append(0)
+            classes[c] |= 1 << v
+            colored.append((c + 1, v))
+    return sorted(colored)
 
 
 def _max_clique(adj):
-    """Largest clique by branch and bound with a greedy coloring bound."""
-    n = len(adj)
+    """Largest clique of bitmask adjacency, by branch and bound with a
+    greedy coloring bound."""
     best = []
 
     def expand(R, P):
@@ -329,17 +339,15 @@ def _max_clique(adj):
             if len(R) > len(best):
                 best = list(R)
             return
-        color = _greedy_color(sorted(P), adj)
-        ordered = sorted(P, key=lambda v: (color[v], v))
-        for i in range(len(ordered) - 1, -1, -1):
-            v = ordered[i]
-            if len(R) + color[v] <= len(best):
+        for c, v in reversed(_greedy_color(P, adj)):
+            if len(R) + c <= len(best):
                 return
+            P &= ~(1 << v)
             R.append(v)
-            expand(R, [u for u in ordered[:i] if u in adj[v]])
+            expand(R, P & adj[v])
             R.pop()
 
-    expand([], list(range(n)))
+    expand([], (1 << len(adj)) - 1)
     return best
 
 
@@ -356,22 +364,13 @@ def max_hiding_in_box(X, box, max_candidates=None):
         raise DimMismatch("box dimension does not match point set")
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("empty box")
-    volume = 1
-    for a, b in zip(lo, hi):
-        volume *= b - a + 1
+    volume = prod(b - a + 1 for a, b in zip(lo, hi))
     cap = DEFAULT_CAP if max_candidates is None else max_candidates
     if volume > cap:
         raise TooLarge(f"box holds {volume} lattice points, cap is {cap}")
     hull = affine_hull(X.points)
-    cands = []
-    for p in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if in_affine_hull(p, hull) and not conv_membership(p, X)[0]:
-            cands.append(p)
-    adj = [set() for _ in cands]
-    for i, j in combinations(range(len(cands)), 2):
-        if segment_hits_hull(cands[i], cands[j], X)[0]:
-            adj[i].add(j)
-            adj[j].add(i)
-    clique = _max_clique(adj)
+    cands = [p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+             if in_affine_hull(p, hull) and not conv_membership(p, X)[0]]
+    clique = _max_clique(_conflict_graph(cands, X))
     witness = PointSet(X.dim, [cands[i] for i in clique])
     return len(clique), witness

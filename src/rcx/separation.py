@@ -10,13 +10,15 @@ ceiling, and bound_report pairs such ceilings with hiding-set floors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cache
+from itertools import product
 
 from .errors import EmptySet, InvalidSystem, TooLarge
 from .families import DEFAULT_CAP, PointSet, generate
-from .hiding import (_max_clique, build_arb_hiding, build_diff_hiding,
-                     build_parity_hiding, build_perm_hiding, build_tjoin_hiding,
-                     build_tsp_hiding, max_hiding_in_box, verify_hiding)
+from .hiding import (_conflict_graph, _max_clique, build_arb_hiding,
+                     build_diff_hiding, build_parity_hiding, build_perm_hiding,
+                     build_tjoin_hiding, build_tsp_hiding, max_hiding_in_box,
+                     verify_hiding)
 from .linprog import Halfspace, HPolyhedron, strict_separation
 from .rational import vdot
 from .relaxations import (LatticeBox, build_conn_cut_relaxation,
@@ -63,12 +65,6 @@ def _complement(xset, d):
     return [y for y in product((0, 1), repeat=d) if y not in xset]
 
 
-def _digest_of(X, d, pts):
-    if hasattr(X, "digest"):
-        return X.digest()
-    return PointSet(d, pts).digest()
-
-
 def _validate_system(system, pts, ypts, d, err=InvalidSystem):
     for i, h in enumerate(system.halfspaces):
         if len(h.a) != d:
@@ -81,27 +77,31 @@ def _validate_system(system, pts, ypts, d, err=InvalidSystem):
             raise err(f"excluded point {y} satisfies every row")
 
 
+def _kept_and_excluded(X, budget, what, limit=None):
+    """Kept points as one PointSet, and the excluded cube points: [] for
+    the whole cube, None for an empty X, else counted against the budget
+    before the cube is enumerated."""
+    pts, d, xset = _cube_points(X)
+    if limit is not None and d > limit:
+        raise TooLarge(f"dimension {d} exceeds the limit {limit}")
+    S = PointSet(d, pts, validate=False)
+    m = 2 ** d - len(xset)
+    if not m or not pts:
+        return S, ([] if pts else None)
+    if m > budget:
+        raise TooLarge(f"complement of {m} points is past {what}")
+    return S, _complement(xset, d)
+
+
 def conflict_clique_bound(X):
     """Size of a largest set of excluded points forcing pairwise distinct rows.
 
     Two excluded cube points conflict when no single valid row cuts both
-    off at once; a clique of conflicts lower-bounds any separating system.
+    off at once, that is when their segment meets conv(X); a clique of
+    conflicts lower-bounds any separating system.
     """
-    pts, d, xset = _cube_points(X)
-    ypts = _complement(xset, d)
-    if not ypts:
-        return 0
-    if not pts:
-        return 1
-    if len(ypts) > 32:
-        raise TooLarge(f"complement of {len(ypts)} points is past the pair budget")
-    m = len(ypts)
-    adj = [set() for _ in range(m)]
-    for i, j in combinations(range(m), 2):
-        if strict_separation(pts, [ypts[i], ypts[j]]) is None:
-            adj[i].add(j)
-            adj[j].add(i)
-    return len(_max_clique(adj))
+    S, ypts = _kept_and_excluded(X, 32, "the pair budget")
+    return 1 if ypts is None else len(_max_clique(_conflict_graph(ypts, S)))
 
 
 def jeroslow_index(X, limit=4, max_complement=16):
@@ -119,41 +119,23 @@ def jeroslow_index(X, limit=4, max_complement=16):
     max_complement = int(max_complement)
     if not 1 <= max_complement <= 20:
         raise ValueError("complement budget must be between 1 and 20")
-    pts, d, xset = _cube_points(X)
-    if d > limit:
-        raise TooLarge(f"dimension {d} exceeds the limit {limit}")
-    target = _digest_of(X, d, pts)
-    ypts = _complement(xset, d)
+    S, ypts = _kept_and_excluded(
+        X, max_complement, f"the exact-cover budget of {max_complement}", limit)
+    pts, d = S.points, S.dim
+    target = (X if hasattr(X, "digest") else PointSet(d, pts)).digest()
     if not ypts:
-        return 0, SeparationSystem((), target)
-    if not pts:
-        # nothing to keep: one row below the whole cube does it
-        row = Halfspace((1,) + (0,) * (d - 1), "<=", -1)
-        return 1, SeparationSystem((row,), target)
+        # the whole cube needs no row; an empty X one row below the cube
+        rows = () if pts else (Halfspace((1,) + (0,) * (d - 1), "<=", -1),)
+        return len(rows), SeparationSystem(rows, target)
     m = len(ypts)
-    if m > max_complement:
-        raise TooLarge(f"complement of {m} points is past the exact-cover "
-                       f"budget of {max_complement}")
 
-    rows_memo = {}
-
+    @cache
     def row_for(mask):
-        try:
-            return rows_memo[mask]
-        except KeyError:
-            chosen = [ypts[i] for i in range(m) if mask >> i & 1]
-            h = strict_separation(pts, chosen)
-            rows_memo[mask] = h
-            return h
+        return strict_separation(S, [ypts[i] for i in range(m) if mask >> i & 1])
 
     # conflict[i] = bitmask of points that can never share a row with i
-    conflict = [0] * m
-    for i, j in combinations(range(m), 2):
-        if row_for(1 << i | 1 << j) is None:
-            conflict[i] |= 1 << j
-            conflict[j] |= 1 << i
-    base_clique = len(_max_clique([
-        {j for j in range(m) if conflict[i] >> j & 1} for i in range(m)]))
+    conflict = _conflict_graph(ypts, S)
+    base_clique = len(_max_clique(conflict))
 
     maximal = []
     for mask in sorted(range(1, 1 << m), key=lambda s: (-s.bit_count(), s)):
@@ -183,7 +165,6 @@ def jeroslow_index(X, limit=4, max_complement=16):
         s = max(by_elem[i], key=lambda t: (t & u).bit_count())
         best.append(s)
         u &= ~s
-    best = list(best)
 
     def search(u, picked):
         nonlocal best
@@ -201,7 +182,7 @@ def jeroslow_index(X, limit=4, max_complement=16):
 
     if len(best) > base_clique:
         search(full, [])
-    rows = tuple(rows_memo[s] for s in best)
+    rows = tuple(row_for(s) for s in best)
     k = len(rows)
     if not base_clique <= k <= m:
         raise RuntimeError("cover size escaped its certified bounds")

@@ -337,6 +337,33 @@ class TestReportBytes:
         assert hashlib.sha256(doc_bytes(rep)).hexdigest() == REPORT_DIGESTS[args]
 
 
+# gen, hiding build and relax build name their parameters as report does;
+# an extra positional never becomes the candidate cap
+WRONG_ARITY = [
+    (["gen", "stsp"], "stsp takes 1 parameter (n), got 0"),
+    (["gen", "stsp", "5", "6"], "stsp takes 1 parameter (n), got 2"),
+    (["gen", "cube", "3", "100"], "cube takes 1 parameter (d), got 2"),
+    (["gen", "diff", "2"], "diff takes 2 parameters (m, n), got 1"),
+    (["gen", "arb", "4", "2", "7"], "arb takes 1 to 2 parameters (n, root), got 3"),
+    (["gen", "tjoins", "4", "1,2", "3"],
+     "tjoins takes 1 to 2 parameters (n, terminals), got 3"),
+    (["gen", "simplex", "2", "--max-candidates", "5"],
+     "simplex takes no --max-candidates"),
+    (["hiding", "build", "tsp"], "tsp takes 1 parameter (N), got 0"),
+    (["hiding", "build", "perm", "4", "5"], "perm takes 1 parameter (n), got 2"),
+    (["hiding", "build", "tjoin", "6"], "tjoin takes 2 parameters (n, terminals), got 1"),
+    (["relax", "build", "subtour"], "subtour takes 1 parameter (n), got 0"),
+    (["relax", "build", "cube", "2", "3"], "cube takes 1 parameter (d), got 2"),
+]
+
+# an optional parameter left out or given, and the cap flag, keep working
+STILL_RUNS = [
+    (["gen", "arb", "4", "2"], "arb: 16 points, dim 12"),
+    (["gen", "tjoins", "4"], "tjoins: 8 points, dim 6"),
+    (["gen", "cube", "3", "--max-candidates", "8"], "cube: 8 points, dim 3"),
+]
+
+
 class TestDiagnostics:
     def test_missing_file(self):
         res = run(["index", "/nonexistent/nope.json"])
@@ -370,6 +397,21 @@ class TestDiagnostics:
         assert res.exit_code == 2
         assert res.summary == ("error: tjoins terminals must be a comma list "
                                "such as 1,2,3,4")
+
+    @pytest.mark.parametrize("args, message", WRONG_ARITY,
+                             ids=[" ".join(a) for a, _ in WRONG_ARITY])
+    def test_wrong_arity_names_the_parameters(self, tmp_path, args, message):
+        out = tmp_path / "x.json"
+        res = run([*args, "-o", str(out)])
+        assert (res.exit_code, res.summary) == (2, "error: " + message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, summary", STILL_RUNS,
+                             ids=[" ".join(a) for a, _ in STILL_RUNS])
+    def test_optional_parameters_still_run(self, tmp_path, args, summary):
+        out = tmp_path / "x.json"
+        res = run([*args, "-o", str(out)])
+        assert (res.exit_code, res.summary) == (0, f"{summary} -> {out}")
 
     def test_no_arguments_is_usage_error(self):
         assert run([]).exit_code == 2

@@ -1,12 +1,16 @@
 """Minimum cube-separating systems, binary relaxations, and bound reports."""
 
+import hashlib
 import random
-from itertools import product
+import signal
+from contextlib import contextmanager
+from itertools import combinations, product
 
 import pytest
 
 from rcx.errors import EmptySet, InvalidSystem, TooLarge
-from rcx.families import PointSet, cube, even, odd
+from rcx.families import PointSet, cube, even, generate, odd
+from rcx.hiding import _conflict_graph, max_hiding_in_box
 from rcx.linprog import Halfspace, strict_separation
 from rcx.rational import vdot
 from rcx.relaxations import build_cube_relaxation, verify_relaxation
@@ -90,6 +94,21 @@ class TestJeroslowIndex:
             assert_separates(system, X)
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 class TestConflictCliqueBound:
     def test_parity(self):
         # any two odd points average onto an even midpoint, so all pairs clash
@@ -101,6 +120,91 @@ class TestConflictCliqueBound:
     def test_conflict_free(self):
         assert conflict_clique_bound(TRI) == 1
         assert conflict_clique_bound(PointSet(2, [])) == 1
+
+    # the 2^40 cube points are never listed: the empty set answers at once
+    # and the budget is checked on the count alone
+    def test_empty_set_in_dimension_40_answers_at_once(self):
+        with deadline(0.5):
+            assert conflict_clique_bound(PointSet(40, [])) == 1
+
+    def test_budget_in_dimension_40_comes_before_the_cube(self):
+        with deadline(0.5), pytest.raises(TooLarge) as err:
+            conflict_clique_bound(PointSet(40, [(0,) * 40]))
+        assert str(err.value) == (f"complement of {2 ** 40 - 1} points is past "
+                                  f"the pair budget")
+
+
+def _cube_subsets():
+    """All subsets of {0,1}^3 and 60 seeded subsets of {0,1}^4."""
+    out = [PointSet(3, [CUBE3[i] for i in range(8) if mask >> i & 1])
+           for mask in range(256)]
+    cube4 = list(product((0, 1), repeat=4))
+    rng = random.Random(7)
+    for _ in range(60):
+        mask = rng.getrandbits(16)
+        out.append(PointSet(4, [cube4[i] for i in range(16) if mask >> i & 1]))
+    return out
+
+
+def _separation_graph(points, X):
+    """The conflict graph as the strict-separation pair loop built it."""
+    adj = [0] * len(points)
+    for i, j in combinations(range(len(points)), 2):
+        if strict_separation(X, [points[i], points[j]]) is None:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+@pytest.mark.parametrize("corpus", ["cube subsets", "even5"])
+def test_conflict_graph_matches_strict_separation(corpus):
+    # for points outside conv(X), the segment between two of them meets
+    # conv(X) exactly when no row valid on X cuts both off
+    sets = _cube_subsets() if corpus == "cube subsets" else [even(5)]
+    edges = 0
+    for X in sets:
+        if not X.points:
+            continue
+        kept = set(X.points)
+        ypts = [y for y in product((0, 1), repeat=X.dim) if y not in kept]
+        got = _conflict_graph(ypts, X)
+        assert got == _separation_graph(ypts, X), X.points
+        edges += sum(a.bit_count() for a in got)
+    assert edges > 0
+
+
+BOX_SEARCHES = [
+    (("simplex", 2), ((-3, -3), (3, 3))),
+    (("simplex", 3), ((-1,) * 3, (1,) * 3)),
+    (("even", 2), ((-1, -1), (2, 2))),
+    (("even", 3), ((-1,) * 3, (1,) * 3)),
+    (("cube", 2), ((-1, -1), (2, 2))),
+    (("diff", 2, 2), ((-1,) * 4, (1,) * 4)),
+]
+
+
+# sha256 of repr() of each corpus's answers, as written by the pair loops
+# that the one conflict graph replaced
+CONFLICT_DIGESTS = {
+    "cube subsets": (
+        lambda: [(jeroslow_index(X), conflict_clique_bound(X))
+                 for X in _cube_subsets()],
+        "26b0f03b8575e05a2db5f723a113b6c16cb0e2b7f9155a5bd6f322f084998a19"),
+    "parity": (
+        lambda: [jeroslow_index(even(d)) for d in (2, 3, 4)]
+        + [conflict_clique_bound(even(5))],
+        "22d26bb7ad81e92c5b2f7700fa5aab9deff9841dd0996c319bdf7da35005aade"),
+    "box searches": (
+        lambda: [(size, W.points) for size, W in
+                 (max_hiding_in_box(generate(*f), box) for f, box in BOX_SEARCHES)],
+        "b11f8d0f76cd69e0dc6ec7fe416fc509b9df78d5f7496c034ec464bfe93d9d3f"),
+}
+
+
+@pytest.mark.parametrize("corpus", list(CONFLICT_DIGESTS))
+def test_conflict_answers_match_digest(corpus):
+    answers, digest = CONFLICT_DIGESTS[corpus]
+    assert hashlib.sha256(repr(answers()).encode()).hexdigest() == digest
 
 
 class TestBuildBinaryRelaxation:
