@@ -316,34 +316,27 @@ def forests(n, max_candidates=None):
                     legend=idx.legend(), validate=False)
 
 
-def _is_arborescence(n, arcs, root):
-    indeg = [0] * (n + 1)
-    out = [[] for _ in range(n + 1)]
-    for u, v in arcs:
-        indeg[v] += 1
-        out[u].append(v)
-    roots = [v for v in range(1, n + 1) if indeg[v] == 0]
-    if root is not None:
-        if roots != [root]:
-            return False
-    elif len(roots) != 1:
-        return False
-    if any(indeg[v] > 1 for v in range(1, n + 1)):
-        return False
-    seen = {roots[0]}
-    stack = [roots[0]]
-    while stack:
-        u = stack.pop()
-        for w in out[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def _reaches(root, parent):
+    """True when following parents from every node ends at the root."""
+    done = {root}
+    for v in parent:
+        path = []
+        while v not in done:
+            if v in path:
+                return False
+            path.append(v)
+            v = parent[v]
+        done.update(path)
+    return True
 
 
 def arb(n, root=None, max_candidates=None):
     """Characteristic vectors of spanning arborescences (any root by
-    default, or a fixed one)."""
+    default, or a fixed one).
+
+    Every node but the root picks a parent; the picks without a cycle are
+    exactly the arborescences, n·(n-1)^(n-1) candidates in all.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if root is not None and not 1 <= root <= n:
@@ -351,13 +344,16 @@ def arb(n, root=None, max_candidates=None):
     idx = EdgeIndexer(n, directed=True)
     _cap_check(comb(idx.dim, n - 1), max_candidates, f"arb({n})")
     pts = []
-    for chosen in combinations(range(idx.dim), max(n - 1, 0)):
-        arcs = [idx.pairs[k] for k in chosen]
-        if _is_arborescence(n, arcs, root):
-            vec = [0] * idx.dim
-            for k in chosen:
-                vec[k] = 1
-            pts.append(tuple(vec))
+    for r in range(1, n + 1) if root is None else (root,):
+        others = [v for v in range(1, n + 1) if v != r]
+        choices = [[u for u in range(1, n + 1) if u != v] for v in others]
+        for parents in product(*choices):
+            parent = dict(zip(others, parents))
+            if _reaches(r, parent):
+                vec = [0] * idx.dim
+                for v, u in parent.items():
+                    vec[idx.index(u, v)] = 1
+                pts.append(tuple(vec))
     pts.sort()
     return PointSet(idx.dim, pts, family=_tag("arb", n=n, root=root),
                     legend=idx.legend(), validate=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .families import PointSet
@@ -17,6 +18,7 @@ from .linprog import SENSES, Halfspace, HPolyhedron
 from .rational import format_rational, parse_rational
 
 SCHEMA_VERSION = 1
+_INT = frozenset({int})
 
 
 def _rational_field(v, field):
@@ -34,7 +36,29 @@ def _rational_field(v, field):
 
 
 def dumps(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(doc, indent=2, sort_keys=True) plus a newline,
+    written without the standard library's pure-Python indenting encoder."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(v, newline):
+    # `newline` is a line break plus the indentation of v's own line
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    inner = newline + "  "
+    if isinstance(v, (list, tuple)) and v:
+        if _INT.issuperset(map(type, v)):
+            body = ("," + inner).join(map(str, v))
+        else:
+            body = ("," + inner).join([_encode(u, inner) for u in v])
+        return "[" + inner + body + newline + "]"
+    if isinstance(v, dict) and v and all(type(k) is str for k in v):
+        body = ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _encode(v[k], inner)
+             for k in sorted(v)])
+        return "{" + inner + body + newline + "}"
+    # scalars, empty containers, other keys: the library's own text, indented
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def write_doc(path, doc):
@@ -80,15 +104,15 @@ def parse_pointset(doc):
     if dim < 1:
         raise ValueError("field 'dim' must be at least 1")
     raw = _field(doc, "points", list)
-    pts = []
     for i, row in enumerate(raw):
+        # JSON integers are exactly the values of type int (a bool is not)
         if (not isinstance(row, list) or len(row) != dim
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in row)):
+                or not _INT.issuperset(map(type, row))):
             raise ValueError(f"field 'points'[{i}]: need {dim} integers")
-        pts.append(tuple(row))
     family = _field(doc, "family", dict, required=False)
     legend = _field(doc, "legend", list, required=False)
-    return PointSet(dim, pts, family=family, legend=legend)
+    return PointSet(dim, sorted(set(map(tuple, raw))), family=family,
+                    legend=legend, validate=False)
 
 
 def row_doc(h):

@@ -6,10 +6,12 @@ exactly); floats never enter the toolkit.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DimMismatch, EmptySet
 
@@ -173,26 +175,59 @@ def affine_hull(points):
     """Affine hull of a finite point collection (exact, deterministic).
 
     The base point is the lexicographically smallest input point, so the
-    result is invariant under reordering of the input.
+    result is invariant under reordering of the input. About 4·d seeded
+    probes find the rank of most families; while it is short, every point
+    is checked once against the current equations, and a point that breaks
+    one enlarges the basis. The basis is the reduced echelon form of the
+    direction space, which is unique, so the answer does not depend on
+    which points were probed.
     """
     pts = list(points)
     if not pts:
         raise EmptySet("affine hull of no points")
     d = len(pts[0])
     base = min(pts)
+    if len(set(map(len, pts))) > 1:
+        raise DimMismatch("points of mixed dimension")
+    probes = pts
+    if len(pts) > 4 * d:
+        probes = [pts[i] for i in random.Random(0).sample(range(len(pts)), 4 * d)]
     ech = _Echelon(d)
-    for p in pts:
-        if len(p) != d:
-            raise DimMismatch("points of mixed dimension")
+    for p in probes:
         if ech.rank == d:
             break
-        diff = [a - b for a, b in zip(p, base)]
-        if any(diff):
-            ech.add(diff)
+        ech.add([a - b for a, b in zip(p, base)])
     ech.back_substitute()
-    basis = tuple(tuple(r) for r in ech.rows)
     equations = _nullspace_equations(ech, d, base)
+    if equations:
+        reach = max(max(map(max, pts)), -min(map(min, pts)))
+        w, t = _packed(equations, reach)
+        for p in pts:
+            if sum(map(mul, w, p)) != t:
+                ech.add([a - b for a, b in zip(p, base)])
+                ech.back_substitute()
+                equations = _nullspace_equations(ech, d, base)
+                if not equations:
+                    break
+                w, t = _packed(equations, reach)
+    basis = tuple(tuple(r) for r in ech.rows)
     return AffineHull(tuple(base), basis, equations)
+
+
+def _packed(equations, reach):
+    """One weight row (w, t) with w·p == t exactly when every a·p == b, for
+    points whose coordinates are at most `reach` in absolute value.
+
+    Each residual a·p - b lies strictly inside (-B/2, B/2), so the base-B
+    sum of the residuals is zero only when each residual is.
+    """
+    B = 2 * max(sum(map(abs, a)) * reach + abs(b) for a, b in equations) + 1
+    w, t, scale = [0] * len(equations[0][0]), 0, 1
+    for a, b in equations:
+        w = [x + scale * y for x, y in zip(w, a)]
+        t += scale * b
+        scale *= B
+    return w, t
 
 
 def _nullspace_equations(ech, d, base):

@@ -55,7 +55,7 @@ def _cube_points(X):
         p = tuple(p)
         if len(p) != d:
             raise ValueError(f"point {p} has the wrong dimension")
-        if any(v not in (0, 1) for v in p):
+        if any(not isinstance(v, int) or v not in (0, 1) for v in p):
             raise ValueError(f"point {p} is not 0/1")
         out.append(p)
     return out, d, set(out)

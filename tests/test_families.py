@@ -159,6 +159,18 @@ def test_arb_is_branch_slice():
     assert sliced == arb(n).points
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_arb_is_branch_slice_for_every_root(n):
+    # arborescences are the branchings with n - 1 arcs, rooted where the
+    # branching has in-degree zero
+    for root in (None, *range(1, n + 1)):
+        sliced = [p for p in branch(n, root).points if sum(p) == n - 1]
+        X = arb(n, root)
+        assert X.points == sliced
+        assert X.family == {"name": "arb", "params": {"n": n, "root": root}}
+        assert X.legend == branch(n).legend
+
+
 def test_tjoin_counts():
     assert len(tjoins(3)) == 2
     assert len(tjoins(3, (1, 2))) == 2

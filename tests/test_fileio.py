@@ -1,13 +1,16 @@
 """Byte-stable JSON round trips for point sets, polyhedra, and reports."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from rcx import fileio
-from rcx.families import PointSet, generate
+from rcx import cli, fileio
+from rcx.families import FAMILIES, PointSet, generate
 from rcx.linprog import Halfspace, HPolyhedron
-from rcx.relaxations import build_cube_relaxation, build_rado_permutahedron
+from rcx.relaxations import (build_conn_cut_relaxation, build_cube_relaxation,
+                             build_rado_permutahedron, build_subtour_relaxation)
+from test_cli import REPORT_DIGESTS
 
 
 class TestDumps:
@@ -18,6 +21,68 @@ class TestDumps:
     def test_idempotent_bytes(self):
         doc = fileio.pointset_doc(generate("even", 3))
         assert fileio.dumps(doc) == fileio.dumps(fileio.pointset_doc(generate("even", 3)))
+
+
+def library_bytes(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# every family, at sizes up to the large files of `rcx gen`
+FAMILY_SIZES = [("cube", (1,)), ("cube", (5,)), ("simplex", (3,)), ("even", (4,)),
+                ("odd", (3,)), ("perm", (5,)), ("diff", (2, 2)), ("stsp", (6,)),
+                ("atsp", (8,)), ("conn", (6,)), ("spt", (5,)), ("forests", (4,)),
+                ("arb", (4,)), ("arb", (4, 2)), ("branch", (3,)), ("tjoins", (1,)),
+                ("tjoins", (6, (1, 2, 3, 4)))]
+
+EDGE_DOCS = [
+    {}, [], {"a": []}, {"a": {}}, {"a": [[], {}, [[]], [{}]]},
+    {"b": 1, "a": [1, 2], "c": {"z": None, "y": [True, False, None]}},
+    [1, "x", [2, [3, True]], {"k": -1}], [True, 1], [1, True], [0, False],
+    {"s": ["\u00e9t\u00e9", "\u2603", "\U0001f600", 'quote " and \\ slash',
+           "tab\tnew\nline\r\x00\x1f", ""]},
+    {"\u00e9": 1, "a\"b": 2, "": 3, "\n": [4]},
+    {"big": [-(10 ** 40), 10 ** 40, -1, 0], "neg": -(2 ** 70)},
+    {"t": (1, (2, 3)), "nested": [[[[[-5]]]]]},
+    "plain", 7, None, False,
+]
+
+
+class TestWriterMatchesTheLibrary:
+    """fileio.dumps writes the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    def test_every_family_is_listed(self):
+        assert {name for name, _ in FAMILY_SIZES} == set(FAMILIES)
+
+    @pytest.mark.parametrize("name, params", FAMILY_SIZES,
+                             ids=[f"{n}{p}".replace(" ", "") for n, p in FAMILY_SIZES])
+    def test_point_docs(self, name, params):
+        doc = fileio.pointset_doc(generate(name, *params))
+        assert fileio.dumps(doc) == library_bytes(doc)
+
+    def test_report_docs(self, monkeypatch, tmp_path):
+        docs = []
+        monkeypatch.setattr(fileio, "write_doc", lambda path, doc: docs.append(doc))
+        for args in REPORT_DIGESTS:
+            res = cli.run(["report", *args, "-o", str(tmp_path / "r.json")])
+            assert res.exit_code == 0
+        assert len(docs) == len(REPORT_DIGESTS)
+        for doc in docs:
+            assert fileio.dumps(doc) == library_bytes(doc)
+
+    def test_polyhedron_docs(self):
+        polys = [build_cube_relaxation(3), build_rado_permutahedron(4),
+                 build_subtour_relaxation(5),
+                 build_subtour_relaxation(4, directed=True),
+                 build_conn_cut_relaxation(4),
+                 HPolyhedron(2, [Halfspace((Fraction(1, 3), Fraction(-2, 7)), "<=",
+                                           Fraction(-5, 11))])]
+        for P in polys:
+            doc = fileio.polyhedron_doc(P)
+            assert fileio.dumps(doc) == library_bytes(doc)
+
+    @pytest.mark.parametrize("doc", EDGE_DOCS)
+    def test_edge_docs(self, doc):
+        assert fileio.dumps(doc) == library_bytes(doc)
 
 
 class TestPointSetDocs:

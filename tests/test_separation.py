@@ -94,6 +94,14 @@ class TestJeroslowIndex:
             assert_separates(system, X)
 
 
+@pytest.mark.parametrize("fn", [rationalize_halfspace, jeroslow_index,
+                                conflict_clique_bound])
+def test_float_coordinates_are_not_01(fn):
+    # 0.0 and 1.0 equal 0 and 1 but are no integer points
+    with pytest.raises(ValueError, match=r"is not 0/1"):
+        fn([(0.0, 1.0), (1.0, 1.0)])
+
+
 @contextmanager
 def deadline(seconds):
     """Raise TimeoutError in the block once `seconds` of wall time pass."""
