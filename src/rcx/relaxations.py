@@ -198,6 +198,39 @@ def bounding_box(P):
     return LatticeBox(lower, upper)
 
 
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+def _row_box(P):
+    """Integer box from P's single-variable rows, found without any LP.
+
+    A row with one nonzero coefficient bounds its coordinate exactly; an
+    `=` row bounds it on both sides. Returns None when some coordinate
+    lacks a bound on a side or its integer range is empty, so the LP path
+    decides those cases. The box contains P, hence bounding_box(P).
+    """
+    lo = [None] * P.dim
+    hi = [None] * P.dim
+    for c in P.constraints:
+        nz = [k for k, v in enumerate(c.a) if v]
+        if len(nz) != 1:
+            continue
+        k = nz[0]
+        t = c.rhs / c.a[k]
+        sense = c.sense if c.a[k] > 0 else _FLIPPED[c.sense]
+        if sense != ">=" and (hi[k] is None or t < hi[k]):
+            hi[k] = t
+        if sense != "<=" and (lo[k] is None or t > lo[k]):
+            lo[k] = t
+    if None in lo or None in hi:
+        return None
+    lower = [ceil(v) for v in lo]
+    upper = [floor(v) for v in hi]
+    if any(l > u for l, u in zip(lower, upper)):
+        return None
+    return LatticeBox(lower, upper)
+
+
 def _integer_rows(P):
     rows = []
     for c in P.constraints:
@@ -208,17 +241,28 @@ def _integer_rows(P):
 
 
 def enumerate_lattice(P, box=None, max_points=None):
-    """All integer points of P inside the box (default: bounding_box(P)).
+    """All integer points of P inside the box, in lexicographic order.
+
+    Without a box, P's single-variable rows give one when they bound every
+    coordinate and its volume is within the cap; otherwise bounding_box(P)
+    does, with 2 * dim LPs. Every box enclosing P yields the same points,
+    and since the row box contains the LP box, TooLarge fires exactly when
+    the LP box is past the cap. A row-box scan that finds nothing still
+    asks bounding_box(P), so an LP-infeasible P raises Infeasible.
 
     Odometer scan over the box with interval pruning: a partial assignment
     is abandoned as soon as some row cannot be satisfied by any completion
     within the remaining coordinate ranges.  All arithmetic is integer.
     """
+    cap = DEFAULT_CAP if max_points is None else max_points
+    presolved = False
     if box is None:
-        box = bounding_box(P)
+        box = _row_box(P)
+        presolved = box is not None and box.volume <= cap
+        if not presolved:
+            box = bounding_box(P)
     if box.dim != P.dim:
         raise DimMismatch("box dimension does not match polyhedron")
-    cap = DEFAULT_CAP if max_points is None else max_points
     if box.volume > cap:
         raise TooLarge(f"box volume {box.volume} exceeds the cap of {cap}")
     d = P.dim
@@ -255,6 +299,8 @@ def enumerate_lattice(P, box=None, max_points=None):
                 scan(k + 1, nxt)
 
     scan(0, [0] * nr)
+    if presolved and not out:
+        bounding_box(P)  # raises for an LP-infeasible P, as the LP path does
     return PointSet(d, out, validate=False)
 
 
@@ -279,7 +325,10 @@ def verify_relaxation(P, X, max_points=None, box=None):
     Point containment is tested first, so a failure names a concrete witness;
     then an unboundedness guard (a rational recession ray plus any lattice
     point gives infinitely many lattice points, while X spans only finitely
-    many); finally a full enumeration compared against the hull. A caller
+    many); finally a full enumeration compared against the hull. When P's
+    single-variable rows bound every coordinate on both sides, each
+    recession direction r has r_k <= 0 and r_k >= 0, so the recession
+    probe is skipped, and enumerate_lattice scans that row box. A caller
     who already knows an enclosing box may pass it to skip the bounding
     LPs and the recession probe: a polyhedron with a lattice point and a
     nonzero recession direction has lattice points outside every box, so
@@ -291,7 +340,7 @@ def verify_relaxation(P, X, max_points=None, box=None):
     for p in X:
         if not P.contains(p):
             return RelaxationReport("failed", ("missing_point", tuple(p)))
-    if len(X) > 0 and box is None:
+    if len(X) > 0 and box is None and _row_box(P) is None:
         nontrivial, ray = recession_nontrivial(P)
         if nontrivial:
             return RelaxationReport("failed", ("unbounded_with_finite_X", ray))

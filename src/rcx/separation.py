@@ -421,8 +421,12 @@ def bound_report(family, *params, box=None, max_candidates=None):
         X = X if X is not None else generate(family, *pdict.values())
         if P is None:
             P = build_binary_relaxation(X)
-        # the explicit descriptions all carry enclosing box rows, so the
-        # bounding LPs can be skipped without losing exactness
+        # [0, top]^d holds every lattice point of P and P is bounded, so
+        # the bounding LPs and the recession probe can be skipped: subtour
+        # and cut systems carry 0 <= x_e <= 1 rows; the permutahedron has
+        # x >= 0 rows, and its sum row less the subset row on the other
+        # n - 1 coordinates gives x_i <= n; the sawtooth cube rows bound a
+        # polytope whose lattice points are exactly {0,1}^d
         top = spec.box_top(**pdict)
         rep = verify_relaxation(P, X, box=LatticeBox((0,) * d, (top,) * d))
         upper_cert = rep.status == "verified"

@@ -1,0 +1,49 @@
+"""The LP path that rcx.relaxations' row-box presolve skips.
+
+Kept as a test-only reference: `enumerate_lattice` solves the 2·d
+bounding LPs and scans the LP box; `verify_relaxation` runs the
+recession probe on every polyhedron with a point to check, then that
+enumeration. A box passed to the library's `enumerate_lattice` never
+reaches the presolve, so the scan is the library's own. The
+differential tests require both paths to give the same points, the
+same reports and the same exceptions.
+"""
+
+from functools import cache
+
+from rcx.errors import DimMismatch
+from rcx.linprog import conv_membership, recession_nontrivial
+from rcx import relaxations
+from rcx.relaxations import RelaxationReport, bounding_box
+
+
+@cache
+def enumerate_lattice(P, max_points=None):
+    """bounding_box(P), then the scan over that box.
+
+    Cached, so a test that asks both functions about one polyhedron
+    solves its bounding LPs once; a raised exception is not cached.
+    """
+    return relaxations.enumerate_lattice(P, box=bounding_box(P),
+                                         max_points=max_points)
+
+
+def verify_relaxation(P, X, max_points=None):
+    """Containment, the recession probe, then the LP-box enumeration."""
+    if P.dim != X.dim:
+        raise DimMismatch("polyhedron and point set dimensions differ")
+    for p in X:
+        if not P.contains(p):
+            return RelaxationReport("failed", ("missing_point", tuple(p)))
+    if len(X) > 0:
+        nontrivial, ray = recession_nontrivial(P)
+        if nontrivial:
+            return RelaxationReport("failed", ("unbounded_with_finite_X", ray))
+    lattice = enumerate_lattice(P, max_points=max_points)
+    known = set(X.points)
+    for z in lattice:
+        if z in known:
+            continue
+        if not conv_membership(z, X)[0]:
+            return RelaxationReport("failed", ("extra_lattice_point", z))
+    return RelaxationReport("verified", None, len(lattice))

@@ -1,0 +1,183 @@
+"""The row-box presolve against the LP path it skips.
+
+`lp_path` is the old path: 2·d bounding LPs, the recession probe, then
+the scan over the LP box. `enumerate_lattice` and `verify_relaxation`
+must give the same points, the same reports and the same exceptions
+(type and message): on the explicit systems, on the binary relaxations
+of `even`, and on seeded small polyhedra built to hit every branch of
+the presolve.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import lp_path
+from rcx.families import PointSet, atsp, conn, cube, even, perm, stsp
+from rcx.linprog import Halfspace, HPolyhedron
+from rcx.relaxations import (
+    RelaxationReport,
+    _row_box,
+    build_conn_cut_relaxation,
+    build_cube_relaxation,
+    build_rado_permutahedron,
+    build_subtour_relaxation,
+    enumerate_lattice,
+    verify_relaxation,
+)
+from rcx.separation import build_binary_relaxation
+
+
+def outcome(fn, *args, **kwargs):
+    """The answer of fn, or the type and message of what it raised."""
+    try:
+        got = fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return got.points if isinstance(got, PointSet) else got
+
+
+def same_answers(P, X, max_points=None):
+    lattice = outcome(enumerate_lattice, P, max_points=max_points)
+    assert lattice == outcome(lp_path.enumerate_lattice, P, max_points=max_points)
+    report = outcome(verify_relaxation, P, X, max_points=max_points)
+    assert report == outcome(lp_path.verify_relaxation, P, X, max_points=max_points)
+    return lattice, report
+
+
+SYSTEMS = {
+    **{f"subtour{n}": (lambda n=n: build_subtour_relaxation(n), lambda n=n: stsp(n))
+       for n in range(3, 7)},
+    **{f"dsubtour{n}": (lambda n=n: build_subtour_relaxation(n, directed=True),
+                        lambda n=n: atsp(n))
+       for n in range(3, 6)},
+    **{f"conn{n}": (lambda n=n: build_conn_cut_relaxation(n), lambda n=n: conn(n))
+       for n in range(3, 6)},
+    **{f"cube{d}": (lambda d=d: build_cube_relaxation(d), lambda d=d: cube(d))
+       for d in range(1, 7)},
+    **{f"rado{n}": (lambda n=n: build_rado_permutahedron(n), lambda n=n: perm(n))
+       for n in range(3, 6)},
+    **{f"even{n}": (lambda n=n: build_binary_relaxation(even(n)), lambda n=n: even(n))
+       for n in range(3, 6)},
+}
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_explicit_systems(name):
+    build, family = SYSTEMS[name]
+    X = family()
+    lattice, report = same_answers(build(), X)
+    assert report.status == "verified" and report.lattice_count == len(lattice)
+    if not name.startswith("rado"):  # the permutahedron adds interior points
+        assert lattice == X.points
+
+
+def test_directed_subtour6():
+    # The LP path takes about four minutes here (60 bounding LPs and 60
+    # recession LPs in dimension 30), so its answers are written out: run
+    # once, lp_path gave exactly the 120 tours of atsp(6) and a verified
+    # report. Its 2**30-point LP box needs a cap above the default.
+    P = build_subtour_relaxation(6, directed=True)
+    X = atsp(6)
+    assert enumerate_lattice(P, max_points=2**30).points == X.points
+    assert verify_relaxation(P, X, max_points=2**30) == (
+        RelaxationReport("verified", None, 120))
+
+
+def _bound_rows(rng, k, d, lo, hi):
+    """Single-variable rows for lo <= x_k <= hi, each side possibly missing."""
+    rows = []
+    for value, side in ((lo, ">="), (hi, "<=")):
+        if value is None:
+            continue
+        c = rng.choice([1, 1, 2, 3, -1, -2])
+        a = [0] * d
+        a[k] = c
+        sense = side if c > 0 else {"<=": ">=", ">=": "<="}[side]
+        rows.append(Halfspace(a, sense, c * value))
+    return rows
+
+
+def _random_case(rng, flavor):
+    d = rng.randint(1, 3)
+    frac = lambda: Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4]))
+    rows = []
+    z = []  # the other rows pass through z, so most bodies keep points
+    for k in range(d):
+        lo = frac()
+        hi = lo + Fraction(rng.randint(0, 8), rng.choice([1, 2, 3]))
+        z.append(lo + (hi - lo) * Fraction(rng.randint(0, 4), 4))
+        if flavor == "open" and rng.random() < 0.5:
+            lo, hi = rng.choice([(lo, None), (None, hi), (None, None)])
+        if flavor == "contradictory" and k == 0:
+            lo, hi = hi + Fraction(1, rng.choice([1, 2, 3])), lo
+        rows += _bound_rows(rng, k, d, lo, hi)
+        if flavor == "redundant":
+            rows += _bound_rows(rng, k, d, lo - rng.randint(0, 3), hi + rng.randint(0, 3))
+        if flavor == "equality" and rng.random() < 0.6:
+            a = [0] * d
+            a[k] = rng.choice([1, 2, -3])
+            rows.append(Halfspace(a, "=", a[k] * rng.randint(-2, 2)))
+    for _ in range(rng.randint(0, 3)):
+        a = [rng.randint(-3, 3) for _ in range(d)]
+        if any(a):
+            sense = rng.choice(["<=", ">=", "="])
+            slack = {"<=": 1, ">=": -1, "=": 0}[sense] * rng.randint(0, 4)
+            rows.append(Halfspace(a, sense, sum(u * v for u, v in zip(a, z)) + slack))
+    if flavor == "lattice-free":
+        # 2x_1 = 1, or 2x_1 + 2x_2 = 1, with x_1 = x_2 half the time
+        a = [2] + [0] * (d - 1)
+        if d > 1:
+            a[1] = 2
+            if rng.random() < 0.5:
+                rows.append(Halfspace([1, -1] + [0] * (d - 2), "=", 0))
+        rows.append(Halfspace(a, "=", 1))
+    if flavor == "infeasible":
+        rows.append(Halfspace([1] * d, ">=", 30))
+    if rng.random() < 0.1:
+        rows.append(Halfspace([0] * d, "=", 0))
+    rng.shuffle(rows)
+    return HPolyhedron(d, rows)
+
+
+def _random_target(rng, P, max_points):
+    d = P.dim
+    near = lambda: tuple(rng.randint(-4, 4) for _ in range(d))
+    lattice = outcome(lp_path.enumerate_lattice, P, max_points=max_points)
+    if isinstance(lattice, list) and lattice:
+        pts = rng.sample(lattice, rng.randint(max(1, len(lattice) - 2), len(lattice)))
+        if rng.random() < 0.2:
+            pts.append(near())
+    else:
+        pts = [near() for _ in range(rng.randint(0, 3))]
+    return PointSet(d, pts)
+
+
+FLAVORS = ["boxed", "open", "redundant", "contradictory", "equality",
+           "lattice-free", "infeasible"]
+
+
+def test_seeded_small_polyhedra():
+    rng = random.Random(20261018)
+    seen = {}
+    for i in range(200):
+        flavor = FLAVORS[i % len(FLAVORS)]
+        P = _random_case(rng, flavor)
+        max_points = rng.choice([None, None, None, rng.randint(1, 60)])
+        X = _random_target(rng, P, max_points)
+        lattice, report = same_answers(P, X, max_points)
+        presolved = _row_box(P) is not None
+        kind = lattice[0].__name__ if isinstance(lattice, tuple) else (
+            "points" if lattice else "empty")
+        seen[presolved, kind] = seen.get((presolved, kind), 0) + 1
+        status = report[0].__name__ if isinstance(report, tuple) else (
+            report.reason[0] if report.reason else report.status)
+        seen[status] = seen.get(status, 0) + 1
+    # both paths are exercised, with every outcome
+    for key in [(True, "points"), (True, "empty"), (True, "Infeasible"),
+                (True, "TooLarge"), (True, "ValueError"), (False, "points"),
+                (False, "Infeasible"), (False, "UnboundedCoordinate"),
+                (False, "ValueError"), "verified", "missing_point",
+                "extra_lattice_point", "unbounded_with_finite_X"]:
+        assert seen.get(key, 0) >= 1, (key, seen)

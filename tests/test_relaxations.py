@@ -7,8 +7,12 @@ import pytest
 from rcx.errors import DimMismatch, Infeasible, TooLarge, UnboundedCoordinate
 from rcx.families import atsp, conn, cube, perm, simplex, stsp
 from rcx.linprog import Halfspace, HPolyhedron
+from rcx import linprog, relaxations
 from rcx.relaxations import (
     LatticeBox,
+    RelaxationReport,
+    _box_rows,
+    _row_box,
     bounding_box,
     build_conn_cut_relaxation,
     build_cube_relaxation,
@@ -85,7 +89,7 @@ class TestSubtourRelaxation:
             assert report.lattice_count == count == len(stsp(n))
 
     def test_directed(self):
-        for n, count in ((3, 2), (4, 6)):
+        for n, count in ((3, 2), (4, 6), (5, 24)):
             report = verify_relaxation(
                 build_subtour_relaxation(n, directed=True), atsp(n))
             assert report.status == "verified"
@@ -183,6 +187,94 @@ class TestEnumerateLattice:
     def test_box_dim_checked(self):
         with pytest.raises(DimMismatch):
             enumerate_lattice(build_cube_relaxation(2), box=LatticeBox((0,), (1,)))
+
+
+def count_lps(monkeypatch):
+    """Count solve_lp calls: bounding LPs in relaxations, probes in linprog."""
+    counts = {"relaxations": 0, "linprog": 0}
+    for module in (relaxations, linprog):
+        def counted(*args, _module=module.__name__.split(".")[1],
+                    _solve=module.solve_lp, **kwargs):
+            counts[_module] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, "solve_lp", counted)
+    return counts
+
+
+class TestRowBox:
+    """Single-variable rows give the box without LPs; the LP path stays."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_subtour_lattice_solves_no_lp(self, monkeypatch, n):
+        counts = count_lps(monkeypatch)
+        assert len(enumerate_lattice(build_subtour_relaxation(n))) == len(stsp(n))
+        assert counts == {"relaxations": 0, "linprog": 0}
+
+    def test_directed_subtour5_verify_solves_no_lp(self, monkeypatch):
+        counts = count_lps(monkeypatch)
+        report = verify_relaxation(build_subtour_relaxation(5, directed=True), atsp(5))
+        assert report == RelaxationReport("verified", None, 24)
+        assert counts == {"relaxations": 0, "linprog": 0}
+
+    def test_cube2_takes_the_lp_path(self, monkeypatch):
+        # the sawtooth rows have two variables each, so no row box
+        counts = count_lps(monkeypatch)
+        report = verify_relaxation(build_cube_relaxation(2), cube(2))
+        assert report == RelaxationReport("verified", None, 4)
+        assert counts == {"relaxations": 4, "linprog": 4}
+
+    def test_row_box_then_lp_infeasible(self):
+        P = HPolyhedron(2, _box_rows(2) + [Halfspace((1, 1), ">=", 3)])
+        assert _row_box(P) == LatticeBox((0, 0), (1, 1))
+        with pytest.raises(Infeasible, match="polyhedron has no points"):
+            enumerate_lattice(P)
+
+    def test_contradictory_rows(self):
+        P = HPolyhedron(1, [Halfspace((1,), "<=", -1), Halfspace((1,), ">=", 0)])
+        assert _row_box(P) is None
+        with pytest.raises(Infeasible, match="polyhedron has no points"):
+            enumerate_lattice(P)
+
+    def test_row_box_over_cap_falls_back(self, monkeypatch):
+        # 0 <= x_k <= 10 and x_1 + x_2 + x_3 = 1: 1331 row-box points,
+        # 8 in the LP box
+        P = HPolyhedron(3, [Halfspace(c.a, c.sense, 10 * c.rhs) for c in _box_rows(3)]
+                        + [Halfspace((1, 1, 1), "=", 1)])
+        assert _row_box(P).volume == 1331
+        counts = count_lps(monkeypatch)
+        assert enumerate_lattice(P, max_points=100).points == [
+            (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        assert counts["relaxations"] == 6
+
+    def test_both_boxes_over_cap(self):
+        # the message carries the LP box's volume, 6 * 6, not the row box's
+        P = HPolyhedron(2, [Halfspace(c.a, c.sense, 10 * c.rhs) for c in _box_rows(2)]
+                        + [Halfspace((1, 1), "<=", 5)])
+        assert _row_box(P).volume == 121
+        with pytest.raises(TooLarge, match="^box volume 36 exceeds the cap of 20$"):
+            enumerate_lattice(P, max_points=20)
+
+    def test_equality_and_negative_coefficients(self):
+        P = HPolyhedron(3, [
+            Halfspace((0, 2, 0), "=", 3),              # x_2 = 3/2
+            Halfspace((-2, 0, 0), "<=", 3),            # x_1 >= -3/2
+            Halfspace((-3, 0, 0), ">=", -7),           # x_1 <= 7/3
+            Halfspace((0, 0, 1), ">=", 0),
+            Halfspace((0, 0, 1), ">=", Fraction(-1, 2)),  # looser, ignored
+            Halfspace((0, 0, -1), ">=", -2),           # x_3 <= 2
+            Halfspace((1, 1, 1), "<=", 100),
+        ])
+        # x_2 has no integer value: the LP path decides
+        assert _row_box(P) is None
+        P2 = HPolyhedron(3, [c for c in P.constraints if c.a != (0, 2, 0)]
+                         + [Halfspace((0, 2, 0), "=", 2)])
+        assert _row_box(P2) == LatticeBox((-1, 1, 0), (2, 1, 2))
+
+    def test_missing_side_is_no_box(self):
+        P = HPolyhedron(2, [Halfspace((1, 0), ">=", 0), Halfspace((1, 0), "<=", 1),
+                            Halfspace((0, 1), ">=", 0), Halfspace((1, 1), "<=", 1)])
+        assert _row_box(P) is None
+        assert enumerate_lattice(P).points == [(0, 0), (0, 1), (1, 0)]
 
 
 class TestVerifyRelaxation:
