@@ -198,30 +198,47 @@ def bounding_box(P):
     return LatticeBox(lower, upper)
 
 
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
-
-
 def _row_box(P):
-    """Integer box from P's single-variable rows, found without any LP.
+    """Integer box from P's own rows by bound propagation, without any LP.
 
-    A row with one nonzero coefficient bounds its coordinate exactly; an
-    `=` row bounds it on both sides. Returns None when some coordinate
-    lacks a bound on a side or its integer range is empty, so the LP path
-    decides those cases. The box contains P, hence bounding_box(P).
+    Each row, read as a . x <= b (an `=` row as two), bounds each of its
+    coordinates by b less the least its other terms can be. Bounds stay
+    exact rationals, so each holds on all of P and the rounded box contains
+    bounding_box(P). Passes stop when one changes nothing, or after
+    2 * dim + 2, as rational bounds may converge only in the limit. None
+    when a side stays open or a range is empty: the LP path decides.
     """
-    lo = [None] * P.dim
-    hi = [None] * P.dim
-    for c in P.constraints:
-        nz = [k for k, v in enumerate(c.a) if v]
-        if len(nz) != 1:
-            continue
-        k = nz[0]
-        t = c.rhs / c.a[k]
-        sense = c.sense if c.a[k] > 0 else _FLIPPED[c.sense]
-        if sense != ">=" and (hi[k] is None or t < hi[k]):
-            hi[k] = t
-        if sense != "<=" and (lo[k] is None or t > lo[k]):
-            lo[k] = t
+    rows = []
+    for a, sense, rhs in _integer_rows(P):
+        terms = [(k, v) for k, v in enumerate(a) if v]
+        if sense != ">=":
+            rows.append((terms, rhs))
+        if sense != "<=":
+            rows.append(([(k, -v) for k, v in terms], -rhs))
+    lo, hi = [None] * P.dim, [None] * P.dim
+    for _ in range(2 * P.dim + 2):
+        changed = False
+        for terms, b in rows:
+            # the least each term can be; None where its side is open
+            least = [None if (lo[k] if v > 0 else hi[k]) is None
+                     else v * (lo[k] if v > 0 else hi[k]) for k, v in terms]
+            open_at = [i for i, t in enumerate(least) if t is None]
+            if len(open_at) > 1:
+                continue
+            total = sum(t for t in least if t is not None)
+            for i, (k, v) in enumerate(terms):
+                if open_at and open_at != [i]:
+                    continue
+                t = b - total + (least[i] or 0)
+                t = t // v if t % v == 0 else Fraction(t, v)  # ints stay ints
+                if v > 0 and (hi[k] is None or t < hi[k]):
+                    hi[k] = t
+                    changed = True
+                elif v < 0 and (lo[k] is None or t > lo[k]):
+                    lo[k] = t
+                    changed = True
+        if not changed:
+            break
     if None in lo or None in hi:
         return None
     lower = [ceil(v) for v in lo]
@@ -234,21 +251,22 @@ def _row_box(P):
 def _integer_rows(P):
     rows = []
     for c in P.constraints:
-        mult = lcm(*(Fraction(v).denominator for v in (*c.a, c.rhs)))
-        a = tuple(int(v * mult) for v in c.a)
-        rows.append((a, c.sense, int(c.rhs * mult)))
+        mult = lcm(*(v.denominator for v in c.a), c.rhs.denominator)
+        a = tuple(v.numerator * (mult // v.denominator) for v in c.a)
+        rows.append((a, c.sense, c.rhs.numerator * (mult // c.rhs.denominator)))
     return rows
 
 
 def enumerate_lattice(P, box=None, max_points=None):
     """All integer points of P inside the box, in lexicographic order.
 
-    Without a box, P's single-variable rows give one when they bound every
+    Without a box, _row_box(P) gives one when propagation bounds every
     coordinate and its volume is within the cap; otherwise bounding_box(P)
     does, with 2 * dim LPs. Every box enclosing P yields the same points,
-    and since the row box contains the LP box, TooLarge fires exactly when
-    the LP box is past the cap. A row-box scan that finds nothing still
-    asks bounding_box(P), so an LP-infeasible P raises Infeasible.
+    and since the propagated box contains the LP box, TooLarge fires
+    exactly when the LP box is past the cap. A propagated-box scan that
+    finds nothing still asks bounding_box(P), so an LP-infeasible P raises
+    Infeasible.
 
     Odometer scan over the box with interval pruning: a partial assignment
     is abandoned as soon as some row cannot be satisfied by any completion
@@ -319,31 +337,32 @@ class RelaxationReport:
     lattice_count: int | None = None
 
 
-def verify_relaxation(P, X, max_points=None, box=None):
+def verify_relaxation(P, X, max_points=None):
     """Check that the integer points of P are exactly conv(X)'s lattice points.
 
     Point containment is tested first, so a failure names a concrete witness;
     then an unboundedness guard (a rational recession ray plus any lattice
     point gives infinitely many lattice points, while X spans only finitely
-    many); finally a full enumeration compared against the hull. When P's
-    single-variable rows bound every coordinate on both sides, each
-    recession direction r has r_k <= 0 and r_k >= 0, so the recession
-    probe is skipped, and enumerate_lattice scans that row box. A caller
-    who already knows an enclosing box may pass it to skip the bounding
-    LPs and the recession probe: a polyhedron with a lattice point and a
-    nonzero recession direction has lattice points outside every box, so
-    a genuinely enclosing box already rules that out, and every row of P
-    is still checked during the scan.
+    many); finally a full enumeration compared against the hull. When
+    _row_box(P) exists, P is bounded, so the probe is skipped, and the scan
+    uses that box if it fits the cap or X spans it (X lies in P, so a box
+    X spans is the LP box), else bounding_box(P).
     """
     if P.dim != X.dim:
         raise DimMismatch("polyhedron and point set dimensions differ")
     for p in X:
         if not P.contains(p):
             return RelaxationReport("failed", ("missing_point", tuple(p)))
-    if len(X) > 0 and box is None and _row_box(P) is None:
-        nontrivial, ray = recession_nontrivial(P)
-        if nontrivial:
-            return RelaxationReport("failed", ("unbounded_with_finite_X", ray))
+    box = None  # X is empty: enumerate_lattice propagates and decides
+    if len(X) > 0:
+        box = _row_box(P)
+        if box is None:
+            nontrivial, ray = recession_nontrivial(P)
+            if nontrivial:
+                return RelaxationReport("failed", ("unbounded_with_finite_X", ray))
+        cap = DEFAULT_CAP if max_points is None else max_points
+        if box is None or box.volume > cap and X.bounds() != (box.lower, box.upper):
+            box = bounding_box(P)
     lattice = enumerate_lattice(P, box=box, max_points=max_points)
     known = set(X.points)
     for z in lattice:

@@ -21,9 +21,9 @@ from .hiding import (_conflict_graph, _max_clique, build_arb_hiding,
                      verify_hiding)
 from .linprog import Halfspace, HPolyhedron, strict_separation
 from .rational import vdot
-from .relaxations import (LatticeBox, build_conn_cut_relaxation,
-                          build_cube_relaxation, build_rado_permutahedron,
-                          build_subtour_relaxation, verify_relaxation)
+from .relaxations import (build_conn_cut_relaxation, build_cube_relaxation,
+                          build_rado_permutahedron, build_subtour_relaxation,
+                          verify_relaxation)
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,6 @@ class _ReportFamily:
     relaxation: tuple = ()    # (name, builder) of an explicit ceiling system;
     count: object = None      # else the point count for one row per excluded
                               # 0/1 point plus the cube rows
-    box_top: object = lambda **p: 1    # the certification box is [0, top]^d
 
 
 # arb's ceiling limit of 3 is below every valid n: its 12-dimensional
@@ -359,8 +358,7 @@ _REPORTS = {
         ("n",), lambda n: {"n": int(n)},
         lambda n: _counted(build_perm_hiding(n), "sorted-block swap points"), (6, 4),
         relaxation=("permutahedron description",
-                    lambda n: build_rado_permutahedron(n)),
-        box_top=lambda n: n),
+                    lambda n: build_rado_permutahedron(n))),
     "even": _ReportFamily(
         ("n",), lambda n: {"n": int(n)}, _parity_floor, (6, 6),
         count=lambda n: 2 ** (n - 1)),
@@ -421,14 +419,7 @@ def bound_report(family, *params, box=None, max_candidates=None):
         X = X if X is not None else generate(family, *pdict.values())
         if P is None:
             P = build_binary_relaxation(X)
-        # [0, top]^d holds every lattice point of P and P is bounded, so
-        # the bounding LPs and the recession probe can be skipped: subtour
-        # and cut systems carry 0 <= x_e <= 1 rows; the permutahedron has
-        # x >= 0 rows, and its sum row less the subset row on the other
-        # n - 1 coordinates gives x_i <= n; the sawtooth cube rows bound a
-        # polytope whose lattice points are exactly {0,1}^d
-        top = spec.box_top(**pdict)
-        rep = verify_relaxation(P, X, box=LatticeBox((0,) * d, (top,) * d))
+        rep = verify_relaxation(P, X)
         upper_cert = rep.status == "verified"
         if not upper_cert:
             notes.append(f"{family}: relaxation verification failed ({rep.reason})")

@@ -1,12 +1,12 @@
-"""The LP path that rcx.relaxations' row-box presolve skips.
+"""The LP path that rcx.relaxations' propagated box skips.
 
 Kept as a test-only reference: `enumerate_lattice` solves the 2·d
 bounding LPs and scans the LP box; `verify_relaxation` runs the
 recession probe on every polyhedron with a point to check, then that
-enumeration. A box passed to the library's `enumerate_lattice` never
-reaches the presolve, so the scan is the library's own. The
-differential tests require both paths to give the same points, the
-same reports and the same exceptions.
+enumeration. A box passed to the library's `enumerate_lattice` is
+scanned as given, with no propagation, so the scan is the library's
+own. The differential tests require both paths to give the same
+points, the same reports and the same exceptions.
 """
 
 from functools import cache
@@ -14,7 +14,13 @@ from functools import cache
 from rcx.errors import DimMismatch
 from rcx.linprog import conv_membership, recession_nontrivial
 from rcx import relaxations
-from rcx.relaxations import RelaxationReport, bounding_box
+from rcx.relaxations import RelaxationReport
+
+
+@cache
+def bounding_box(P):
+    """relaxations.bounding_box, cached; a raised exception is not cached."""
+    return relaxations.bounding_box(P)
 
 
 @cache

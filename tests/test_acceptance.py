@@ -26,6 +26,7 @@ from rcx import (
     build_subtour_relaxation,
     build_tjoin_hiding,
     build_tsp_hiding,
+    conv_membership,
     enumerate_lattice,
     generate,
     irredundant_count,
@@ -57,18 +58,19 @@ def test_criterion_01_cube_relaxations():
         assert rep.status == "verified" and rep.lattice_count == 2**d, (d, rep)
     elapsed = time.perf_counter() - t0
     # every row is load-bearing: dropping any one lets an extra integer
-    # point in, and a witness already shows up inside [-8, 8]^d
+    # point in, and a witness already shows up inside [-8, 8]^d (the body
+    # left is unbounded, so verify_relaxation names a recession ray)
     dropped = 0
     for d in range(1, 5):
         P = build_cube_relaxation(d)
         X = generate("cube", d)
         box = LatticeBox((-8,) * d, (8,) * d)
         for i in range(len(P.constraints)):
-            rep = verify_relaxation(P.without_row(i), X, box=box)
-            assert rep.status == "failed", (d, i)
-            kind, w = rep.reason
-            assert kind == "extra_lattice_point", (d, i, kind)
+            Q = P.without_row(i)
+            w = next(p for p in enumerate_lattice(Q, box=box) if p not in X.points)
             assert all(-8 <= v <= 8 for v in w) and list(w) not in [list(p) for p in X]
+            assert not conv_membership(w, X)[0], (d, i, w)
+            assert verify_relaxation(Q, X).status == "failed", (d, i)
             dropped += 1
     ok = elapsed < 10.0
     report(1, ok,

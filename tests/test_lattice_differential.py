@@ -1,11 +1,12 @@
-"""The row-box presolve against the LP path it skips.
+"""The propagated box against the LP path it skips.
 
-`lp_path` is the old path: 2·d bounding LPs, the recession probe, then
+`lp_path` is the LP path: 2·d bounding LPs, the recession probe, then
 the scan over the LP box. `enumerate_lattice` and `verify_relaxation`
 must give the same points, the same reports and the same exceptions
 (type and message): on the explicit systems, on the binary relaxations
-of `even`, and on seeded small polyhedra built to hit every branch of
-the presolve.
+that `bound_report` certifies, and on seeded small polyhedra built to
+hit every branch of the presolve. Wherever both boxes exist, the box
+`_row_box` propagates from P's rows must contain the LP box.
 """
 
 import random
@@ -14,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 import lp_path
-from rcx.families import PointSet, atsp, conn, cube, even, perm, stsp
+from rcx.errors import Infeasible, UnboundedCoordinate
+from rcx.families import PointSet, atsp, conn, cube, diff, even, perm, spt, stsp, tjoins
 from rcx.linprog import Halfspace, HPolyhedron
 from rcx.relaxations import (
     RelaxationReport,
@@ -46,6 +48,19 @@ def same_answers(P, X, max_points=None):
     return lattice, report
 
 
+def check_boxes(P):
+    """_row_box(P) contains bounding_box(P) when both exist; is there a row box?"""
+    box = _row_box(P)
+    try:
+        lp_box = lp_path.bounding_box(P)
+    except (Infeasible, UnboundedCoordinate, ValueError):
+        return box is not None
+    if box is not None:
+        assert all(lo <= l and h <= hi for lo, l, h, hi in zip(
+            box.lower, lp_box.lower, lp_box.upper, box.upper)), (box, lp_box)
+    return box is not None
+
+
 SYSTEMS = {
     **{f"subtour{n}": (lambda n=n: build_subtour_relaxation(n), lambda n=n: stsp(n))
        for n in range(3, 7)},
@@ -59,7 +74,13 @@ SYSTEMS = {
     **{f"rado{n}": (lambda n=n: build_rado_permutahedron(n), lambda n=n: perm(n))
        for n in range(3, 6)},
     **{f"even{n}": (lambda n=n: build_binary_relaxation(even(n)), lambda n=n: even(n))
-       for n in range(3, 6)},
+       for n in range(3, 7)},
+    **{f"diff2_{n}": (lambda n=n: build_binary_relaxation(diff(2, n)),
+                      lambda n=n: diff(2, n))
+       for n in (2, 3)},
+    "spt4": (lambda: build_binary_relaxation(spt(4)), lambda: spt(4)),
+    "tjoins4": (lambda: build_binary_relaxation(tjoins(4, (1, 2, 3, 4))),
+                lambda: tjoins(4, (1, 2, 3, 4))),
 }
 
 
@@ -67,7 +88,9 @@ SYSTEMS = {
 def test_explicit_systems(name):
     build, family = SYSTEMS[name]
     X = family()
-    lattice, report = same_answers(build(), X)
+    P = build()
+    lattice, report = same_answers(P, X)
+    assert check_boxes(P)
     assert report.status == "verified" and report.lattice_count == len(lattice)
     if not name.startswith("rado"):  # the permutahedron adds interior points
         assert lattice == X.points
@@ -158,22 +181,44 @@ FLAVORS = ["boxed", "open", "redundant", "contradictory", "equality",
            "lattice-free", "infeasible"]
 
 
+def _odd_cycle_case(rng, k):
+    """0 <= x <= 1, x_i + x_i+1 >= 1 around a k-cycle, k odd, and a sum row
+    below k/2: the box is [0, 1]^k, yet the LP is infeasible."""
+    rows = []
+    for i in range(k):
+        rows += _bound_rows(rng, i, k, 0, 1)
+        a = [0] * k
+        m = rng.choice([1, 2, 3])
+        a[i] = a[(i + 1) % k] = m
+        rows.append(Halfspace(a, ">=", m))
+    rows.append(Halfspace([1] * k, "<=", Fraction(k, 2) - Fraction(1, rng.randint(3, 9))))
+    rng.shuffle(rows)
+    return HPolyhedron(k, rows)
+
+
 def test_seeded_small_polyhedra():
     rng = random.Random(20261018)
     seen = {}
-    for i in range(200):
-        flavor = FLAVORS[i % len(FLAVORS)]
-        P = _random_case(rng, flavor)
-        max_points = rng.choice([None, None, None, rng.randint(1, 60)])
+
+    def tally(P, max_points):
         X = _random_target(rng, P, max_points)
         lattice, report = same_answers(P, X, max_points)
-        presolved = _row_box(P) is not None
+        presolved = check_boxes(P)
         kind = lattice[0].__name__ if isinstance(lattice, tuple) else (
             "points" if lattice else "empty")
         seen[presolved, kind] = seen.get((presolved, kind), 0) + 1
         status = report[0].__name__ if isinstance(report, tuple) else (
             report.reason[0] if report.reason else report.status)
         seen[status] = seen.get(status, 0) + 1
+
+    for i in range(200):
+        flavor = FLAVORS[i % len(FLAVORS)]
+        P = _random_case(rng, flavor)
+        tally(P, rng.choice([None, None, None, rng.randint(1, 60)]))
+    # propagation refutes the "infeasible" flavor by itself; these bodies
+    # get a box and still need the LP to prove them empty
+    for k in (3, 5, 3, 5, 7, 3):
+        tally(_odd_cycle_case(rng, k), None)
     # both paths are exercised, with every outcome
     for key in [(True, "points"), (True, "empty"), (True, "Infeasible"),
                 (True, "TooLarge"), (True, "ValueError"), (False, "points"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rcx.errors import DimMismatch, Infeasible, TooLarge, UnboundedCoordinate
-from rcx.families import atsp, conn, cube, perm, simplex, stsp
+from rcx.families import PointSet, atsp, conn, cube, even, perm, simplex, stsp
 from rcx.linprog import Halfspace, HPolyhedron
 from rcx import linprog, relaxations
 from rcx.relaxations import (
@@ -22,6 +22,7 @@ from rcx.relaxations import (
     irredundant_count,
     verify_relaxation,
 )
+from rcx.separation import build_binary_relaxation
 
 
 def row_data(P):
@@ -202,7 +203,7 @@ def count_lps(monkeypatch):
 
 
 class TestRowBox:
-    """Single-variable rows give the box without LPs; the LP path stays."""
+    """Bound propagation over P's rows gives the box without LPs; the LP path stays."""
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_subtour_lattice_solves_no_lp(self, monkeypatch, n):
@@ -216,16 +217,53 @@ class TestRowBox:
         assert report == RelaxationReport("verified", None, 24)
         assert counts == {"relaxations": 0, "linprog": 0}
 
-    def test_cube2_takes_the_lp_path(self, monkeypatch):
-        # the sawtooth rows have two variables each, so no row box
+    def test_cube_lp_path_only_past_the_cap(self, monkeypatch):
+        # propagation bounds the sawtooth rows: d = 1..5 solve no LP; the
+        # d = 6 box holds 101,241,630 points, past the default cap, so 12
+        # bounding LPs and no recession LP, since the box exists
         counts = count_lps(monkeypatch)
-        report = verify_relaxation(build_cube_relaxation(2), cube(2))
-        assert report == RelaxationReport("verified", None, 4)
-        assert counts == {"relaxations": 4, "linprog": 4}
+        for d in range(1, 6):
+            report = verify_relaxation(build_cube_relaxation(d), cube(d))
+            assert report == RelaxationReport("verified", None, 2**d)
+            assert counts == {"relaxations": 0, "linprog": 0}, d
+        assert _row_box(build_cube_relaxation(6)).volume == 101_241_630
+        report = verify_relaxation(build_cube_relaxation(6), cube(6))
+        assert report == RelaxationReport("verified", None, 64)
+        assert counts == {"relaxations": 12, "linprog": 0}
 
-    def test_row_box_then_lp_infeasible(self):
+    def test_rado4_and_even5_verify_solve_no_lp(self, monkeypatch):
+        assert _row_box(build_rado_permutahedron(4)) == LatticeBox((1,) * 4, (7,) * 4)
+        counts = count_lps(monkeypatch)
+        assert verify_relaxation(build_rado_permutahedron(4), perm(4)) == (
+            RelaxationReport("verified", None, 38))
+        report = verify_relaxation(build_binary_relaxation(even(5)), even(5))
+        assert report == RelaxationReport("verified", None, 16)
+        assert counts == {"relaxations": 0, "linprog": 0}
+
+    def test_verify_propagates_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(relaxations, "_row_box",
+                            lambda P, _row_box=_row_box: calls.append(P) or _row_box(P))
+        for X in (cube(3), PointSet(3, [])):
+            calls.clear()
+            verify_relaxation(build_cube_relaxation(3), X)
+            assert len(calls) == 1
+
+    def test_row_box_then_lp_infeasible(self, monkeypatch):
+        # the odd triangle: 0 <= x <= 1 and x_i + x_j >= 1 for each pair, so
+        # x_1 + x_2 + x_3 >= 3/2 on the LP, against the row's 7/5
+        P = HPolyhedron(3, _box_rows(3) + [
+            Halfspace((1, 1, 0), ">=", 1), Halfspace((0, 1, 1), ">=", 1),
+            Halfspace((1, 0, 1), ">=", 1), Halfspace((1, 1, 1), "<=", Fraction(7, 5))])
+        assert _row_box(P) == LatticeBox((0, 0, 0), (1, 1, 1))
+        counts = count_lps(monkeypatch)
+        with pytest.raises(Infeasible, match="polyhedron has no points"):
+            enumerate_lattice(P)
+        assert counts == {"relaxations": 1, "linprog": 0}
+
+    def test_propagation_catches_infeasible_rows(self):
         P = HPolyhedron(2, _box_rows(2) + [Halfspace((1, 1), ">=", 3)])
-        assert _row_box(P) == LatticeBox((0, 0), (1, 1))
+        assert _row_box(P) is None
         with pytest.raises(Infeasible, match="polyhedron has no points"):
             enumerate_lattice(P)
 
@@ -236,23 +274,26 @@ class TestRowBox:
             enumerate_lattice(P)
 
     def test_row_box_over_cap_falls_back(self, monkeypatch):
-        # 0 <= x_k <= 10 and x_1 + x_2 + x_3 = 1: 1331 row-box points,
-        # 8 in the LP box
-        P = HPolyhedron(3, [Halfspace(c.a, c.sense, 10 * c.rhs) for c in _box_rows(3)]
-                        + [Halfspace((1, 1, 1), "=", 1)])
-        assert _row_box(P).volume == 1331
+        # Rado 5: the propagated box [1, 11]^5 holds 161,051 points, the LP
+        # box [1, 5]^5 holds 3,125
+        P = build_rado_permutahedron(5)
+        assert _row_box(P) == LatticeBox((1,) * 5, (11,) * 5)
         counts = count_lps(monkeypatch)
-        assert enumerate_lattice(P, max_points=100).points == [
-            (0, 0, 1), (0, 1, 0), (1, 0, 0)]
-        assert counts["relaxations"] == 6
+        assert len(enumerate_lattice(P, max_points=10_000)) == 291
+        assert counts == {"relaxations": 10, "linprog": 0}
 
     def test_both_boxes_over_cap(self):
-        # the message carries the LP box's volume, 6 * 6, not the row box's
-        P = HPolyhedron(2, [Halfspace(c.a, c.sense, 10 * c.rhs) for c in _box_rows(2)]
-                        + [Halfspace((1, 1), "<=", 5)])
-        assert _row_box(P).volume == 121
-        with pytest.raises(TooLarge, match="^box volume 36 exceeds the cap of 20$"):
-            enumerate_lattice(P, max_points=20)
+        # the message carries the LP box's volume, 5 ** 5, not the row box's
+        with pytest.raises(TooLarge, match="^box volume 3125 exceeds the cap of 1000$"):
+            enumerate_lattice(build_rado_permutahedron(5), max_points=1000)
+
+    def test_box_spanned_by_X_is_past_the_cap_without_lp(self, monkeypatch):
+        # atsp(5) fills [0, 1]^20, so the propagated box is the LP box
+        counts = count_lps(monkeypatch)
+        with pytest.raises(TooLarge, match="^box volume 1048576 exceeds the cap of 1000$"):
+            verify_relaxation(build_subtour_relaxation(5, directed=True), atsp(5),
+                              max_points=1000)
+        assert counts == {"relaxations": 0, "linprog": 0}
 
     def test_equality_and_negative_coefficients(self):
         P = HPolyhedron(3, [
@@ -271,10 +312,27 @@ class TestRowBox:
         assert _row_box(P2) == LatticeBox((-1, 1, 0), (2, 1, 2))
 
     def test_missing_side_is_no_box(self):
+        # y has no upper row, but x + y <= 1 with x >= 0 gives y <= 1
         P = HPolyhedron(2, [Halfspace((1, 0), ">=", 0), Halfspace((1, 0), "<=", 1),
                             Halfspace((0, 1), ">=", 0), Halfspace((1, 1), "<=", 1)])
-        assert _row_box(P) is None
+        assert _row_box(P) == LatticeBox((0, 0), (1, 1))
         assert enumerate_lattice(P).points == [(0, 0), (0, 1), (1, 0)]
+        # a truly open side: x = y + t stays in the quadrant for every t
+        quadrant = HPolyhedron(2, [Halfspace((1, 0), ">=", 0), Halfspace((0, 1), ">=", 0),
+                                   Halfspace((1, -1), "<=", 3)])
+        assert _row_box(quadrant) is None
+        with pytest.raises(UnboundedCoordinate):
+            enumerate_lattice(quadrant)
+
+    def test_pass_cap_stops_rational_convergence(self):
+        # x <= y/2 + 1 and y <= x/2 + 1 pull both upper bounds toward 2 from
+        # above without reaching it; the pass cap stops the propagation
+        P = HPolyhedron(2, [Halfspace((2, -1), "<=", 2), Halfspace((-1, 2), "<=", 2)]
+                        + [Halfspace(c.a, c.sense, 10 * c.rhs) for c in _box_rows(2)])
+        box, lp_box = _row_box(P), bounding_box(P)
+        assert box == LatticeBox((0, 0), (2, 2))
+        assert all(l <= m and n <= u for l, m, n, u in zip(
+            box.lower, lp_box.lower, lp_box.upper, box.upper))
 
 
 class TestVerifyRelaxation:
@@ -287,6 +345,15 @@ class TestVerifyRelaxation:
         assert report.status == "failed"
         assert report.reason == ("extra_lattice_point", (1, 1))
         assert report.lattice_count is None
+
+    def test_no_caller_box_to_trust(self):
+        # a box [0, 1] given by the caller used to make this "verified"
+        ray = HPolyhedron(1, [Halfspace((1,), ">=", 0)])
+        report = verify_relaxation(ray, cube(1))
+        assert report == RelaxationReport(
+            "failed", ("unbounded_with_finite_X", (Fraction(1),)))
+        with pytest.raises(TypeError):
+            verify_relaxation(ray, cube(1), box=LatticeBox((0,), (1,)))
 
     def test_unbounded_with_finite_target(self):
         quadrant = HPolyhedron(2, [

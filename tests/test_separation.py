@@ -10,6 +10,7 @@ import pytest
 
 from rcx.errors import EmptySet, InvalidSystem, TooLarge
 from rcx.families import PointSet, cube, even, generate, odd
+from rcx import linprog, relaxations
 from rcx.hiding import _conflict_graph, max_hiding_in_box
 from rcx.linprog import Halfspace, strict_separation
 from rcx.rational import vdot
@@ -326,6 +327,18 @@ class TestBoundReport:
         assert r.lower_certified and r.upper_certified
         with pytest.raises(ValueError):
             bound_report("diff", 3, 2)
+
+    @pytest.mark.parametrize("args", [("perm", 4), ("even", 5), ("diff", 2, 3)])
+    def test_ceiling_certified_without_lp(self, monkeypatch, args):
+        # the propagated box bounds the permutahedron and the sawtooth rows
+        calls = []
+        for module in (relaxations, linprog):
+            def counted(*a, _solve=module.solve_lp, **k):
+                calls.append(a)
+                return _solve(*a, **k)
+            monkeypatch.setattr(module, "solve_lp", counted)
+        assert bound_report(*args).upper_certified
+        assert calls == []
 
     def test_permutations(self):
         r = bound_report("perm", 4)
