@@ -14,13 +14,12 @@ is the segment [p, p].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .errors import DimMismatch, EmptySet
 from .families import PointSet
-from .rational import is_zero_vector, vdot
+from .rational import _den_lcm, _int_rows, is_zero_vector, vdot
 
 SENSES = ("<=", "=", ">=")
 
@@ -33,31 +32,44 @@ def _frac(v):
 
 @dataclass(frozen=True)
 class Halfspace:
-    """One row a . x <sense> rhs with exact rational data."""
+    """One row a . x <sense> rhs with exact rational data.
+
+    The row is also kept in integer form, scaled by the lcm of its
+    denominators: _int_a . x <sense> _int_rhs. The scale is positive, so
+    both forms hold at the same points; satisfied_by, contains, the
+    lattice box and the lattice scan read the integer one.
+    """
 
     a: tuple
     sense: str
     rhs: Fraction
+    _int_a: tuple = field(init=False, repr=False, compare=False)
+    _int_rhs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in SENSES:
             raise ValueError(f"bad sense {self.sense!r}")
-        object.__setattr__(self, "a", tuple(_frac(v) for v in self.a))
-        object.__setattr__(self, "rhs", _frac(self.rhs))
-        if is_zero_vector(self.a) and not (self.sense == "=" and self.rhs == 0):
+        a = tuple(_frac(v) for v in self.a)
+        rhs = _frac(self.rhs)
+        if is_zero_vector(a) and not (self.sense == "=" and rhs == 0):
             raise ValueError("zero row with a nontrivial right-hand side")
+        *int_a, int_rhs = _int_rows([a + (rhs,)])[0]
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "_int_a", tuple(int_a))
+        object.__setattr__(self, "_int_rhs", int_rhs)
 
     @property
     def dim(self):
         return len(self.a)
 
     def satisfied_by(self, x):
-        lhs = vdot(self.a, x)
+        lhs = vdot(self._int_a, x)
         if self.sense == "<=":
-            return lhs <= self.rhs
+            return lhs <= self._int_rhs
         if self.sense == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
+            return lhs >= self._int_rhs
+        return lhs == self._int_rhs
 
 
 @dataclass(frozen=True)
@@ -102,15 +114,6 @@ class LPOutcome:
     dual: tuple | None = None
     farkas: tuple | None = None
     ray: tuple | None = None
-
-
-def _den_lcm(vals, m=1):
-    """Least common multiple of m and the denominators of ints and Fractions."""
-    for v in vals:
-        d = v.denominator
-        if m % d:
-            m = m * d // gcd(m, d)
-    return m
 
 
 class _Tableau:

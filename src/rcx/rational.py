@@ -37,24 +37,30 @@ def format_rational(x):
 def vdot(u, v):
     if len(u) != len(v):
         raise DimMismatch(f"dot of {len(u)}-vector with {len(v)}-vector")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero_vector(v):
     return all(a == 0 for a in v)
 
 
+def _den_lcm(vals, m=1):
+    """Least common multiple of m and the denominators of ints and Fractions."""
+    for v in vals:
+        d = v.denominator
+        if m % d:
+            m = m * d // gcd(m, d)
+    return m
+
+
 def _int_rows(rows):
     # clear denominators row by row; plain ints pass through
     out = []
     for row in rows:
-        den = 1
-        for v in row:
-            if isinstance(v, float):
-                raise TypeError("floats are not allowed; use Fraction or int")
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
-        out.append([int(v * den) for v in row])
+        if any(isinstance(v, float) for v in row):
+            raise TypeError("floats are not allowed; use Fraction or int")
+        den = _den_lcm(row)
+        out.append([v.numerator * (den // v.denominator) for v in row])
     return out
 
 

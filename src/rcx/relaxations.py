@@ -9,7 +9,7 @@ set, so a "verified" answer is a complete certificate, not a sample.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 
 from .errors import DimMismatch, Infeasible, TooLarge, UnboundedCoordinate
 from .families import DEFAULT_CAP, EdgeIndexer, PointSet, _cap_check
@@ -201,20 +201,20 @@ def bounding_box(P):
 def _row_box(P):
     """Integer box from P's own rows by bound propagation, without any LP.
 
-    Each row, read as a . x <= b (an `=` row as two), bounds each of its
-    coordinates by b less the least its other terms can be. Bounds stay
-    exact rationals, so each holds on all of P and the rounded box contains
-    bounding_box(P). Passes stop when one changes nothing, or after
-    2 * dim + 2, as rational bounds may converge only in the limit. None
-    when a side stays open or a range is empty: the LP path decides.
+    Each row's integer form, read as a . x <= b (an `=` row as two), bounds
+    each of its coordinates by b less the least its other terms can be.
+    Bounds stay exact rationals, so each holds on all of P and the rounded
+    box contains bounding_box(P). Passes stop when one changes nothing, or
+    after 2 * dim + 2, as rational bounds may converge only in the limit.
+    None when a side stays open or a range is empty: the LP path decides.
     """
     rows = []
-    for a, sense, rhs in _integer_rows(P):
-        terms = [(k, v) for k, v in enumerate(a) if v]
-        if sense != ">=":
-            rows.append((terms, rhs))
-        if sense != "<=":
-            rows.append(([(k, -v) for k, v in terms], -rhs))
+    for h in P.constraints:
+        terms = [(k, v) for k, v in enumerate(h._int_a) if v]
+        if h.sense != ">=":
+            rows.append((terms, h._int_rhs))
+        if h.sense != "<=":
+            rows.append(([(k, -v) for k, v in terms], -h._int_rhs))
     lo, hi = [None] * P.dim, [None] * P.dim
     for _ in range(2 * P.dim + 2):
         changed = False
@@ -248,15 +248,6 @@ def _row_box(P):
     return LatticeBox(lower, upper)
 
 
-def _integer_rows(P):
-    rows = []
-    for c in P.constraints:
-        mult = lcm(*(v.denominator for v in c.a), c.rhs.denominator)
-        a = tuple(v.numerator * (mult // v.denominator) for v in c.a)
-        rows.append((a, c.sense, c.rhs.numerator * (mult // c.rhs.denominator)))
-    return rows
-
-
 def enumerate_lattice(P, box=None, max_points=None):
     """All integer points of P inside the box, in lexicographic order.
 
@@ -285,7 +276,7 @@ def enumerate_lattice(P, box=None, max_points=None):
         raise TooLarge(f"box volume {box.volume} exceeds the cap of {cap}")
     d = P.dim
     lo, hi = box.lower, box.upper
-    rows = _integer_rows(P)
+    rows = [(h._int_a, h.sense, h._int_rhs) for h in P.constraints]
     nr = len(rows)
     minrem = [[0] * (d + 1) for _ in range(nr)]
     maxrem = [[0] * (d + 1) for _ in range(nr)]

@@ -20,7 +20,6 @@ from .hiding import (_conflict_graph, _max_clique, build_arb_hiding,
                      build_tjoin_hiding, build_tsp_hiding, max_hiding_in_box,
                      verify_hiding)
 from .linprog import Halfspace, HPolyhedron, strict_separation
-from .rational import vdot
 from .relaxations import (build_conn_cut_relaxation, build_cube_relaxation,
                           build_rado_permutahedron, build_subtour_relaxation,
                           verify_relaxation)
@@ -230,7 +229,7 @@ def rationalize_halfspace(X):
     if h is None:
         return None
     for z in product((0, 1), repeat=d):
-        if (vdot(h.a, z) <= h.rhs) != (z in xset):
+        if h.satisfied_by(z) != (z in xset):
             raise RuntimeError(f"row misclassifies {z}")
     return h
 

@@ -5,8 +5,10 @@ bounding LPs and scans the LP box; `verify_relaxation` runs the
 recession probe on every polyhedron with a point to check, then that
 enumeration. A box passed to the library's `enumerate_lattice` is
 scanned as given, with no propagation, so the scan is the library's
-own. The differential tests require both paths to give the same
-points, the same reports and the same exceptions.
+own. Containment is tested here in `Fraction` arithmetic over `h.a` and
+`h.rhs`, not by `P.contains`, which reads the rows' integer form. The
+differential tests require both paths to give the same points, the same
+reports and the same exceptions.
 """
 
 from functools import cache
@@ -34,12 +36,21 @@ def enumerate_lattice(P, max_points=None):
                                          max_points=max_points)
 
 
+def contains(P, p):
+    """p satisfies every row of P, in Fraction arithmetic."""
+    for h in P.constraints:
+        lhs = sum(u * v for u, v in zip(h.a, p, strict=True))
+        if not {"<=": lhs <= h.rhs, ">=": lhs >= h.rhs, "=": lhs == h.rhs}[h.sense]:
+            return False
+    return True
+
+
 def verify_relaxation(P, X, max_points=None):
     """Containment, the recession probe, then the LP-box enumeration."""
     if P.dim != X.dim:
         raise DimMismatch("polyhedron and point set dimensions differ")
     for p in X:
-        if not P.contains(p):
+        if not contains(P, p):
             return RelaxationReport("failed", ("missing_point", tuple(p)))
     if len(X) > 0:
         nontrivial, ray = recession_nontrivial(P)

@@ -1,12 +1,13 @@
 """The propagated box against the LP path it skips.
 
 `lp_path` is the LP path: 2·d bounding LPs, the recession probe, then
-the scan over the LP box. `enumerate_lattice` and `verify_relaxation`
-must give the same points, the same reports and the same exceptions
-(type and message): on the explicit systems, on the binary relaxations
-that `bound_report` certifies, and on seeded small polyhedra built to
-hit every branch of the presolve. Wherever both boxes exist, the box
-`_row_box` propagates from P's rows must contain the LP box.
+the scan over the LP box, with containment in `Fraction` arithmetic.
+`enumerate_lattice` and `verify_relaxation` must give the same points,
+the same reports and the same exceptions (type and message): on the
+explicit systems, on the binary relaxations that `bound_report`
+certifies, and on seeded small polyhedra built to hit every branch of
+the presolve. Wherever both boxes exist, the box `_row_box` propagates
+from P's rows must contain the LP box.
 """
 
 import random
@@ -106,6 +107,19 @@ def test_directed_subtour6():
     assert enumerate_lattice(P, max_points=2**30).points == X.points
     assert verify_relaxation(P, X, max_points=2**30) == (
         RelaxationReport("verified", None, 120))
+
+
+def test_reference_tests_containment_itself(monkeypatch):
+    # P.contains is made to accept (2, 0), outside the unit square; the
+    # reference's own arithmetic must still name it missing
+    P = HPolyhedron(2, [Halfspace(a, s, b) for a in ((1, 0), (0, 1))
+                        for s, b in ((">=", 0), ("<=", 1))])
+    real = HPolyhedron.contains
+    monkeypatch.setattr(HPolyhedron, "contains",
+                        lambda self, x: tuple(x) == (2, 0) or real(self, x))
+    X = PointSet(2, [(0, 0), (2, 0)])
+    assert lp_path.verify_relaxation(P, X) == (
+        RelaxationReport("failed", ("missing_point", (2, 0))))
 
 
 def _bound_rows(rng, k, d, lo, hi):

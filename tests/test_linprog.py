@@ -35,6 +35,8 @@ def test_halfspace_basics():
     h = Halfspace((1, -2), "<=", F(3, 2))
     assert h.satisfied_by((0, 0))
     assert not h.satisfied_by((4, 0))
+    with pytest.raises(DimMismatch):
+        h.satisfied_by((1,))  # no truncating zip
     with pytest.raises(ValueError):
         Halfspace((0, 0), "<=", 1)
     with pytest.raises(ValueError):
