@@ -11,13 +11,12 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from dataclasses import dataclass
 
 from . import fileio
 from .errors import TooLarge
-from .families import FAMILIES, generate
+from .families import FAMILIES, _arity, generate
 from .hiding import (build_arb_hiding, build_diff_hiding, build_parity_hiding,
                      build_perm_hiding, build_tjoin_hiding, build_tsp_hiding,
                      max_hiding_in_box, verify_hiding)
@@ -52,23 +51,6 @@ def _params(tokens):
         else:
             out.append(_int_param(tok))
     return out
-
-
-def _arity(name, fn, params, option, given=False):
-    """params, once they fit fn's parameters but the one an option fills
-    (which fn must take if given); a misfit is named as `rcx report` does."""
-    if fn is None:
-        return params
-    sig = inspect.signature(fn).parameters
-    names = [q for q in sig.values() if q.name != option]
-    least, k = sum(q.default is q.empty for q in names), len(names)
-    if not least <= len(params) <= k:
-        count = k if least == k else f"{least} to {k}"
-        raise ValueError(f"{name} takes {count} parameter{'s' if k > 1 else ''} "
-                         f"({', '.join(q.name for q in names)}), got {len(params)}")
-    if given and option not in sig:
-        raise ValueError(f"{name} takes no --{option.replace('_', '-')}")
-    return params
 
 
 def _parse_box(text):

@@ -8,7 +8,8 @@ lexicographically, so downstream hashing and comparisons are stable.
 from __future__ import annotations
 
 import hashlib
-from itertools import combinations, permutations, product
+import inspect
+from itertools import combinations, compress, permutations, product, starmap
 from math import comb, factorial
 
 from .errors import DimMismatch, OddNodeSet, TooLarge
@@ -156,18 +157,21 @@ def simplex(d):
     return PointSet(d, pts, family=_tag("simplex", d=d), validate=False)
 
 
+def _parity(name, d, r, max_candidates):
+    """0/1 vectors of length d whose number of ones is r modulo 2."""
+    _cap_check(2**d, max_candidates, f"{name}({d})")
+    pts = [p for p in product((0, 1), repeat=d) if sum(p) % 2 == r]
+    return PointSet(d, pts, family=_tag(name, d=d), validate=False)
+
+
 def even(d, max_candidates=None):
     """0/1 vectors with an even number of ones."""
-    _cap_check(2**d, max_candidates, f"even({d})")
-    pts = [tuple(p) for p in product((0, 1), repeat=d) if sum(p) % 2 == 0]
-    return PointSet(d, pts, family=_tag("even", d=d), validate=False)
+    return _parity("even", d, 0, max_candidates)
 
 
 def odd(d, max_candidates=None):
     """0/1 vectors with an odd number of ones."""
-    _cap_check(2**d, max_candidates, f"odd({d})")
-    pts = [tuple(p) for p in product((0, 1), repeat=d) if sum(p) % 2 == 1]
-    return PointSet(d, pts, family=_tag("odd", d=d), validate=False)
+    return _parity("odd", d, 1, max_candidates)
 
 
 def perm(n, max_candidates=None):
@@ -228,37 +232,45 @@ class _UnionFind:
         return True
 
 
+def _tours(name, n, directed, max_candidates):
+    """Hamiltonian cycles on 1..n, one per node order (1, *tail); undirected,
+    only orders with tail[0] < tail[-1] are kept, as each cycle comes once
+    per direction."""
+    _cap_check(factorial(n - 1), max_candidates, f"{name}({n})")
+    idx = EdgeIndexer(n, directed=directed)
+    pts = []
+    for tail in permutations(range(2, n + 1)):
+        if directed or tail[0] < tail[-1]:
+            seq = (1,) + tail + (1,)
+            pts.append(idx.vector(zip(seq, seq[1:])))
+    pts.sort()
+    return PointSet(idx.dim, pts, family=_tag(name, n=n),
+                    legend=idx.legend(), validate=False)
+
+
 def stsp(n, max_candidates=None):
     """Characteristic vectors of hamiltonian cycles (undirected edges)."""
     if n < 3:
         raise ValueError("cycles need n >= 3")
-    _cap_check(factorial(n - 1), max_candidates, f"stsp({n})")
-    idx = EdgeIndexer(n)
-    pts = []
-    for tail in permutations(range(2, n + 1)):
-        if tail[0] > tail[-1]:
-            continue  # each cycle twice otherwise, once per direction
-        seq = (1,) + tail
-        edges = [(seq[i], seq[i + 1]) for i in range(n - 1)] + [(seq[-1], 1)]
-        pts.append(idx.vector(edges))
-    pts.sort()
-    return PointSet(idx.dim, pts, family=_tag("stsp", n=n),
-                    legend=idx.legend(), validate=False)
+    return _tours("stsp", n, False, max_candidates)
 
 
 def atsp(n, max_candidates=None):
     """Characteristic vectors of directed hamiltonian cycles (arcs)."""
     if n < 2:
         raise ValueError("directed cycles need n >= 2")
-    _cap_check(factorial(n - 1), max_candidates, f"atsp({n})")
-    idx = EdgeIndexer(n, directed=True)
-    pts = []
-    for tail in permutations(range(2, n + 1)):
-        seq = (1,) + tail
-        arcs = [(seq[i], seq[i + 1]) for i in range(n - 1)] + [(seq[-1], 1)]
-        pts.append(idx.vector(arcs))
-    pts.sort()
-    return PointSet(idx.dim, pts, family=_tag("atsp", n=n),
+    return _tours("atsp", n, True, max_candidates)
+
+
+def _edge_subsets(name, n, directed, max_candidates, keep, **params):
+    """Every edge (or arc) subset of the complete graph on 1..n that keep
+    accepts, given an iterator over its pairs in index order; sorted as
+    generated."""
+    idx = EdgeIndexer(n, directed=directed)
+    _cap_check(2**idx.dim, max_candidates, f"{name}({n})")
+    pts = [bits for bits in product((0, 1), repeat=idx.dim)
+           if keep(compress(idx.pairs, bits))]
+    return PointSet(idx.dim, pts, family=_tag(name, n=n, **params),
                     legend=idx.legend(), validate=False)
 
 
@@ -266,15 +278,8 @@ def conn(n, max_candidates=None):
     """Characteristic vectors of connected spanning edge subsets."""
     if n < 1:
         raise ValueError("need n >= 1")
-    idx = EdgeIndexer(n)
-    _cap_check(2**idx.dim, max_candidates, f"conn({n})")
-    pts = []
-    for bits in product((0, 1), repeat=idx.dim):
-        edges = [idx.pairs[k] for k, b in enumerate(bits) if b]
-        if _spanning_connected(n, edges):
-            pts.append(bits)
-    return PointSet(idx.dim, pts, family=_tag("conn", n=n),
-                    legend=idx.legend(), validate=False)
+    return _edge_subsets("conn", n, False, max_candidates,
+                         lambda edges: _spanning_connected(n, edges))
 
 
 def spt(n, max_candidates=None):
@@ -296,24 +301,16 @@ def spt(n, max_candidates=None):
                     legend=idx.legend(), validate=False)
 
 
+def _acyclic(n, edges):
+    return all(starmap(_UnionFind(n).union, edges))
+
+
 def forests(n, max_candidates=None):
     """Characteristic vectors of acyclic edge subsets."""
     if n < 1:
         raise ValueError("need n >= 1")
-    idx = EdgeIndexer(n)
-    _cap_check(2**idx.dim, max_candidates, f"forests({n})")
-    pts = []
-    for bits in product((0, 1), repeat=idx.dim):
-        uf = _UnionFind(n)
-        ok = True
-        for k, b in enumerate(bits):
-            if b and not uf.union(*idx.pairs[k]):
-                ok = False
-                break
-        if ok:
-            pts.append(bits)
-    return PointSet(idx.dim, pts, family=_tag("forests", n=n),
-                    legend=idx.legend(), validate=False)
+    return _edge_subsets("forests", n, False, max_candidates,
+                         lambda edges: _acyclic(n, edges))
 
 
 def _reaches(root, parent):
@@ -366,27 +363,14 @@ def branch(n, root=None, max_candidates=None):
         raise ValueError("need n >= 1")
     if root is not None and not 1 <= root <= n:
         raise ValueError("root out of range")
-    idx = EdgeIndexer(n, directed=True)
-    _cap_check(2**idx.dim, max_candidates, f"branch({n})")
-    pts = []
-    for bits in product((0, 1), repeat=idx.dim):
-        indeg = [0] * (n + 1)
-        uf = _UnionFind(n)
-        ok = True
-        for k, b in enumerate(bits):
-            if not b:
-                continue
-            u, v = idx.pairs[k]
-            indeg[v] += 1
-            if indeg[v] > 1 or not uf.union(u, v):
-                ok = False
-                break
-        if ok and root is not None and indeg[root] != 0:
-            ok = False
-        if ok:
-            pts.append(bits)
-    return PointSet(idx.dim, pts, family=_tag("branch", n=n, root=root),
-                    legend=idx.legend(), validate=False)
+
+    def keep(arcs):
+        arcs = list(arcs)
+        heads = [v for _, v in arcs]
+        return (len(set(heads)) == len(heads) and root not in heads
+                and _acyclic(n, arcs))
+
+    return _edge_subsets("branch", n, True, max_candidates, keep, root=root)
 
 
 def tjoin_terminals(n, terminals):
@@ -476,6 +460,23 @@ FAMILIES = {
     "branch": branch,
     "tjoins": tjoins,
 }
+
+
+def _arity(name, fn, params, option=None, given=False):
+    """params, once they fit fn's parameters but the one an option fills
+    (which fn must take if given); a misfit is named by its parameters."""
+    if fn is None:
+        return params
+    sig = inspect.signature(fn).parameters
+    names = [q for q in sig.values() if q.name != option]
+    least, k = sum(q.default is q.empty for q in names), len(names)
+    if not least <= len(params) <= k:
+        count = k if least == k else f"{least} to {k}"
+        raise ValueError(f"{name} takes {count} parameter{'s' if k > 1 else ''} "
+                         f"({', '.join(q.name for q in names)}), got {len(params)}")
+    if given and option not in sig:
+        raise ValueError(f"{name} takes no --{option.replace('_', '-')}")
+    return params
 
 
 def generate(name, *params, **kwargs):

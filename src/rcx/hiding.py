@@ -57,35 +57,30 @@ def flip_pair(b, bp):
     return c, cp, j
 
 
-def _arcs_vector(idx, arcs, directed):
+def _arcs_vector(idx, arcs):
     vec = [0] * idx.dim
     for u, v in arcs:
         vec[idx.index(u, v)] += 1
     return tuple(vec)
 
 
-def _even_patterns(N):
-    return [b for b in product((0, 1), repeat=N) if sum(b) % 2 == 0]
+def _cycle_pairs(name, N, directed, drop_return_arc):
+    """One point per even pattern b, the arcs of cycle_pair_arcs(N, b),
+    2^(N-1) in total. Undirected, arcs are projected onto edges (summing
+    multiplicities, which only matters for N = 1)."""
+    if N < 1:
+        raise ValueError("need N >= 1")
+    idx = EdgeIndexer(2 * (N + 1), directed=directed)
+    pts = sorted(_arcs_vector(idx, cycle_pair_arcs(N, b, drop_return_arc))
+                 for b in product((0, 1), repeat=N) if sum(b) % 2 == 0)
+    return PointSet(idx.dim, pts,
+                    family={"name": name, "params": {"N": N, "directed": directed}},
+                    legend=idx.legend(), validate=False)
 
 
 def build_tsp_hiding(N, directed=True):
-    """Two-cycle configurations hiding the tour set on 2(N+1) nodes.
-
-    One point per even pattern, 2^(N-1) in total. With directed=False
-    arcs are projected onto undirected edges (summing multiplicities,
-    which only matters for N = 1).
-    """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    n = 2 * (N + 1)
-    idx = EdgeIndexer(n, directed=directed)
-    pts = [_arcs_vector(idx, cycle_pair_arcs(N, b), directed)
-           for b in _even_patterns(N)]
-    pts.sort()
-    return PointSet(idx.dim, pts,
-                    family={"name": "tsp_hiding",
-                            "params": {"N": N, "directed": directed}},
-                    legend=idx.legend(), validate=False)
+    """Two-cycle configurations hiding the tour set on 2(N+1) nodes."""
+    return _cycle_pairs("tsp_hiding", N, directed, drop_return_arc=False)
 
 
 def build_arb_hiding(N, directed=True):
@@ -95,17 +90,7 @@ def build_arb_hiding(N, directed=True):
     arc removed, so odd patterns give spanning paths (arborescences) and
     even patterns a disjoint cycle plus path.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    n = 2 * (N + 1)
-    idx = EdgeIndexer(n, directed=directed)
-    pts = [_arcs_vector(idx, cycle_pair_arcs(N, b, drop_return_arc=True), directed)
-           for b in _even_patterns(N)]
-    pts.sort()
-    return PointSet(idx.dim, pts,
-                    family={"name": "arb_hiding",
-                            "params": {"N": N, "directed": directed}},
-                    legend=idx.legend(), validate=False)
+    return _cycle_pairs("arb_hiding", N, directed, drop_return_arc=True)
 
 
 def build_diff_hiding(n):

@@ -57,48 +57,40 @@ def _box_rows(dim):
     return rows
 
 
+def _cut(idx, n, mask):
+    """Incidence row of delta(S), the edges (or arcs) leaving the node set
+    S given as a bitmask (node i <-> bit i-1)."""
+    a = [0] * idx.dim
+    for u in range(1, n + 1):
+        if mask >> (u - 1) & 1:
+            for w in range(1, n + 1):
+                if not mask >> (w - 1) & 1:
+                    a[idx.index(u, w)] = 1
+    return a
+
+
 def build_subtour_relaxation(n, directed=False):
     """Degree equalities plus one cut row per node subset, over the box.
 
     Undirected: x(delta(v)) = 2 and x(delta(S)) >= 2; cuts deduplicated by
     complement (delta(S) = delta(V minus S)), keeping the side with node 1.
-    Directed: out- and in-degree equal 1 and every proper subset needs one
-    outgoing arc.  Row order: box pairs by edge, degrees by node, cuts by
-    subset bitmask (node i <-> bit i-1) ascending.
+    Directed: out- and in-degree equal 1 (the in-degree row is the cut of
+    V minus v) and every proper subset needs one outgoing arc.  Row order:
+    box pairs by edge, degrees by node, cuts by subset bitmask (node i <->
+    bit i-1) ascending.
     """
     if n < 3:
         raise ValueError("need at least three nodes")
     _cap_check(2**n, None, "cut rows")
     idx = EdgeIndexer(n, directed=directed)
     rows = _box_rows(idx.dim)
-    for v in range(1, n + 1):
-        if directed:
-            out = [0] * idx.dim
-            inc = [0] * idx.dim
-            for w in range(1, n + 1):
-                if w != v:
-                    out[idx.index(v, w)] = 1
-                    inc[idx.index(w, v)] = 1
-            rows.append(Halfspace(out, "=", 1))
-            rows.append(Halfspace(inc, "=", 1))
-        else:
-            a = [0] * idx.dim
-            for w in range(1, n + 1):
-                if w != v:
-                    a[idx.index(v, w)] = 1
-            rows.append(Halfspace(a, "=", 2))
     full = (1 << n) - 1
-    for mask in range(1, full):
-        if not directed and not mask & 1:
-            continue
-        a = [0] * idx.dim
-        for u in range(1, n + 1):
-            if not mask >> (u - 1) & 1:
-                continue
-            for w in range(1, n + 1):
-                if w != u and not mask >> (w - 1) & 1:
-                    a[idx.index(u, w)] = 1
-        rows.append(Halfspace(a, ">=", 1 if directed else 2))
+    k = 1 if directed else 2
+    for v in range(n):
+        for S in (1 << v, full ^ (1 << v)) if directed else (1 << v,):
+            rows.append(Halfspace(_cut(idx, n, S), "=", k))
+    rows += [Halfspace(_cut(idx, n, mask), ">=", k)
+             for mask in range(1, full) if directed or mask & 1]
     return HPolyhedron(idx.dim, rows)
 
 
@@ -113,16 +105,8 @@ def build_conn_cut_relaxation(n):
     _cap_check(2**n, None, "cut rows")
     idx = EdgeIndexer(n)
     rows = _box_rows(idx.dim)
-    full = (1 << n) - 1
-    for mask in range(1, full, 2):
-        a = [0] * idx.dim
-        for u in range(1, n + 1):
-            if not mask >> (u - 1) & 1:
-                continue
-            for w in range(1, n + 1):
-                if w != u and not mask >> (w - 1) & 1:
-                    a[idx.index(u, w)] = 1
-        rows.append(Halfspace(a, ">=", 1))
+    rows += [Halfspace(_cut(idx, n, mask), ">=", 1)
+             for mask in range(1, (1 << n) - 1, 2)]
     return HPolyhedron(idx.dim, rows)
 
 

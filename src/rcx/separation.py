@@ -14,7 +14,7 @@ from functools import cache
 from itertools import product
 
 from .errors import EmptySet, InvalidSystem, TooLarge
-from .families import DEFAULT_CAP, PointSet, generate
+from .families import DEFAULT_CAP, PointSet, _arity, generate, tjoin_terminals
 from .hiding import (_conflict_graph, _max_clique, build_arb_hiding,
                      build_diff_hiding, build_parity_hiding, build_perm_hiding,
                      build_tjoin_hiding, build_tsp_hiding, max_hiding_in_box,
@@ -273,11 +273,7 @@ def _diff_params(m, n):
 
 def _tjoin_params(n, terminals):
     params = _graph_params(n, least=2)
-    try:
-        params["terminals"] = tuple(sorted(int(t) for t in terminals))
-    except TypeError:
-        raise ValueError("tjoins terminals must be a comma list "
-                         "such as 1,2,3,4") from None
+    params["terminals"] = tuple(tjoin_terminals(params["n"], terminals))
     return params
 
 
@@ -309,13 +305,13 @@ def _tjoin_floor(n, terminals):
 class _ReportFamily:
     """How bound_report bounds one family.
 
-    The callables take the report's params as keywords. Builders are
-    named inside lambdas, so they are looked up on this module when they
-    run and a patched builder is the one called. Past its limit on
+    The callables take the report's params as keywords, and the floor's
+    parameter names are the report's, in order. Builders are named
+    inside lambdas, so they are looked up on this module when they run
+    and a patched builder is the one called. Past its limit on
     params["n"] a bound carries its count only, marked unverified.
     """
 
-    names: tuple          # parameter names, in order
     parse: object         # raw parameters -> the report's params dict
     floor: object         # -> (hiding set, lower_source)
     limits: tuple         # largest n certified for the floor, the ceiling
@@ -328,41 +324,41 @@ class _ReportFamily:
 # per-point system at n = 4 is past the default certification budget
 _REPORTS = {
     "stsp": _ReportFamily(
-        ("n",), _graph_params,
+        _graph_params,
         lambda n: _pattern_floor(build_tsp_hiding, n, False, "cycle-pair"), (8, 6),
         relaxation=("subtour relaxation",
                     lambda n: build_subtour_relaxation(n, directed=False))),
     "atsp": _ReportFamily(
-        ("n",), _graph_params,
+        _graph_params,
         lambda n: _pattern_floor(build_tsp_hiding, n, True, "cycle-pair"), (8, 5),
         relaxation=("subtour relaxation",
                     lambda n: build_subtour_relaxation(n, directed=True))),
     "conn": _ReportFamily(
-        ("n",), _graph_params,
+        _graph_params,
         lambda n: _pattern_floor(build_tsp_hiding, n, False, "cycle-pair"), (6, 4),
         relaxation=("cut relaxation", lambda n: build_conn_cut_relaxation(n))),
     "spt": _ReportFamily(
-        ("n",), _graph_params,
+        _graph_params,
         lambda n: _pattern_floor(build_arb_hiding, n, False, "dropped-arc path"),
         (6, 4), count=lambda n: n ** (n - 2)),
     "arb": _ReportFamily(
-        ("n",), _graph_params,
+        _graph_params,
         lambda n: _pattern_floor(build_arb_hiding, n, True, "dropped-arc path"),
         (5, 3), count=lambda n: n ** (n - 1)),
     "diff": _ReportFamily(
-        ("m", "n"), _diff_params,
+        _diff_params,
         lambda m, n: _counted(build_diff_hiding(n), "duplicated-block points"),
         (4, 3), count=lambda m, n: 2 ** n * (2 ** n - 1)),
     "perm": _ReportFamily(
-        ("n",), lambda n: {"n": int(n)},
+        lambda n: {"n": int(n)},
         lambda n: _counted(build_perm_hiding(n), "sorted-block swap points"), (6, 4),
         relaxation=("permutahedron description",
                     lambda n: build_rado_permutahedron(n))),
     "even": _ReportFamily(
-        ("n",), lambda n: {"n": int(n)}, _parity_floor, (6, 6),
+        lambda n: {"n": int(n)}, _parity_floor, (6, 6),
         count=lambda n: 2 ** (n - 1)),
     "tjoins": _ReportFamily(
-        ("n", "terminals"), _tjoin_params, _tjoin_floor, (6, 4),
+        _tjoin_params, _tjoin_floor, (6, 4),
         count=lambda n, terminals: 2 ** (n * (n - 1) // 2 - n + 1)),
 }
 # perfbench/workloads.py reads the limits under these names
@@ -370,7 +366,7 @@ _LOWER_CERT_MAX = {f: r.limits[0] for f, r in _REPORTS.items()}
 _UPPER_CERT_MAX = {f: r.limits[1] for f, r in _REPORTS.items()}
 
 
-def bound_report(family, *params, box=None, max_candidates=None):
+def bound_report(family, *params, box=None):
     """Two-sided size report: hiding-set floor, explicit-system ceiling.
 
     Floors come from the family's hiding construction (certified by full
@@ -385,11 +381,7 @@ def bound_report(family, *params, box=None, max_candidates=None):
         spec = _REPORTS[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r} (no hiding construction)") from None
-    if len(params) != len(spec.names):
-        k = len(spec.names)
-        raise ValueError(f"{family} takes {k} parameter{'s' if k > 1 else ''} "
-                         f"({', '.join(spec.names)}), got {len(params)}")
-    pdict = spec.parse(*params)
+    pdict = spec.parse(*_arity(family, spec.floor, params))
     H, lower_src = spec.floor(**pdict)
     lower, d = len(H), H.dim
     if spec.relaxation:
@@ -431,7 +423,7 @@ def bound_report(family, *params, box=None, max_candidates=None):
         if X is None:
             notes.append("box search skipped: family too large to enumerate here")
         else:
-            size, witness = max_hiding_in_box(X, box, max_candidates=max_candidates)
+            size, witness = max_hiding_in_box(X, box)
             if size > lower and verify_hiding(witness, X).valid:
                 lower = size
                 lower_src = f"box search clique of {size} points"

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from rcx import fileio
-from rcx.cli import main, run
-from rcx.families import PointSet
+from rcx.cli import _HIDING_BUILDERS, _RELAX_BUILDERS, main, run
+from rcx.families import FAMILIES, PointSet
 from rcx.separation import _REPORTS
 
 
@@ -299,11 +299,21 @@ class TestReportCommand:
         (["stsp", "4", "5"], "error: stsp takes 1 parameter (n), got 2"),
         (["tjoins", "6", "1"],
          "error: tjoins terminals must be a comma list such as 1,2,3,4"),
+        (["diff", "2"], "error: diff takes 2 parameters (m, n), got 1"),
+        (["tjoins", "6"], "error: tjoins takes 2 parameters (n, terminals), got 1"),
+        (["even", "2", "3"], "error: even takes 1 parameter (n), got 2"),
     ])
     def test_wrong_arity_names_the_parameters(self, args, message):
         res = run(["report", *args])
         assert res.exit_code == 2
         assert res.summary == message
+
+    def test_repeated_terminals_report_the_terminal_set(self, tmp_path):
+        # floor, ceiling and family tag all use T = {1, 2}; so do the params
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["report", "tjoins", "6", "1,1,2,2", "-o", str(a)]).exit_code == 0
+        assert run(["report", "tjoins", "6", "1,2", "-o", str(b)]).exit_code == 0
+        assert doc_bytes(a) == doc_bytes(b)
 
 
 # sha256 of `rcx report ... -o FILE` for one small size per family, so any
@@ -335,6 +345,91 @@ class TestReportBytes:
         rep = tmp_path / "rep.json"
         assert run(["report", *args, "-o", str(rep)]).exit_code == 0
         assert hashlib.sha256(doc_bytes(rep)).hexdigest() == REPORT_DIGESTS[args]
+
+
+# sha256 of the file `rcx gen|hiding build|relax build ... -o FILE` writes,
+# for every family, construction and relaxation at one small size, so any
+# change to point order, row order or their bytes shows here
+BUILD_DIGESTS = {
+    ("gen", "cube", "3"):
+        "b4684353f103ce9daf7caf66a028692f4a4913083c30ba76f1a459d7bb790450",
+    ("gen", "simplex", "3"):
+        "d243fd6106b055548010ef9322ece7e2179491bfca14ecbc4e44053ee844a83d",
+    ("gen", "even", "4"):
+        "b2b6b308d422b52cf0e9279e4c2b36047d15ff630f578a87927d9251207396f9",
+    ("gen", "odd", "4"):
+        "5af59fd10506382552c7118c2ed843fee936c3f48a3de384bf316d9117f818a5",
+    ("gen", "perm", "4"):
+        "5c4b6a11b592be7b53ab4576a2505574cbc65c1fc0a865ffc8e8067f3a1aa933",
+    ("gen", "diff", "2", "2"):
+        "839733db412ac61e4408dcafb0a28df9d827fba817509474d239c99733fba5af",
+    ("gen", "stsp", "5"):
+        "0561abdbcdb7399fbb0703a4c7c362bc7787e21b4ee4855b4ced8594c4d954a0",
+    ("gen", "atsp", "4"):
+        "cae475ac2e2861a18c201b62c71fc4aa0971bb4e8c2f9e900d7be7c75cd620e6",
+    ("gen", "conn", "4"):
+        "c3f46f35bcf8a7e096678dcdb7a2cdbcc62d588313c2ab3a45452e0fb9a00e18",
+    ("gen", "spt", "4"):
+        "6a29b0286a25d68fe95e87dfdbda129eeeb9b1044d32544987659436758d6003",
+    ("gen", "forests", "4"):
+        "60f218da2be3fdeccd272401daa152598f14f0c8f65cb8d7e83cf7bbd6a1765f",
+    ("gen", "arb", "3"):
+        "151042c13fc2deafb20edb5ca1b231e74d4c19d8adc78d9bb7d4b06e34788e31",
+    ("gen", "arb", "4", "2"):
+        "a2a021d13a2b1db6c4bb3fa1768a86cc1bb8dac73afaf0d1caad849d57e2a30f",
+    ("gen", "branch", "3"):
+        "94272887d82f745c33ff78d043ca3757f7f7832d0cf1cafac078d5cdd900cf98",
+    ("gen", "branch", "3", "1"):
+        "7829743351ad9643b7641cce50d5b2e556d85c3ac78eb32013714216200784f0",
+    ("gen", "tjoins", "4", "1,2"):
+        "6d72c2b951b205c0b87ef59b7877f32f5fbede987550b29ac9423482a2e0ca45",
+    ("hiding", "build", "tsp", "2"):
+        "dd8fe204db111e19d636f48b1a788e8e48b90a52412b942520f971cee1b4a5fa",
+    ("hiding", "build", "tsp", "2", "--undirected"):
+        "b4560181c1012838678328995d6fdc00fe34d4d16cc0c943cd37e51381ac956a",
+    ("hiding", "build", "arb", "2"):
+        "53b56d7a6720c744df7852eec3774db918465e83a2f81238bfd880eaba3eab01",
+    ("hiding", "build", "arb", "2", "--undirected"):
+        "51edd1641ce0ec2848c3745d891122e4be58e30a0dbbc922c41f596dabbe4a04",
+    ("hiding", "build", "diff", "2"):
+        "048932003f1acad352e28709c693583cb28be94d8332231aa9b984a28e07ece2",
+    ("hiding", "build", "perm", "4"):
+        "581a52f71ecde914fdc6d829cc45e2afc2aa8ce1a95fa55f6dfe56e6236e0ed1",
+    ("hiding", "build", "parity", "3"):
+        "19ef4bff0be063371e232879feaa8d821cd76cd04358e8c4ceddd4fafddb9713",
+    ("hiding", "build", "tjoin", "6", "1,2"):
+        "1e80c85a5e17f734bc1be15ab3e043d2e08e1095c21755077f9291fcb7aa75e1",
+    ("relax", "build", "cube", "3"):
+        "feedf2f0702de712ba0a7202190f75605259836c077dffdc58a8f4d1bd902d99",
+    ("relax", "build", "subtour", "4"):
+        "0b8069dadcb826bd943586b4079868c27dfb43919484e206f853f2a765a8768f",
+    ("relax", "build", "subtour", "4", "--directed"):
+        "419aeee02e056d90820266bf69c08530dcfe882b92667e69ed3cc639d0c856e7",
+    ("relax", "build", "conncut", "4"):
+        "7caa1fcdaa6d4c64d35a9218fdec3273d233f0b83d7e740700f2b264a4982a69",
+    ("relax", "build", "rado", "4"):
+        "5e5bef370fe0d2188e845c5d09529bad5fe250e100d6f90626397e118a35f64e",
+}
+
+
+class TestBuildBytes:
+    def test_every_name_is_pinned(self):
+        names = {(args[0], args[1] if args[0] == "gen" else args[2])
+                 for args in BUILD_DIGESTS}
+        assert names == ({("gen", f) for f in FAMILIES}
+                         | {("hiding", h) for h in _HIDING_BUILDERS}
+                         | {("relax", r) for r in _RELAX_BUILDERS})
+        # the named constructions and relaxations, with and without their flag
+        for name, flag in (("tsp", "--undirected"), ("arb", "--undirected"),
+                           ("subtour", "--directed")):
+            assert {flag in args for args in BUILD_DIGESTS
+                    if args[2] == name} == {True, False}
+
+    @pytest.mark.parametrize("args", list(BUILD_DIGESTS), ids=" ".join)
+    def test_build_bytes_match_digest(self, tmp_path, args):
+        out = tmp_path / "out.json"
+        assert run([*args, "-o", str(out)]).exit_code == 0
+        assert hashlib.sha256(doc_bytes(out)).hexdigest() == BUILD_DIGESTS[args]
 
 
 # gen, hiding build and relax build name their parameters as report does;
