@@ -132,8 +132,14 @@ class PointSet:
         return self._digest
 
 
+def _cap(cap):
+    """The cap in force: the caller's, else DEFAULT_CAP."""
+    return DEFAULT_CAP if cap is None else cap
+
+
 def _cap_check(count, cap, what):
-    cap = DEFAULT_CAP if cap is None else cap
+    """The one size guard: refuse work past the cap with one message."""
+    cap = _cap(cap)
     if count > cap:
         raise TooLarge(f"{what}: {count} candidates exceed the cap of {cap}")
 
@@ -332,14 +338,16 @@ def arb(n, root=None, max_candidates=None):
     default, or a fixed one).
 
     Every node but the root picks a parent; the picks without a cycle are
-    exactly the arborescences, n·(n-1)^(n-1) candidates in all.
+    exactly the arborescences, n·(n-1)^(n-1) candidates in all, or
+    (n-1)^(n-1) with a fixed root; the cap is checked against those picks.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if root is not None and not 1 <= root <= n:
         raise ValueError("root out of range")
     idx = EdgeIndexer(n, directed=True)
-    _cap_check(comb(idx.dim, n - 1), max_candidates, f"arb({n})")
+    picks = (n - 1) ** (n - 1) * (n if root is None else 1)
+    _cap_check(picks, max_candidates, f"arb({n})")
     pts = []
     for r in range(1, n + 1) if root is None else (root,):
         others = [v for v in range(1, n + 1) if v != r]

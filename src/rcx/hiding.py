@@ -10,13 +10,13 @@ lower bound on the number of facets of any such relaxation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import prod
+from itertools import combinations, compress, product
 
-from .errors import DimMismatch, EmptySet, TooLarge
-from .families import DEFAULT_CAP, EdgeIndexer, PointSet, odd, tjoin_terminals
-from .linprog import conv_membership, segment_hits_hull
+from .errors import DimMismatch, EmptySet
+from .families import EdgeIndexer, PointSet, _cap_check, _tag, odd, tjoin_terminals
+from .linprog import Halfspace, HPolyhedron, conv_membership, segment_hits_hull
 from .rational import affine_hull, in_affine_hull
+from .relaxations import LatticeBox, enumerate_lattice
 
 
 def cycle_pair_arcs(N, b, drop_return_arc=False):
@@ -73,8 +73,7 @@ def _cycle_pairs(name, N, directed, drop_return_arc):
     idx = EdgeIndexer(2 * (N + 1), directed=directed)
     pts = sorted(_arcs_vector(idx, cycle_pair_arcs(N, b, drop_return_arc))
                  for b in product((0, 1), repeat=N) if sum(b) % 2 == 0)
-    return PointSet(idx.dim, pts,
-                    family={"name": name, "params": {"N": N, "directed": directed}},
+    return PointSet(idx.dim, pts, family=_tag(name, N=N, directed=directed),
                     legend=idx.legend(), validate=False)
 
 
@@ -102,15 +101,12 @@ def build_diff_hiding(n):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if 2**n > DEFAULT_CAP:
-        raise TooLarge(f"2^{n} duplicated blocks exceed the cap")
+    _cap_check(2**n, None, f"diff_hiding({n})")
     if n == 1:
         pts = [(-1, 2), (2, -1)]
     else:
         pts = [x + x for x in product((0, 1), repeat=n)]
-    return PointSet(2 * n, pts,
-                    family={"name": "diff_hiding", "params": {"n": n}},
-                    validate=False)
+    return PointSet(2 * n, pts, family=_tag("diff_hiding", n=n), validate=False)
 
 
 def build_perm_hiding(n):
@@ -137,9 +133,7 @@ def build_perm_hiding(n):
             x[pos] = val
         pts.append(tuple(x))
     pts.sort()
-    return PointSet(n, pts,
-                    family={"name": "perm_hiding", "params": {"n": n}},
-                    validate=False)
+    return PointSet(n, pts, family=_tag("perm_hiding", n=n), validate=False)
 
 
 def build_parity_hiding(n):
@@ -154,8 +148,7 @@ def build_parity_hiding(n):
     if n < 2:
         raise ValueError("need n >= 2")
     if n == 2:
-        return PointSet(2, [(-1, -1), (2, 2)],
-                        family={"name": "parity_hiding", "params": {"n": 2}},
+        return PointSet(2, [(-1, -1), (2, 2)], family=_tag("parity_hiding", n=2),
                         validate=False)
     return odd(n)
 
@@ -190,39 +183,20 @@ def build_tjoin_hiding(n, terminals):
     M = [[(T1[j], T2[(j + i) % k]) for j in range(k)] for i in range(k)]
     Nm = [[(U1[j], U2[(j + i) % l]) for j in range(l)] for i in range(l)]
     idx = EdgeIndexer(n)
-    b_star = (1,) + (0,) * (k - 1) if k else ()
-    c_star = (0,) * l
 
-    def join_vector(b, c):
-        edges = []
-        for i, bit in enumerate(b):
-            if bit:
-                edges.extend(M[i])
-        for j, bit in enumerate(c):
-            if bit:
-                edges.extend(Nm[j])
-        return idx.vector(edges)
+    def part(p, groups, parity, fixed):
+        """Unions of the groups chosen with the given parity, plus fixed."""
+        pts = []
+        for bits in product((0, 1), repeat=len(groups)):
+            if sum(bits) % 2 == parity:
+                vec = idx.vector(fixed + [e for g in compress(groups, bits) for e in g])
+                if _degree_parities(n, idx, vec) != tuple(T):
+                    pts.append(vec)
+        return PointSet(idx.dim, sorted(pts), legend=idx.legend(), validate=False,
+                        family=_tag("tjoin_hiding", n=n, terminals=list(T), part=p))
 
-    h1 = []
-    for b in product((0, 1), repeat=k):
-        if sum(b) % 2 == 0:
-            vec = join_vector(b, c_star)
-            if _degree_parities(n, idx, vec) != tuple(T):
-                h1.append(vec)
-    h2 = []
-    for c in product((0, 1), repeat=l):
-        if sum(c) % 2 == 1:
-            vec = join_vector(b_star, c)
-            if _degree_parities(n, idx, vec) != tuple(T):
-                h2.append(vec)
-    h1.sort()
-    h2.sort()
-    fam = {"name": "tjoin_hiding", "params": {"n": n, "terminals": list(T)}}
-    H1 = PointSet(idx.dim, h1, family={**fam, "params": {**fam["params"], "part": 1}},
-                  legend=idx.legend(), validate=False)
-    H2 = PointSet(idx.dim, h2, family={**fam, "params": {**fam["params"], "part": 2}},
-                  legend=idx.legend(), validate=False)
-    return H1, H2
+    # H1: even unions of M's with no N; H2: odd unions of N's plus M_1
+    return part(1, M, 0, []), part(2, Nm, 1, M[0] if k else [])
 
 
 @dataclass(frozen=True)
@@ -339,23 +313,18 @@ def _max_clique(adj):
 def max_hiding_in_box(X, box, max_candidates=None):
     """Largest hiding set for X whose points lie in an integer box.
 
-    box is a (lows, highs) pair of integer tuples. Enumerates all lattice
-    points in the box that sit in aff(X) but outside conv(X), connects
-    two of them when their segment meets conv(X), and finds a maximum
-    clique. Returns (size, witness PointSet).
+    box is a (lows, highs) pair of integer tuples. enumerate_lattice scans
+    the box over aff(X)'s equations, under its cap; the points outside
+    conv(X) are joined when their segment meets conv(X), and a maximum
+    clique is found. Returns (size, witness PointSet).
     """
-    lo, hi = box
-    if len(lo) != X.dim or len(hi) != X.dim:
+    box = LatticeBox(*box)
+    if box.dim != X.dim:
         raise DimMismatch("box dimension does not match point set")
-    if any(a > b for a, b in zip(lo, hi)):
-        raise ValueError("empty box")
-    volume = prod(b - a + 1 for a, b in zip(lo, hi))
-    cap = DEFAULT_CAP if max_candidates is None else max_candidates
-    if volume > cap:
-        raise TooLarge(f"box holds {volume} lattice points, cap is {cap}")
     hull = affine_hull(X.points)
-    cands = [p for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-             if in_affine_hull(p, hull) and not conv_membership(p, X)[0]]
+    P = HPolyhedron(X.dim, [Halfspace(a, "=", b) for a, b in hull.equations])
+    cands = [p for p in enumerate_lattice(P, box, max_candidates)
+             if not conv_membership(p, X)[0]]
     clique = _max_clique(_conflict_graph(cands, X))
     witness = PointSet(X.dim, [cands[i] for i in clique])
     return len(clique), witness

@@ -319,6 +319,24 @@ def _check(cond, what):
         raise RuntimeError(f"internal certificate check failed: {what}")
 
 
+# the sense -> sign rule: y >= 0 on <= rows, y <= 0 on >= rows, free on =
+_SIGN = {"<=": 1, "=": 0, ">=": -1}
+
+
+def _combination(P, y, flip, what):
+    """(sum of y_i a_i, sum of y_i rhs_i) over P's rows, once each flip * y_i
+    has its row's sign."""
+    for h, yk in zip(P.constraints, y):
+        _check(_SIGN[h.sense] * flip * yk >= 0, f"{what} sign on {h.sense} row")
+    comb = [sum(yk * h.a[j] for h, yk in zip(P.constraints, y)) for j in range(P.dim)]
+    return comb, sum(yk * h.rhs for h, yk in zip(P.constraints, y))
+
+
+def _recession(P):
+    """P's recession cone: each of its rows with right-hand side 0."""
+    return HPolyhedron(P.dim, [Halfspace(h.a, h.sense, 0) for h in P.constraints])
+
+
 def solve_lp(P, objective, maximize=True):
     """Optimize an exact linear objective over an HPolyhedron.
 
@@ -339,12 +357,7 @@ def solve_lp(P, objective, maximize=True):
     rows = []
     prov = []  # (constraint index, sign) per standard-form row
     for i, h in enumerate(P.constraints):
-        pairs = []
-        if h.sense in ("<=", "="):
-            pairs.append(1)
-        if h.sense in (">=", "="):
-            pairs.append(-1)
-        for s in pairs:
+        for s in (1, -1) if h.sense == "=" else (_SIGN[h.sense],):
             coeffs = [s * v for v in h.a] + [-s * v for v in h.a]
             rows.append((coeffs, s * h.rhs))
             prov.append((i, s))
@@ -362,16 +375,9 @@ def solve_lp(P, objective, maximize=True):
 
     if status == "infeasible":
         y = fold(farkas_std)
-        for h, yk in zip(P.constraints, y):
-            if h.sense == "<=":
-                _check(yk >= 0, "farkas sign on <= row")
-            elif h.sense == ">=":
-                _check(yk <= 0, "farkas sign on >= row")
-        comb = [sum(yk * h.a[j] for h, yk in zip(P.constraints, y))
-                for j in range(d)]
-        _check(all(v == 0 for v in comb), "farkas combination is zero")
-        _check(sum(yk * h.rhs for h, yk in zip(P.constraints, y)) < 0,
-               "farkas value negative")
+        comb, beta = _combination(P, y, 1, "farkas")
+        _check(not any(comb), "farkas combination is zero")
+        _check(beta < 0, "farkas value negative")
         return LPOutcome(status="infeasible", farkas=tuple(y))
 
     if status == "unbounded":
@@ -379,14 +385,7 @@ def solve_lp(P, objective, maximize=True):
         r = split(ray_std)
         _check(P.contains(x), "unbounded: basic point feasible")
         _check(not is_zero_vector(r), "ray nonzero")
-        for h in P.constraints:
-            lhs = vdot(h.a, r)
-            if h.sense == "<=":
-                _check(lhs <= 0, "ray respects <= row")
-            elif h.sense == ">=":
-                _check(lhs >= 0, "ray respects >= row")
-            else:
-                _check(lhs == 0, "ray respects = row")
+        _check(_recession(P).contains(r), "ray in the recession cone")
         gain = vdot(c, r)
         _check(gain > 0 if maximize else gain < 0, "ray improves objective")
         return LPOutcome(status="unbounded", point=x, ray=r)
@@ -398,15 +397,9 @@ def solve_lp(P, objective, maximize=True):
         y = [-v for v in y]
     _check(P.contains(x), "optimal point feasible")
     _check(vdot(c, x) == value, "objective value matches point")
-    for h, yk in zip(P.constraints, y):
-        if h.sense == "<=":
-            _check(yk >= 0 if maximize else yk <= 0, "dual sign on <= row")
-        elif h.sense == ">=":
-            _check(yk <= 0 if maximize else yk >= 0, "dual sign on >= row")
-    comb = [sum(yk * h.a[j] for h, yk in zip(P.constraints, y)) for j in range(d)]
-    _check(all(u == v for u, v in zip(comb, c)), "dual combination equals objective")
-    _check(sum(yk * h.rhs for h, yk in zip(P.constraints, y)) == value,
-           "dual value equals primal value")
+    comb, dual_value = _combination(P, y, 1 if maximize else -1, "dual")
+    _check(comb == c, "dual combination equals objective")
+    _check(dual_value == value, "dual value equals primal value")
     return LPOutcome(status="optimal", value=value, point=x,
                      dual=tuple(y))
 
@@ -537,11 +530,10 @@ def strict_separation(X, C):
         return None
     a = tuple(Fraction(z[j]) - z[d + j] for j in range(d))
     gamma = Fraction(z[2 * d]) - z[2 * d + 1]
-    for x in ptsx:
-        _check(vdot(a, x) <= gamma, "separation valid side")
-    for y in ptsc:
-        _check(vdot(a, y) >= gamma + 1, "separation violated side")
-    return Halfspace(a, "<=", gamma)
+    h, gap = Halfspace(a, "<=", gamma), Halfspace(a, ">=", gamma + 1)
+    _check(all(map(h.satisfied_by, ptsx)), "separation valid side")
+    _check(all(map(gap.satisfied_by, ptsc)), "separation violated side")
+    return h
 
 
 def recession_nontrivial(P):
@@ -551,9 +543,7 @@ def recession_nontrivial(P):
     intersected with the [-1, 1] box; returns (bool, witness or None).
     """
     d = P.dim
-    rows = []
-    for h in P.constraints:
-        rows.append(Halfspace(h.a, h.sense, 0))
+    rows = list(_recession(P).constraints)
     for k in range(d):
         e = tuple(Fraction(int(j == k)) for j in range(d))
         rows.append(Halfspace(e, "<=", 1))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .errors import DimMismatch, Infeasible, TooLarge, UnboundedCoordinate
-from .families import DEFAULT_CAP, EdgeIndexer, PointSet, _cap_check
+from .errors import DimMismatch, Infeasible, UnboundedCoordinate
+from .families import EdgeIndexer, PointSet, _cap, _cap_check
 from .linprog import (
     Halfspace,
     HPolyhedron,
@@ -247,17 +247,15 @@ def enumerate_lattice(P, box=None, max_points=None):
     is abandoned as soon as some row cannot be satisfied by any completion
     within the remaining coordinate ranges.  All arithmetic is integer.
     """
-    cap = DEFAULT_CAP if max_points is None else max_points
     presolved = False
     if box is None:
         box = _row_box(P)
-        presolved = box is not None and box.volume <= cap
+        presolved = box is not None and box.volume <= _cap(max_points)
         if not presolved:
             box = bounding_box(P)
     if box.dim != P.dim:
         raise DimMismatch("box dimension does not match polyhedron")
-    if box.volume > cap:
-        raise TooLarge(f"box volume {box.volume} exceeds the cap of {cap}")
+    _cap_check(box.volume, max_points, "lattice box")
     d = P.dim
     lo, hi = box.lower, box.upper
     rows = [(h._int_a, h.sense, h._int_rhs) for h in P.constraints]
@@ -335,8 +333,8 @@ def verify_relaxation(P, X, max_points=None):
             nontrivial, ray = recession_nontrivial(P)
             if nontrivial:
                 return RelaxationReport("failed", ("unbounded_with_finite_X", ray))
-        cap = DEFAULT_CAP if max_points is None else max_points
-        if box is None or box.volume > cap and X.bounds() != (box.lower, box.upper):
+        if box is None or (box.volume > _cap(max_points)
+                           and X.bounds() != (box.lower, box.upper)):
             box = bounding_box(P)
     lattice = enumerate_lattice(P, box=box, max_points=max_points)
     known = set(X.points)

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import product
 
 from .errors import EmptySet, InvalidSystem, TooLarge
-from .families import DEFAULT_CAP, PointSet, _arity, generate, tjoin_terminals
+from .families import PointSet, _arity, _cap_check, generate, tjoin_terminals
 from .hiding import (_conflict_graph, _max_clique, build_arb_hiding,
                      build_diff_hiding, build_parity_hiding, build_perm_hiding,
                      build_tjoin_hiding, build_tsp_hiding, max_hiding_in_box,
@@ -201,8 +201,7 @@ def build_binary_relaxation(X, system=None):
     pts, d, xset = _cube_points(X)
     if not pts:
         raise EmptySet("need at least one point to relax")
-    if 2 ** d > DEFAULT_CAP:
-        raise TooLarge(f"2^{d} cube points exceed the cap")
+    _cap_check(2 ** d, None, f"cube({d})")
     ypts = _complement(xset, d)
     if system is not None:
         _validate_system(system, pts, ypts, d)
@@ -223,8 +222,7 @@ def rationalize_halfspace(X):
     pts, d, xset = _cube_points(X)
     if not pts:
         raise EmptySet("need at least one point to separate")
-    if 2 ** d > DEFAULT_CAP:
-        raise TooLarge(f"2^{d} cube points exceed the cap")
+    _cap_check(2 ** d, None, f"cube({d})")
     h = strict_separation(pts, _complement(xset, d))
     if h is None:
         return None
@@ -412,6 +410,9 @@ def bound_report(family, *params, box=None):
             P = build_binary_relaxation(X)
         rep = verify_relaxation(P, X)
         upper_cert = rep.status == "verified"
+        if upper_cert and upper != len(P.constraints):
+            raise RuntimeError(f"certified ceiling {upper} is not the "
+                               f"{len(P.constraints)} rows verified")
         if not upper_cert:
             notes.append(f"{family}: relaxation verification failed ({rep.reason})")
     if n > lower_max:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from rcx import fileio
-from rcx.cli import _HIDING_BUILDERS, _RELAX_BUILDERS, main, run
+from rcx.cli import _HIDING_BUILDERS, _RELAX_BUILDERS, CommandResult, main, run
 from rcx.families import FAMILIES, PointSet
 from rcx.separation import _REPORTS
 
@@ -75,6 +75,41 @@ class TestGen:
         res = run(["gen", "cube", "4", "--max-candidates", "3",
                    "-o", str(tmp_path / "no.json")])
         assert res.exit_code == 2
+
+
+class TestSizeGuard:
+    """Every refusal comes from one guard, in one message format."""
+
+    @pytest.mark.parametrize("args, summary", [
+        (["6", "--max-candidates", "20000"], "arb: 7776 points, dim 30"),
+        (["6", "2", "--max-candidates", "4000"], "arb: 1296 points, dim 30"),
+    ])
+    def test_arb_cap_counts_the_parent_picks(self, tmp_path, args, summary):
+        out = tmp_path / "arb.json"
+        res = run(["gen", "arb", *args, "-o", str(out)])
+        assert res == CommandResult(0, str(out), f"{summary} -> {out}")
+
+    def test_hiding_max_refusal(self, tmp_path):
+        tri = tmp_path / "simplex2.json"
+        run(["gen", "simplex", "2", "-o", str(tri)])
+        res = run(["hiding", "max", str(tri), "--box=-3:3,-3:3", "--max-lattice", "4"])
+        assert res == CommandResult(
+            2, None, "too large: lattice box: 49 candidates exceed the cap of 4")
+
+    def test_hiding_build_diff_refusal(self, tmp_path):
+        out = tmp_path / "no.json"
+        res = run(["hiding", "build", "diff", "23", "-o", str(out)])
+        assert res == CommandResult(
+            2, None,
+            "too large: diff_hiding(23): 8388608 candidates exceed the cap of 4194304")
+        assert not out.exists()
+
+    def test_rationalize_refusal(self, tmp_path):
+        src = tmp_path / "point23.json"
+        fileio.write_doc(str(src), fileio.pointset_doc(PointSet(23, [(0,) * 23])))
+        res = run(["rationalize", str(src)])
+        assert res == CommandResult(
+            2, None, "too large: cube(23): 8388608 candidates exceed the cap of 4194304")
 
 
 class TestHidingCommands:

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import rcx
 from rcx.errors import OddNodeSet, TooLarge
 from rcx.families import (
     EdgeIndexer,
@@ -146,6 +150,22 @@ def test_arb_counts():
     assert len(arb(4)) == 64
 
 
+def test_arb_cap_counts_the_parent_picks():
+    # n·(n-1)^(n-1) picks are scanned, or (n-1)^(n-1) with a root
+    assert len(arb(6, max_candidates=18_750)) == 7_776
+    assert len(arb(6, 2, max_candidates=3_125)) == 1_296
+    with pytest.raises(TooLarge, match=r"^arb\(6\): 18750 candidates exceed the cap of 18749$"):
+        arb(6, max_candidates=18_749)
+    with pytest.raises(TooLarge, match=r"^arb\(6\): 3125 candidates exceed the cap of 3124$"):
+        arb(6, 2, max_candidates=3_124)
+
+
+def test_arb_7_fits_the_default_cap_and_8_does_not():
+    assert len(arb(7)) == 7**6  # 326,592 picks
+    with pytest.raises(TooLarge, match=r"^arb\(8\): 6588344 candidates exceed the cap of 4194304$"):
+        arb(8)
+
+
 def test_branch_counts():
     assert len(branch(2)) == 3
     assert len(branch(3)) == 16
@@ -215,6 +235,28 @@ def test_caps():
     with pytest.raises(TooLarge):
         stsp(5, max_candidates=10)
     assert len(stsp(5, max_candidates=24)) == 12
+
+
+def _default_cap_reads(path):
+    """(kind, line) of each read of DEFAULT_CAP in one module's source."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and node.id == "DEFAULT_CAP":
+            reads.append(("name", node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == "DEFAULT_CAP":
+            reads.append(("attribute", node.lineno))
+        elif isinstance(node, ast.alias) and node.name == "DEFAULT_CAP":
+            reads.append(("import", node.lineno))
+    return reads
+
+
+def test_only_families_reads_the_default_cap():
+    # one size guard: _cap and _cap_check in rcx.families decide every
+    # refusal; the package __init__ may only re-export the constant
+    src = Path(rcx.__file__).parent
+    reads = {p.name: _default_cap_reads(p) for p in sorted(src.glob("*.py"))}
+    assert {name for name, r in reads.items() if r} == {"__init__.py", "families.py"}
+    assert [kind for kind, _ in reads["__init__.py"]] == ["import"]
 
 
 def test_generate_dispatch():

@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from rcx import hiding
 from rcx.errors import DimMismatch, EmptySet
 from rcx.families import PointSet, atsp, arb, cube, diff, even, odd, perm, simplex, spt, stsp, tjoins
 from rcx.hiding import (
@@ -20,6 +21,8 @@ from rcx.hiding import (
     max_hiding_in_box,
     verify_hiding,
 )
+from rcx.linprog import conv_membership
+from rcx.rational import affine_hull, in_affine_hull
 
 FIG_TRIANGLE = [(1, 1), (-1, 1), (1, -1)]
 
@@ -290,6 +293,34 @@ class TestMaxHiding:
         size, witness = max_hiding_in_box(simplex(2), ((-1, -1), (1, 1)))
         assert size == 3
         assert verify_hiding(witness, simplex(2)).valid
+
+    @pytest.mark.parametrize("X, box", [
+        (simplex(2), ((-3, -3), (3, 3))),
+        (even(3), ((-1, -1, -1), (2, 2, 2))),
+        (perm(4), ((1, 1, 1, 1), (4, 4, 4, 4))),
+        (PointSet(2, [(0, 0), (2, 1)]), ((-4, -4), (4, 4))),  # a line
+        (PointSet(3, [(1, 2, 3)]), ((0, 0, 0), (2, 2, 3))),     # a point
+    ], ids=["simplex2", "even3", "perm4", "line", "point"])
+    def test_candidates_are_box_points_in_aff_outside_conv(self, monkeypatch, X, box):
+        # the scan over aff(X)'s equations keeps the old filter's points, in order
+        seen = []
+        graph = hiding._conflict_graph
+        monkeypatch.setattr(hiding, "_conflict_graph",
+                            lambda pts, X: seen.append(pts) or graph(pts, X))
+        max_hiding_in_box(X, box)
+        hull = affine_hull(X.points)
+        want = [p for p in product(*(range(a, b + 1) for a, b in zip(*box)))
+                if in_affine_hull(p, hull) and not conv_membership(p, X)[0]]
+        assert seen == [want]
+
+    def test_malformed_box_fails_before_the_hull(self, monkeypatch):
+        monkeypatch.setattr(hiding, "affine_hull", None)  # a call would be a TypeError
+        with pytest.raises(ValueError, match=r"^empty range \[2, 1\]$"):
+            max_hiding_in_box(simplex(2), ((2, 0), (1, 1)))
+        with pytest.raises(DimMismatch, match="^bound vectors of different lengths$"):
+            max_hiding_in_box(simplex(2), ((0, 0), (1,)))
+        with pytest.raises(DimMismatch, match="^box dimension does not match point set$"):
+            max_hiding_in_box(simplex(2), ((0,), (1,)))
 
     def test_guards(self):
         from rcx.errors import TooLarge

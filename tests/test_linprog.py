@@ -232,6 +232,52 @@ def test_segment_rejects_tampered_multipliers(monkeypatch, oracle, tamper):
         ask()
 
 
+def _tampered(monkeypatch, part, tamper):
+    """Make _solve_standard return its answer with one part (an index into
+    its result tuple) passed through tamper."""
+    solve = linprog._solve_standard
+
+    def tampered(*args):
+        out = list(solve(*args))
+        out[part] = tamper(list(out[part]))
+        return tuple(out)
+
+    monkeypatch.setattr(linprog, "_solve_standard", tampered)
+
+
+# x >= 1 and x <= 0: infeasible; [0, 1]: optimal both ways;
+# 0 <= y <= 1 with x >= 0 alone: unbounded along x
+INFEASIBLE = HPolyhedron(1, [Halfspace((1,), ">=", 1), Halfspace((1,), "<=", 0)])
+STRIP = HPolyhedron(2, [Halfspace((1, 0), ">=", 0), Halfspace((0, 1), ">=", 0),
+                        Halfspace((0, 1), "<=", 1)])
+
+
+def _bump_y(r):
+    r[1] += 1  # the ray's y part, so the ray climbs out of 0 <= y <= 1
+    return r
+
+
+@pytest.mark.parametrize("ask, part, tamper, what", [
+    (lambda: solve_lp(INFEASIBLE, [1]), 4, lambda y: [-v for v in y], "farkas sign"),
+    (lambda: solve_lp(box(1), [1]), 3, lambda y: [-v for v in y], "dual sign"),
+    (lambda: solve_lp(box(1), [1], maximize=False), 3, lambda y: [-v for v in y],
+     "dual sign"),
+    (lambda: solve_lp(box(1), [1]), 3, lambda y: [2 * v for v in y],
+     "dual combination equals objective"),
+    (lambda: solve_lp(box(1), [1], maximize=False), 3, lambda y: [2 * v for v in y],
+     "dual combination equals objective"),
+    (lambda: solve_lp(STRIP, [1, 0]), 5, _bump_y, "ray in the recession cone"),
+    (lambda: strict_separation([(0, 0), (1, 0)], [(0, 1), (1, 1)]), 1,
+     lambda z: z[:-2] + [z[-2] + 1000, z[-1]], "separation violated side"),
+], ids=["farkas-sign", "dual-sign-max", "dual-sign-min", "dual-combination-max",
+        "dual-combination-min", "ray", "separation-gap"])
+def test_lp_rejects_tampered_certificates(monkeypatch, ask, part, tamper, what):
+    ask()  # the true answer passes its checks
+    _tampered(monkeypatch, part, tamper)
+    with pytest.raises(RuntimeError, match=f"internal certificate check failed: {what}"):
+        ask()
+
+
 def test_segment_endpoint_inside():
     sq = [(0, 0), (0, 1), (1, 0), (1, 1)]
     hit, w = segment_hits_hull((F(1, 2), F(1, 2)), (5, 5), sq)

@@ -284,13 +284,13 @@ class TestRowBox:
 
     def test_both_boxes_over_cap(self):
         # the message carries the LP box's volume, 5 ** 5, not the row box's
-        with pytest.raises(TooLarge, match="^box volume 3125 exceeds the cap of 1000$"):
+        with pytest.raises(TooLarge, match="^lattice box: 3125 candidates exceed the cap of 1000$"):
             enumerate_lattice(build_rado_permutahedron(5), max_points=1000)
 
     def test_box_spanned_by_X_is_past_the_cap_without_lp(self, monkeypatch):
         # atsp(5) fills [0, 1]^20, so the propagated box is the LP box
         counts = count_lps(monkeypatch)
-        with pytest.raises(TooLarge, match="^box volume 1048576 exceeds the cap of 1000$"):
+        with pytest.raises(TooLarge, match="^lattice box: 1048576 candidates exceed the cap of 1000$"):
             verify_relaxation(build_subtour_relaxation(5, directed=True), atsp(5),
                               max_points=1000)
         assert counts == {"relaxations": 0, "linprog": 0}

@@ -1,5 +1,6 @@
 """Minimum cube-separating systems, binary relaxations, and bound reports."""
 
+import dataclasses
 import hashlib
 import random
 import signal
@@ -10,7 +11,7 @@ import pytest
 
 from rcx.errors import EmptySet, InvalidSystem, TooLarge
 from rcx.families import PointSet, cube, even, generate, odd
-from rcx import linprog, relaxations
+from rcx import linprog, relaxations, separation
 from rcx.hiding import _conflict_graph, max_hiding_in_box
 from rcx.linprog import Halfspace, strict_separation
 from rcx.rational import vdot
@@ -327,6 +328,18 @@ class TestBoundReport:
         assert r.lower_certified and r.upper_certified
         with pytest.raises(ValueError):
             bound_report("diff", 3, 2)
+
+    @pytest.mark.parametrize("args", [("even", 3), ("spt", 4), ("diff", 2, 2),
+                                      ("tjoins", 4, (1, 2))])
+    def test_certified_ceiling_is_the_verified_row_count(self, monkeypatch, args):
+        # a hand-written count that disagrees with the verified system is refused
+        spec = separation._REPORTS[args[0]]
+        count = spec.count
+        monkeypatch.setitem(separation._REPORTS, args[0], dataclasses.replace(
+            spec, count=lambda *a, **k: count(*a, **k) + 1))
+        with pytest.raises(RuntimeError,
+                           match="^certified ceiling .* rows verified$"):
+            bound_report(*args)
 
     @pytest.mark.parametrize("args", [("perm", 4), ("even", 5), ("diff", 2, 3)])
     def test_ceiling_certified_without_lp(self, monkeypatch, args):
