@@ -102,15 +102,8 @@ class PointSet:
         if self._bounds is None:
             if not self.points:
                 raise ValueError("empty point set has no bounds")
-            lo = list(self.points[0])
-            hi = list(self.points[0])
-            for p in self.points:
-                for k, v in enumerate(p):
-                    if v < lo[k]:
-                        lo[k] = v
-                    elif v > hi[k]:
-                        hi[k] = v
-            self._bounds = (tuple(lo), tuple(hi))
+            self._bounds = (tuple(map(min, zip(*self.points))),
+                            tuple(map(max, zip(*self.points))))
         return self._bounds
 
     def digest(self):

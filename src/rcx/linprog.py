@@ -2,10 +2,16 @@
 
 A two-phase primal simplex with Bland's rule (no cycling, fully
 deterministic). The tableau pivots in integers with exact division
-(fraction-free, as in Bareiss 1968); answers are read out as Fractions.
-Every answer carries an exact certificate which is re-checked before it
-is returned: an optimal point with matching dual multipliers, an
-infeasibility witness, or a feasible improving ray.
+(fraction-free, as in Bareiss 1968) over rows that are already integer,
+and reads its answers out as integers over one denominator each. Every
+answer carries an exact certificate which is re-checked in integers
+against the integer rows before it is returned: an optimal point with
+matching dual multipliers, an infeasibility witness, or a feasible
+improving ray. Fractions are built only for the answer itself.
+
+One polyhedron under many objectives (bounding_box, the recession probe)
+shares one phase 1: each objective is priced on a copy of the feasible
+tableau.
 
 The hull oracles conv_membership and segment_hits_hull share one
 bounds presolve, one LP and one certificate check (_hull_point); a point
@@ -14,12 +20,14 @@ is the segment [p, p].
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimMismatch, EmptySet
 from .families import PointSet
-from .rational import _den_lcm, _int_rows, is_zero_vector, vdot
+from .rational import _den_lcm, _int_row, is_zero_vector, vdot
 
 SENSES = ("<=", "=", ">=")
 
@@ -30,14 +38,26 @@ def _frac(v):
     return Fraction(v)
 
 
-@dataclass(frozen=True)
+def _holds(h, x, den=1):
+    """h at the point x / den (den > 0), or h's recession row (rhs 0) at
+    the direction x (den = 0), in h's integer form."""
+    lhs, rhs = vdot(h._int_a, x), h._int_rhs * den
+    if h.sense == "<=":
+        return lhs <= rhs
+    if h.sense == ">=":
+        return lhs >= rhs
+    return lhs == rhs
+
+
+@dataclass(frozen=True, slots=True)
 class Halfspace:
     """One row a . x <sense> rhs with exact rational data.
 
     The row is also kept in integer form, scaled by the lcm of its
-    denominators: _int_a . x <sense> _int_rhs. The scale is positive, so
-    both forms hold at the same points; satisfied_by, contains, the
-    lattice box and the lattice scan read the integer one.
+    denominators (_scale): _int_a . x <sense> _int_rhs. The scale is
+    positive, so both forms hold at the same points; satisfied_by,
+    contains, the lattice box, the lattice scan and solve_lp read the
+    integer one. Slotted, as polyhedra hold many rows.
     """
 
     a: tuple
@@ -45,6 +65,7 @@ class Halfspace:
     rhs: Fraction
     _int_a: tuple = field(init=False, repr=False, compare=False)
     _int_rhs: int = field(init=False, repr=False, compare=False)
+    _scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in SENSES:
@@ -53,23 +74,19 @@ class Halfspace:
         rhs = _frac(self.rhs)
         if is_zero_vector(a) and not (self.sense == "=" and rhs == 0):
             raise ValueError("zero row with a nontrivial right-hand side")
-        *int_a, int_rhs = _int_rows([a + (rhs,)])[0]
+        ints, scale = _int_row(a + (rhs,))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "_int_a", tuple(int_a))
-        object.__setattr__(self, "_int_rhs", int_rhs)
+        object.__setattr__(self, "_int_a", tuple(ints[:-1]))
+        object.__setattr__(self, "_int_rhs", ints[-1])
+        object.__setattr__(self, "_scale", scale)
 
     @property
     def dim(self):
         return len(self.a)
 
     def satisfied_by(self, x):
-        lhs = vdot(self._int_a, x)
-        if self.sense == "<=":
-            return lhs <= self._int_rhs
-        if self.sense == ">=":
-            return lhs >= self._int_rhs
-        return lhs == self._int_rhs
+        return _holds(self, x)
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ class HPolyhedron:
     def contains(self, x):
         if len(x) != self.dim:
             raise DimMismatch("point dimension does not match polyhedron")
-        return all(c.satisfied_by(x) for c in self.constraints)
+        return all(_holds(c, x) for c in self.constraints)
 
     def without_row(self, i):
         rows = self.constraints[:i] + self.constraints[i + 1 :]
@@ -101,7 +118,7 @@ class HPolyhedron:
 
 @dataclass(frozen=True)
 class LPOutcome:
-    """Solver verdict plus its exact certificate.
+    """Solver verdict plus its exact certificate; every coordinate a Fraction.
 
     optimal    -> point, value, dual
     infeasible -> farkas
@@ -123,51 +140,55 @@ class _Tableau:
     last, over the row's own positive denominator. The reduced costs are
     red / (scale * rden), and red[-1] is minus the objective value.
 
-    Each input row is scaled to integers by the lcm of its denominators
-    (mult[i]) with its slack coefficient kept at 1, so the start basis is
-    the identity. delta is |det| of the current basis in that integer
-    system, so delta times any tableau row is an integer row (Cramer's
-    rule) and every pivot update divides exactly (Sylvester's identity;
-    Edmonds 1967, Bareiss 1968). Rescaling rows and columns by positive
-    factors changes no sign and no ratio that Bland's rule compares, so
-    the pivots are those of the rational tableau; the scale factors are
-    undone when answers are read out.
+    Each input row (coeffs, rhs, mult[i]) is integer, mult[i] times a
+    rational row, with its slack coefficient kept at 1, so the start
+    basis is the identity. delta is |det| of the current basis in that
+    integer system, so delta times any tableau row is an integer row
+    (Cramer's rule) and every pivot update divides exactly (Sylvester's
+    identity; Edmonds 1967, Bareiss 1968). Rescaling rows and columns by
+    positive factors changes no sign and no ratio that Bland's rule
+    compares, so the pivots are those of the rational tableau; the row
+    scales price the artificials and count a slack ray in rational units.
+
+    pivot, price_out and drop_artificials replace rows and never change
+    one in place, so copy() shares the rows.
     """
 
     def __init__(self, ncols, rows):
         self.n = ncols
         self.m = len(rows)
         self.T = []
-        self.den = []
-        self.mult = []
+        self.den = [1] * self.m
+        self.mult = [m for _, _, m in rows]
         self.basis = []
         self.delta = 1
         self.red = []
         self.rden = 1
         self.scale = 1
-        neg = [i for i, (_, rhs) in enumerate(rows) if rhs < 0]
+        neg = [i for i, (_, rhs, _) in enumerate(rows) if rhs < 0]
         self.art0 = self.n + self.m
         self.width = self.art0 + len(neg) + 1
         art_of = {r: self.art0 + k for k, r in enumerate(neg)}
-        for i, (coeffs, rhs) in enumerate(rows):
-            m = _den_lcm(coeffs, rhs.denominator)
-            flip = -1 if rhs < 0 else 1
-            s = flip * m
-            row = [0] * self.width
-            for j, v in enumerate(coeffs):
-                if v:
-                    row[j] = s * v.numerator // v.denominator
-            row[self.n + i] = flip
-            row[-1] = s * rhs.numerator // rhs.denominator
-            if flip < 0:
+        pad = [0] * (self.width - self.n)
+        for i, (coeffs, rhs, _) in enumerate(rows):
+            if rhs < 0:
+                row = [-v for v in coeffs] + pad
+                row[self.n + i] = -1
+                row[-1] = -rhs
                 row[art_of[i]] = 1
                 self.basis.append(art_of[i])
             else:
+                row = list(coeffs) + pad
+                row[self.n + i] = 1
+                row[-1] = rhs
                 self.basis.append(self.n + i)
             self.T.append(row)
-            self.den.append(1)
-            self.mult.append(m)
         self.n_art = len(neg)
+
+    def copy(self):
+        t = copy.copy(self)
+        t.T, t.den, t.basis = list(self.T), list(self.den), list(self.basis)
+        return t
 
     def price_out(self, costs):
         """Install an objective (list over leading columns) as reduced costs."""
@@ -262,56 +283,79 @@ class _Tableau:
         self.basis = [self.basis[r] for r in keep]
         self.width = cut + 1
 
+    def _basic(self, col):
+        """Column col on the basic structural variables, 0 elsewhere, as
+        (integers, their common positive denominator)."""
+        rows = [(b, row[col], d)
+                for row, d, b in zip(self.T, self.den, self.basis) if b < self.n]
+        den = lcm(*[d for _, _, d in rows])
+        x = [0] * self.n
+        for b, v, d in rows:
+            x[b] = v * (den // d)
+        return x, den
+
     def value(self):
-        return Fraction(-self.red[-1], self.scale * self.rden)
+        return -self.red[-1], self.scale * self.rden
 
     def solution(self):
-        x = [0] * self.n
-        for row, d, b in zip(self.T, self.den, self.basis):
-            if b < self.n:
-                x[b] = Fraction(row[-1], d)
-        return x
+        return self._basic(-1)
 
     def slack_duals(self):
-        # slack i stands for mult[i] units of the unscaled row's slack
-        red, n, den = self.red, self.n, self.scale * self.rden
-        return [Fraction(-red[n + i] * m, den) for i, m in enumerate(self.mult)]
+        # the multipliers on the integer rows
+        return [-v for v in self.red[self.n:self.n + self.m]], self.scale * self.rden
 
     def ray(self, e):
+        # a slack enters in units of its rational row: mult units of its own
         k = self.mult[e - self.n] if e >= self.n else 1
-        r = [0] * self.n
+        r, den = self._basic(e)
+        r = [-k * v for v in r]
         if e < self.n:
-            r[e] = 1
-        for row, d, b in zip(self.T, self.den, self.basis):
-            if b < self.n:
-                r[b] = Fraction(-row[e] * k, d)
-        return r
+            r[e] = den
+        return r, den
 
 
-def _solve_standard(ncols, rows, costs):
-    """max costs . z subject to rows (coeffs, rhs) as <=, z >= 0.
+def _solve_standard(ncols, rows, objectives):
+    """max costs . z subject to rows as <=, z >= 0, for each costs in objectives.
 
-    Returns (status, x, value, duals, farkas, ray); x, duals, farkas and
-    ray are lists, duals/farkas are over the rows, everything exact.
+    Each row is (coeffs, rhs, scale): integers, scale times a rational
+    row. Phase 1 runs once; each objective is then priced on a copy of
+    the feasible tableau, one at a time as the caller asks. Yields
+    (status, x, value, duals, farkas, ray) per objective: x, duals,
+    farkas and ray are (integers, positive denominator), duals and farkas
+    are multipliers on the integer rows, and value is (numerator,
+    denominator).
     """
     tab = _Tableau(ncols, rows)
     if tab.n_art:
         # the artificial of a row scaled by m stands for m units of the
-        # unscaled one, so it costs -1/m
-        phase1 = [0] * tab.art0 + [Fraction(-1, tab.mult[i])
-                                   for i, (_, rhs) in enumerate(rows) if rhs < 0]
-        tab.price_out(phase1)
+        # rational one, so it costs -1/m
+        tab.price_out([0] * tab.art0 + [Fraction(-1, m) for _, rhs, m in rows if rhs < 0])
         status, _ = tab.run(tab.art0)
         if status != "optimal":  # pragma: no cover - box below is bounded
             raise RuntimeError("phase 1 cannot be unbounded")
         if tab.red[-1] > 0:
-            return "infeasible", None, None, None, tab.slack_duals(), None
+            farkas = tab.slack_duals()
+            for _ in objectives:
+                yield "infeasible", None, None, None, farkas, None
+            return
         tab.drop_artificials()
-    tab.price_out(costs)
-    status, e = tab.run(tab.n + tab.m)
-    if status == "unbounded":
-        return "unbounded", tab.solution(), None, None, None, tab.ray(e)
-    return "optimal", tab.solution(), tab.value(), tab.slack_duals(), None, None
+    for costs in objectives:
+        t = tab.copy()
+        t.price_out(costs)
+        status, e = t.run(t.n + t.m)
+        if status == "unbounded":
+            yield "unbounded", t.solution(), None, None, None, t.ray(e)
+        else:
+            yield "optimal", t.solution(), t.value(), t.slack_duals(), None, None
+
+
+def _tableau_rows(rows):
+    """Rational rows (coeffs, rhs) as the tableau's (coeffs, rhs, scale)."""
+    out = []
+    for coeffs, rhs in rows:
+        ints, scale = _int_row([*coeffs, rhs])
+        out.append((ints[:-1], ints[-1], scale))
+    return out
 
 
 def _check(cond, what):
@@ -323,18 +367,22 @@ def _check(cond, what):
 _SIGN = {"<=": 1, "=": 0, ">=": -1}
 
 
-def _combination(P, y, flip, what):
-    """(sum of y_i a_i, sum of y_i rhs_i) over P's rows, once each flip * y_i
-    has its row's sign."""
-    for h, yk in zip(P.constraints, y):
-        _check(_SIGN[h.sense] * flip * yk >= 0, f"{what} sign on {h.sense} row")
-    comb = [sum(yk * h.a[j] for h, yk in zip(P.constraints, y)) for j in range(P.dim)]
-    return comb, sum(yk * h.rhs for h, yk in zip(P.constraints, y))
+def _combination(P, w, what):
+    """(sum of w_i A_i, sum of w_i B_i) over P's integer rows A_i x ? B_i,
+    once each w_i has its row's sign."""
+    comb, total = [0] * P.dim, 0
+    for h, wk in zip(P.constraints, w):
+        if wk:
+            _check(_SIGN[h.sense] * wk >= 0, f"{what} sign on {h.sense} row")
+            comb = [u + wk * v for u, v in zip(comb, h._int_a)]
+            total += wk * h._int_rhs
+    return comb, total
 
 
-def _recession(P):
-    """P's recession cone: each of its rows with right-hand side 0."""
-    return HPolyhedron(P.dim, [Halfspace(h.a, h.sense, 0) for h in P.constraints])
+def _box_objectives(d):
+    """Each coordinate of R^d maximized, then minimized, in order."""
+    return [([int(j == k) for j in range(d)], maximize)
+            for k in range(d) for maximize in (True, False)]
 
 
 def solve_lp(P, objective, maximize=True):
@@ -351,57 +399,82 @@ def solve_lp(P, objective, maximize=True):
     """
     if len(objective) != P.dim:
         raise DimMismatch("objective dimension does not match polyhedron")
-    c = [_frac(v) for v in objective]
-    c0 = c if maximize else [-v for v in c]
+    return next(_solve_lps(P, [([_frac(v) for v in objective], maximize)]))
+
+
+def _solve_lps(P, objectives):
+    """solve_lp's answer for each (objective, maximize), lazily, with one
+    phase 1 for them all.
+
+    The standard form is P's integer rows, each as x+ and x- columns (an
+    `=` row as two rows). The checks read the rows' integer form: a
+    multiplier W_i on the integer row h_i is W_i * h._scale on its
+    rational row.
+    """
     d = P.dim
     rows = []
     prov = []  # (constraint index, sign) per standard-form row
     for i, h in enumerate(P.constraints):
         for s in (1, -1) if h.sense == "=" else (_SIGN[h.sense],):
-            coeffs = [s * v for v in h.a] + [-s * v for v in h.a]
-            rows.append((coeffs, s * h.rhs))
+            a = [s * v for v in h._int_a]
+            rows.append((a + [-v for v in a], s * h._int_rhs, h._scale))
             prov.append((i, s))
-    costs = c0 + [-v for v in c0]
-    status, z, value, y_std, farkas_std, ray_std = _solve_standard(2 * d, rows, costs)
+    goals = []  # each objective in max form without denominators: c0 = sign * cs * c
+    for c, maximize in objectives:
+        ints, cs = _int_row(c)
+        sign = 1 if maximize else -1
+        goals.append(([sign * v for v in ints], cs, sign))
+    answers = _solve_standard(2 * d, rows, (c0 + [-v for v in c0] for c0, _, _ in goals))
 
     def fold(ys):
-        out = [Fraction(0)] * len(P.constraints)
+        w = [0] * len(P.constraints)
         for (i, s), yk in zip(prov, ys):
-            out[i] += s * yk
-        return out
+            if yk:
+                w[i] += s * yk
+        return w
 
     def split(zs):
-        return tuple(zs[j] - zs[d + j] for j in range(d))
+        return [zs[j] - zs[d + j] for j in range(d)]
 
-    if status == "infeasible":
-        y = fold(farkas_std)
-        comb, beta = _combination(P, y, 1, "farkas")
-        _check(not any(comb), "farkas combination is zero")
-        _check(beta < 0, "farkas value negative")
-        return LPOutcome(status="infeasible", farkas=tuple(y))
+    # tuples of lists: tuple() of a generator over-allocates, then resizes
+    def vector(v, den):
+        return tuple([Fraction(u, den) for u in v])
 
-    if status == "unbounded":
-        x = split(z)
-        r = split(ray_std)
-        _check(P.contains(x), "unbounded: basic point feasible")
-        _check(not is_zero_vector(r), "ray nonzero")
-        _check(_recession(P).contains(r), "ray in the recession cone")
-        gain = vdot(c, r)
-        _check(gain > 0 if maximize else gain < 0, "ray improves objective")
-        return LPOutcome(status="unbounded", point=x, ray=r)
+    def multipliers(w, den):  # w / den on the integer rows, on the rational ones
+        return tuple([Fraction(wk * h._scale, den) for h, wk in zip(P.constraints, w)])
 
-    x = split(z)
-    y = fold(y_std)
-    if not maximize:
-        value = -value
-        y = [-v for v in y]
-    _check(P.contains(x), "optimal point feasible")
-    _check(vdot(c, x) == value, "objective value matches point")
-    comb, dual_value = _combination(P, y, 1 if maximize else -1, "dual")
-    _check(comb == c, "dual combination equals objective")
-    _check(dual_value == value, "dual value equals primal value")
-    return LPOutcome(status="optimal", value=value, point=x,
-                     dual=tuple(y))
+    for (c0, cs, sign), (status, z, value, y_std, farkas_std, ray_std) in zip(
+            goals, answers):
+        if status == "infeasible":
+            w = fold(farkas_std[0])
+            comb, beta = _combination(P, w, "farkas")
+            _check(not any(comb), "farkas combination is zero")
+            _check(beta < 0, "farkas value negative")
+            yield LPOutcome(status="infeasible", farkas=multipliers(w, farkas_std[1]))
+            continue
+
+        x, den = split(z[0]), z[1]
+        _check(all(_holds(h, x, den) for h in P.constraints),
+               "optimal point feasible" if status == "optimal"
+               else "unbounded: basic point feasible")
+        if status == "unbounded":
+            r, rden = split(ray_std[0]), ray_std[1]
+            _check(any(r), "ray nonzero")
+            _check(all(_holds(h, r, 0) for h in P.constraints),
+                   "ray in the recession cone")
+            _check(vdot(c0, r) > 0, "ray improves objective")
+            yield LPOutcome(status="unbounded", point=vector(x, den),
+                            ray=vector(r, rden))
+            continue
+
+        # the value V / vden and the multipliers w / yden are those of c0
+        (V, vden), w, yden = value, fold(y_std[0]), y_std[1]
+        _check(vdot(c0, x) * vden == V * den, "objective value matches point")
+        comb, dual_value = _combination(P, w, "dual")
+        _check(comb == [yden * v for v in c0], "dual combination equals objective")
+        _check(dual_value * vden == V * yden, "dual value equals primal value")
+        yield LPOutcome(status="optimal", value=Fraction(sign * V, vden * cs),
+                        point=vector(x, den), dual=multipliers(w, sign * yden * cs))
 
 
 def _point_set(X):
@@ -471,22 +544,23 @@ def _hull_point(a, b, X, mismatch):
     rows.append(([-1] * n + [0] * nt, -1))
     if segment:
         rows.append(([0] * n + [1], 1))
-    status, z, _, _, _, _ = _solve_standard(n + nt, rows, [0] * (n + nt))
+    status, z, *_ = next(_solve_standard(n + nt, _tableau_rows(rows), [[0] * (n + nt)]))
     if status != "optimal":
         return None
+    z, den = z
     lam = z[:n]
     if segment:
-        t = Fraction(z[n])
-        _check(0 <= t <= 1, "segment parameter in [0, 1]")
+        _check(0 <= z[n] <= den, "segment parameter in [0, 1]")
+        t = Fraction(z[n], den)
         point = tuple(Fraction(vb) + t * (va - vb) for va, vb in zip(a, b))
     else:
         point = tuple(a)
-    _check(min(lam) >= 0 and sum(lam) == 1, "hull multipliers")
+    _check(min(lam) >= 0 and sum(lam) == den, "hull multipliers")
     comb = [sum(l * pts[i][k] for i, l in zip(idx, lam) if l) for k in range(d)]
-    _check(all(u == v for u, v in zip(comb, point)), "hull point lies in the hull")
+    _check(all(u == den * v for u, v in zip(comb, point)), "hull point lies in the hull")
     mult = [Fraction(0)] * len(pts)
     for i, l in zip(idx, lam):
-        mult[i] = Fraction(l)
+        mult[i] = Fraction(l, den)
     return tuple(mult), point
 
 
@@ -525,11 +599,12 @@ def strict_separation(X, C):
         rows.append((list(x) + [-v for v in x] + [-1, 1], 0))
     for y in ptsc:
         rows.append(([-v for v in y] + list(y) + [1, -1], -1))
-    status, z, _, _, _, _ = _solve_standard(nv, rows, [0] * nv)
+    status, z, *_ = next(_solve_standard(nv, _tableau_rows(rows), [[0] * nv]))
     if status != "optimal":
         return None
-    a = tuple(Fraction(z[j]) - z[d + j] for j in range(d))
-    gamma = Fraction(z[2 * d]) - z[2 * d + 1]
+    z, den = z
+    a = tuple(Fraction(z[j] - z[d + j], den) for j in range(d))
+    gamma = Fraction(z[2 * d] - z[2 * d + 1], den)
     h, gap = Halfspace(a, "<=", gamma), Halfspace(a, ">=", gamma + 1)
     _check(all(map(h.satisfied_by, ptsx)), "separation valid side")
     _check(all(map(gap.satisfied_by, ptsc)), "separation violated side")
@@ -540,20 +615,18 @@ def recession_nontrivial(P):
     """Does the recession cone of P contain a nonzero vector?
 
     Probes each coordinate in both directions over the recession rows
-    intersected with the [-1, 1] box; returns (bool, witness or None).
+    (P's rows with right-hand side 0) intersected with the [-1, 1] box,
+    all under one phase 1; returns (bool, witness or None).
     """
     d = P.dim
-    rows = list(_recession(P).constraints)
+    rows = [Halfspace(h.a, h.sense, 0) for h in P.constraints]
     for k in range(d):
-        e = tuple(Fraction(int(j == k)) for j in range(d))
+        e = [int(j == k) for j in range(d)]
         rows.append(Halfspace(e, "<=", 1))
         rows.append(Halfspace(e, ">=", -1))
-    Q = HPolyhedron(d, rows)
-    for k in range(d):
-        c = tuple(Fraction(int(j == k)) for j in range(d))
-        for maximize in (True, False):
-            out = solve_lp(Q, c, maximize=maximize)
-            _check(out.status == "optimal", "recession probe is bounded")
-            if (out.value > 0) if maximize else (out.value < 0):
-                return True, out.point
+    probes = _box_objectives(d)
+    for (_, maximize), out in zip(probes, _solve_lps(HPolyhedron(d, rows), probes)):
+        _check(out.status == "optimal", "recession probe is bounded")
+        if (out.value > 0) if maximize else (out.value < 0):
+            return True, out.point
     return False, None

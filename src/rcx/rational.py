@@ -53,14 +53,19 @@ def _den_lcm(vals, m=1):
     return m
 
 
+def _int_row(row):
+    """(the row times the lcm of its denominators, as ints; that lcm)."""
+    den = _den_lcm(row)
+    return [v.numerator * (den // v.denominator) for v in row], den
+
+
 def _int_rows(rows):
     # clear denominators row by row; plain ints pass through
     out = []
     for row in rows:
         if any(isinstance(v, float) for v in row):
             raise TypeError("floats are not allowed; use Fraction or int")
-        den = _den_lcm(row)
-        out.append([v.numerator * (den // v.denominator) for v in row])
+        out.append(_int_row(row)[0])
     return out
 
 

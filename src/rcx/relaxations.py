@@ -16,6 +16,8 @@ from .families import EdgeIndexer, PointSet, _cap, _cap_check
 from .linprog import (
     Halfspace,
     HPolyhedron,
+    _box_objectives,
+    _solve_lps,
     conv_membership,
     recession_nontrivial,
     solve_lp,
@@ -163,18 +165,18 @@ class LatticeBox:
 
 
 def bounding_box(P):
-    """Tightest integer box around P, via one LP per coordinate and sign."""
+    """Tightest integer box around P, via one LP per coordinate and sign,
+    all under one phase 1."""
     lower = []
     upper = []
+    answers = _solve_lps(P, _box_objectives(P.dim))
     for k in range(P.dim):
-        obj = [0] * P.dim
-        obj[k] = 1
-        hi = solve_lp(P, obj, maximize=True)
+        hi = next(answers)
         if hi.status == "infeasible":
             raise Infeasible("polyhedron has no points")
         if hi.status == "unbounded":
             raise UnboundedCoordinate(k + 1, "+")
-        lo = solve_lp(P, obj, maximize=False)
+        lo = next(answers)
         if lo.status == "unbounded":
             raise UnboundedCoordinate(k + 1, "-")
         upper.append(floor(hi.value))

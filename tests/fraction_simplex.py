@@ -1,12 +1,19 @@
 """The rational simplex that rcx.linprog's integer tableau replaced.
 
 Kept verbatim as a test-only reference: every tableau entry is a
-Fraction, the pivots follow Bland's rule, and `_solve_standard` returns
-the same tuple shape as the library's. The differential tests require
-both cores to give identical answers.
+Fraction, the pivots follow Bland's rule, and `_solve_standard` takes
+rational rows and one objective. The library's core takes integer rows
+(coeffs, rhs, scale), scale times a rational row, and a list of
+objectives, and gives each vector as (integers, denominator) with its
+multipliers on the integer rows; `to_core` and `from_core` at the end
+convert between the two forms. The differential tests require both
+cores to give identical answers.
 """
 
 from fractions import Fraction
+from math import lcm
+
+from rcx.linprog import LPOutcome
 
 
 def _div(a, b):
@@ -156,3 +163,81 @@ def _solve_standard(ncols, rows, costs):
     if status == "unbounded":
         return "unbounded", tab.solution(), None, None, None, tab.ray(e)
     return "optimal", tab.solution(), tab.val, tab.slack_duals(), None, None
+
+
+# --- conversion to and from the library core's form ------------------------
+
+
+def rational_rows(rows):
+    """Integer rows (coeffs, rhs, scale) as the rational rows they scale."""
+    return [([Fraction(v, m) for v in coeffs], Fraction(rhs, m))
+            for coeffs, rhs, m in rows]
+
+
+def _over_den(vec):
+    den = lcm(*(Fraction(v).denominator for v in vec))
+    return [int(Fraction(v) * den) for v in vec], den
+
+
+def to_core(out, rows):
+    """A reference answer over rows in the core's form."""
+    status, x, value, duals, farkas, ray = out
+
+    def on_int_rows(y):
+        return None if y is None else _over_den(
+            [Fraction(v) / m for v, (_, _, m) in zip(y, rows)])
+
+    return (status, None if x is None else _over_den(x),
+            None if value is None else Fraction(value).as_integer_ratio(),
+            on_int_rows(duals), on_int_rows(farkas),
+            None if ray is None else _over_den(ray))
+
+
+def from_core(out, rows):
+    """A core answer over rows in the reference's form."""
+    status, x, value, duals, farkas, ray = out
+
+    def vec(p):
+        return None if p is None else tuple(Fraction(v, p[1]) for v in p[0])
+
+    def on_rational_rows(p):
+        return None if p is None else tuple(
+            Fraction(v * m, p[1]) for v, (_, _, m) in zip(p[0], rows))
+
+    return (status, vec(x), None if value is None else Fraction(*value),
+            on_rational_rows(duals), on_rational_rows(farkas), vec(ray))
+
+
+# --- solve_lp as it was built on this core -----------------------------------
+
+
+def solve_lp(P, objective, maximize=True):
+    """rcx.linprog.solve_lp's answer, unchecked, from this core: the standard
+    form is built from each row's rational data h.a / h.rhs, so no row
+    scale enters; every coordinate is a Fraction."""
+    d = P.dim
+    c = [Fraction(v) for v in objective]
+    c0 = c if maximize else [-v for v in c]
+    rows, prov = [], []
+    for i, h in enumerate(P.constraints):
+        for s in (1, -1) if h.sense == "=" else ({"<=": 1, ">=": -1}[h.sense],):
+            rows.append(([s * v for v in h.a] + [-s * v for v in h.a], s * h.rhs))
+            prov.append((i, s))
+    status, z, value, y, farkas, ray = _solve_standard(2 * d, rows, c0 + [-v for v in c0])
+
+    def fold(ys, sign=1):
+        out = [Fraction(0)] * len(P.constraints)
+        for (i, s), yk in zip(prov, ys):
+            out[i] += sign * s * yk
+        return tuple(out)
+
+    def split(zs):
+        return tuple(Fraction(zs[j] - zs[d + j]) for j in range(d))
+
+    if status == "infeasible":
+        return LPOutcome(status, farkas=fold(farkas))
+    if status == "unbounded":
+        return LPOutcome(status, point=split(z), ray=split(ray))
+    sign = 1 if maximize else -1
+    return LPOutcome(status, value=sign * Fraction(value), point=split(z),
+                     dual=fold(y, sign))

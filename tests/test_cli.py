@@ -9,6 +9,7 @@ import pytest
 from rcx import fileio
 from rcx.cli import _HIDING_BUILDERS, _RELAX_BUILDERS, CommandResult, main, run
 from rcx.families import FAMILIES, PointSet
+from rcx.linprog import Halfspace, HPolyhedron
 from rcx.separation import _REPORTS
 
 
@@ -242,6 +243,23 @@ class TestRelaxCommands:
         res = run(["relax", "build", "moat", "3", "-o", str(tmp_path / "x.json")])
         assert res.exit_code == 2
         assert "moat" in res.summary
+
+    def test_unbounded_witness_writes_every_coordinate_as_a_string(
+            self, tmp_path, cube2_files):
+        # x >= 0, 0 <= y <= 1 is unbounded along x; the ray's 0 is a
+        # rational like its 1, so it is written as "0", not as the number 0
+        _, pts = cube2_files
+        strip = HPolyhedron(2, [Halfspace((1, 0), ">=", 0), Halfspace((0, 1), ">=", 0),
+                                Halfspace((0, 1), "<=", 1)])
+        poly, rep = tmp_path / "strip.json", tmp_path / "out.json"
+        fileio.write_doc(str(poly), fileio.polyhedron_doc(strip))
+        res = run(["relax", "verify", str(poly), pts, "--report", str(rep)])
+        assert (res.exit_code, res.summary) == (1, "failed: unbounded_with_finite_X")
+        assert doc_bytes(rep) == (
+            b'{\n  "command": "relax verify",\n  "schema_version": 1,\n'
+            b'  "status": "failed",\n  "witnesses": {\n    "reason": [\n'
+            b'      "unbounded_with_finite_X",\n      [\n        "1",\n'
+            b'        "0"\n      ]\n    ]\n  }\n}\n')
 
     def test_verify_with_lattice_cap(self, cube2_files):
         poly, pts = cube2_files

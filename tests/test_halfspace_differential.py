@@ -9,8 +9,12 @@ must agree:
 - on seeded rows with denominators up to 10**9, at integer and
   `Fraction` points;
 - on each row's boundary, and off it by 1 and by 1/q, for each sense.
+
+On the same rows, the integer form is the rational row times `_scale`,
+the lcm of its denominators.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -108,6 +112,37 @@ def test_boundary_points(sense):
                 assert fraction_satisfied(h, y) == want, (h, y)
                 assert h.satisfied_by(y) == want, (h, y)
                 assert HPolyhedron(d, [h]).contains(y) == want, (h, y)
+
+
+def scaled_form_holds(h):
+    """The integer row is the rational one times _scale, the lcm of its
+    denominators; solve_lp returns multipliers W * _scale / D for the
+    multipliers W / D it checked on the integer rows, so this identity is
+    what makes the returned ones the checked ones."""
+    scale = math.lcm(*(Fraction(v).denominator for v in (*h.a, h.rhs)))
+    assert h._scale == scale, h
+    assert h._int_a == tuple(scale * v for v in h.a), h
+    assert h._int_rhs == scale * h.rhs, h
+    assert all(type(v) is int for v in (*h._int_a, h._int_rhs, h._scale)), h
+
+
+def test_integer_form_is_the_scaled_row():
+    rows = [h for build, _ in SYSTEMS.values() for h in build().constraints]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        rows.append(Halfspace(random_row(rng, d), rng.choice(SENSES), big_fraction(rng)))
+    for sense in SENSES:
+        rng = random.Random(sense)
+        for _ in range(40):
+            d = rng.randint(1, 4)
+            a, x = random_row(rng, d), random_point(rng, d)
+            base = sum(Fraction(u) * v for u, v in zip(a, x))
+            for delta in (0, 1, Fraction(-1, rng.randint(2, BIG))):
+                rows.append(Halfspace(a, sense, base + delta))
+    assert len({h._scale for h in rows}) > 100
+    for h in rows:
+        scaled_form_holds(h)
 
 
 def test_integer_form_is_not_part_of_identity():

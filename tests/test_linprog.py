@@ -1,11 +1,12 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
-from rcx import linprog
+from rcx import LatticeBox, bounding_box, linprog
 from rcx.errors import DimMismatch, EmptySet
 from rcx.families import PointSet, generate
 from rcx.hiding import build_perm_hiding, build_tsp_hiding
@@ -221,26 +222,32 @@ def test_segment_rejects_tampered_multipliers(monkeypatch, oracle, tamper):
         return conv_membership((F(1, 2), F(1, 3)), square)
 
     assert ask()[0]
-    solve = linprog._solve_standard
-
-    def tampered(*args):
-        status, z, *rest = solve(*args)
-        return (status, tamper(list(z)), *rest)
-
-    monkeypatch.setattr(linprog, "_solve_standard", tampered)
+    _tampered(monkeypatch, 1, tamper)
     with pytest.raises(RuntimeError, match="internal certificate check failed"):
         ask()
 
 
-def _tampered(monkeypatch, part, tamper):
-    """Make _solve_standard return its answer with one part (an index into
-    its result tuple) passed through tamper."""
+def _tamper_vector(vector, tamper):
+    """A core vector (integers, denominator) passed through tamper as the
+    Fractions it stands for, then brought back over one denominator."""
+    nums, den = vector
+    out = [F(v) for v in tamper([F(v, den) for v in nums])]
+    den = math.lcm(*(v.denominator for v in out))
+    return [int(v * den) for v in out], den
+
+
+def _tampered(monkeypatch, part, tamper, only=None):
+    """Make _solve_standard yield its answers with one part (an index into
+    each answer tuple) passed through tamper: every answer's, or only the
+    one at index `only` among the objectives of one call."""
     solve = linprog._solve_standard
 
     def tampered(*args):
-        out = list(solve(*args))
-        out[part] = tamper(list(out[part]))
-        return tuple(out)
+        for k, out in enumerate(solve(*args)):
+            if only in (None, k):
+                out = list(out)
+                out[part] = _tamper_vector(out[part], tamper)
+            yield tuple(out)
 
     monkeypatch.setattr(linprog, "_solve_standard", tampered)
 
@@ -276,6 +283,17 @@ def test_lp_rejects_tampered_certificates(monkeypatch, ask, part, tamper, what):
     _tampered(monkeypatch, part, tamper)
     with pytest.raises(RuntimeError, match=f"internal certificate check failed: {what}"):
         ask()
+
+
+def test_shared_phase1_rejects_a_tampered_second_objective(monkeypatch):
+    # bounding_box prices max x_1, then min x_1, on one tableau after one
+    # phase 1 (the rows x_k >= 1 need artificials); the first answer is
+    # left alone and passes, the second one's duals are negated
+    P = box(2, lo=1, hi=2)
+    assert bounding_box(P) == LatticeBox((1, 1), (2, 2))
+    _tampered(monkeypatch, 3, lambda y: [-v for v in y], only=1)
+    with pytest.raises(RuntimeError, match="internal certificate check failed: dual sign"):
+        bounding_box(P)
 
 
 def test_segment_endpoint_inside():

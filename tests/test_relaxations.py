@@ -191,15 +191,54 @@ class TestEnumerateLattice:
 
 
 def count_lps(monkeypatch):
-    """Count solve_lp calls: bounding LPs in relaxations, probes in linprog."""
+    """Count LP objectives solved: bounding LPs in relaxations; recession
+    probes and solve_lp calls in linprog."""
     counts = {"relaxations": 0, "linprog": 0}
     for module in (relaxations, linprog):
-        def counted(*args, _module=module.__name__.split(".")[1],
-                    _solve=module.solve_lp, **kwargs):
-            counts[_module] += 1
-            return _solve(*args, **kwargs)
-        monkeypatch.setattr(module, "solve_lp", counted)
+        def counted(P, objectives, _module=module.__name__.split(".")[1],
+                    _solve=module._solve_lps):
+            for out in _solve(P, objectives):
+                counts[_module] += 1
+                yield out
+        monkeypatch.setattr(module, "_solve_lps", counted)
     return counts
+
+
+class _CountingTableau(linprog._Tableau):
+    """The integer tableau, counting how many are built (copies are not)."""
+
+    built = 0
+
+    def __init__(self, *args):
+        _CountingTableau.built += 1
+        super().__init__(*args)
+
+
+class TestOnePhase1PerPolyhedron:
+    """bounding_box and the recession probe price every objective on one
+    tableau after one phase 1."""
+
+    def test_rado5_box_builds_one_tableau(self, monkeypatch):
+        monkeypatch.setattr(linprog, "_Tableau", _CountingTableau)
+        monkeypatch.setattr(_CountingTableau, "built", 0)
+        counts = count_lps(monkeypatch)
+        assert bounding_box(build_rado_permutahedron(5)) == LatticeBox((1,) * 5, (5,) * 5)
+        assert counts == {"relaxations": 10, "linprog": 0}
+        assert _CountingTableau.built == 1
+
+    @pytest.mark.parametrize("P, probes", [
+        (build_cube_relaxation(3), 6),                              # bounded: all 2d
+        (HPolyhedron(2, [Halfspace((1, 0), ">=", 0)]), 1),          # exits at the first
+        (HPolyhedron(2, [Halfspace((0, 1), "=", 0),
+                         Halfspace((1, 0), "<=", 0)]), 2),          # at min x_1
+    ], ids=["cube3", "ray-first", "ray-second"])
+    def test_recession_probe_builds_one_tableau(self, monkeypatch, P, probes):
+        monkeypatch.setattr(linprog, "_Tableau", _CountingTableau)
+        monkeypatch.setattr(_CountingTableau, "built", 0)
+        counts = count_lps(monkeypatch)
+        linprog.recession_nontrivial(P)
+        assert counts == {"relaxations": 0, "linprog": probes}
+        assert _CountingTableau.built == 1
 
 
 class TestRowBox:

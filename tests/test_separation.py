@@ -346,10 +346,11 @@ class TestBoundReport:
         # the propagated box bounds the permutahedron and the sawtooth rows
         calls = []
         for module in (relaxations, linprog):
-            def counted(*a, _solve=module.solve_lp, **k):
-                calls.append(a)
-                return _solve(*a, **k)
-            monkeypatch.setattr(module, "solve_lp", counted)
+            def counted(P, objectives, _solve=module._solve_lps):
+                for out in _solve(P, objectives):
+                    calls.append(out)
+                    yield out
+            monkeypatch.setattr(module, "_solve_lps", counted)
         assert bound_report(*args).upper_certified
         assert calls == []
 

@@ -5,10 +5,13 @@ is the Fraction tableau it replaced, kept verbatim. Both follow Bland's
 rule, and rescaling rows and columns by positive factors changes no sign
 or ratio that the rule compares, so both must take the same pivots and
 return identical points, values, duals, Farkas rows and rays, and every
-caller must give identical answers.
+caller must give identical answers. The integer core runs phase 1 once
+for all objectives over one polyhedron; the reference solves each
+objective from scratch, so each shared objective is replayed too.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -26,7 +29,8 @@ from rcx import (
     irredundant_count,
     recession_nontrivial,
 )
-from rcx import linprog
+from rcx import linprog, relaxations
+from rcx.errors import Infeasible, UnboundedCoordinate
 from rcx.linprog import (
     conv_membership,
     segment_hits_hull,
@@ -35,36 +39,43 @@ from rcx.linprog import (
 )
 
 
-def assert_same(want, got):
-    """Reference output (tuples) equals the integer core's output (lists)."""
+def assert_same(want, got, rows):
+    """Reference output equals the integer core's output over rows."""
     assert len(want) == len(got) == 6
     names = ("status", "x", "value", "duals", "farkas", "ray")
-    for name, u, v in zip(names, want, got):
-        if isinstance(u, tuple):
-            u = list(u)
+    for name, u, v in zip(names, want, fraction_simplex.from_core(got, rows)):
         assert u == v, name
+
+
+def solve_one(ncols, rows, costs):
+    """The integer core on rational rows (coeffs, rhs) and one objective,
+    with the rows it was given."""
+    rows = linprog._tableau_rows(rows)
+    return next(linprog._solve_standard(ncols, rows, [costs])), rows
 
 
 def run_both(monkeypatch, fn):
     """fn() under the reference core, then under the integer core.
 
-    Every standard-form LP of the reference run is replayed on the
-    integer core and must give the identical output; then the two runs'
-    answers must be equal. Returns the number of standard-form LPs and
-    the answers.
+    Every standard-form LP of the reference run, one per objective, is
+    replayed on the integer core alone and must give the identical
+    output; then the two runs' answers must be equal. Returns the number
+    of standard-form LPs and the answers.
     """
     calls = []
 
-    def reference(ncols, rows, costs):
-        out = fraction_simplex._solve_standard(ncols, rows, costs)
-        calls.append(((ncols, rows, costs), out))
-        return out
+    def reference(ncols, rows, objectives):
+        rational = fraction_simplex.rational_rows(rows)
+        for costs in objectives:
+            out = fraction_simplex._solve_standard(ncols, rational, costs)
+            calls.append(((ncols, rows, costs), out))
+            yield fraction_simplex.to_core(out, rows)
 
     with monkeypatch.context() as m:
         m.setattr(linprog, "_solve_standard", reference)
         want = fn()
-    for args, out in calls:
-        assert_same(out, linprog._solve_standard(*args))
+    for (ncols, rows, costs), out in calls:
+        assert_same(out, next(linprog._solve_standard(ncols, rows, [costs])), rows)
     got = fn()
     assert got == want
     return len(calls), got
@@ -116,9 +127,9 @@ NAMED = {
 def test_named_cases(name):
     ncols, rows, costs, status = NAMED[name]
     want = fraction_simplex._solve_standard(ncols, rows, costs)
-    got = linprog._solve_standard(ncols, rows, costs)
+    got, int_rows = solve_one(ncols, rows, costs)
     assert want[0] == status
-    assert_same(want, got)
+    assert_same(want, got, int_rows)
 
 
 def test_named_case_pivots_an_artificial_out_on_a_negative_entry(monkeypatch):
@@ -145,7 +156,7 @@ def test_named_rays_enter_a_scaled_slack(monkeypatch, name, row, scale):
     ncols, rows, costs, _ = NAMED[name]
     _RayRecorder.entering = []
     monkeypatch.setattr(linprog, "_Tableau", _RayRecorder)
-    linprog._solve_standard(ncols, rows, costs)
+    solve_one(ncols, rows, costs)
     assert _RayRecorder.entering == [(row, scale)]
 
 
@@ -175,7 +186,7 @@ def test_seeded_standard_form_corpus():
             rows.append((coeffs, _rand_value(rng)))
         costs = [_rand_value(rng) for _ in range(n)]
         want = fraction_simplex._solve_standard(n, rows, costs)
-        assert_same(want, linprog._solve_standard(n, rows, costs))
+        assert_same(want, *solve_one(n, rows, costs))
         seen.add(want[0])
     assert seen == {"optimal", "infeasible", "unbounded"}
     assert zero_rows > 0
@@ -183,10 +194,9 @@ def test_seeded_standard_form_corpus():
 
 def test_no_rows():
     # the reference core cannot price out an empty tableau
-    assert linprog._solve_standard(2, [], [1, 0]) == (
-        "unbounded", [0, 0], None, None, None, [1, 0])
-    assert linprog._solve_standard(2, [], [0, 0]) == (
-        "optimal", [0, 0], 0, [], None, None)
+    assert list(linprog._solve_standard(2, [], [[1, 0], [0, 0]])) == [
+        ("unbounded", ([0, 0], 1), None, None, None, ([1, 0], 1)),
+        ("optimal", ([0, 0], 1), (0, 1), ([], 1), None, None)]
 
 
 def test_criterion_11_generator(monkeypatch):
@@ -227,6 +237,9 @@ def test_fractional_solve_lp_corpus(monkeypatch):
     _, outs = run_both(monkeypatch, lambda: [solve_lp(P, c, maximize=m)
                                              for P, c, m in cases])
     assert {o.status for o in outs} == {"optimal", "infeasible", "unbounded"}
+    # the same answers from the rows' rational data, with no row scale
+    for (P, c, m), out in zip(cases, outs):
+        assert_fields(out, fraction_simplex.solve_lp(P, c, m))
 
 
 SYSTEMS = [("subtour", n) for n in (4, 5)] + [("perm", n) for n in (4, 5)] \
@@ -292,3 +305,87 @@ def test_hull_oracles_simplex2(monkeypatch):
 
     n, _ = run_both(monkeypatch, answers)
     assert n > 100
+
+
+# --- one phase 1 shared by many objectives -----------------------------------
+
+FIELDS = ("status", "value", "point", "dual", "farkas", "ray")
+
+
+def shared_against_one_shot(monkeypatch, fn, rational=False):
+    """fn(), recording every answer bounding_box and recession_nontrivial
+    take from _solve_lps; each must equal, field by field and with every
+    coordinate a Fraction, solve_lp's own answer for its objective (its
+    own phase 1), and with `rational` also the answer of the Fraction
+    core on the rows' rational data. Returns the statuses seen."""
+    seen = []
+    solve = linprog._solve_lps
+
+    def recording(P, objectives):
+        objectives = list(objectives)
+        for (c, maximize), out in zip(objectives, solve(P, objectives)):
+            seen.append((P, c, maximize, out))
+            yield out
+
+    with monkeypatch.context() as m:
+        m.setattr(linprog, "_solve_lps", recording)
+        m.setattr(relaxations, "_solve_lps", recording)
+        try:
+            fn()
+        except (Infeasible, UnboundedCoordinate, ValueError):
+            pass  # no points, an open side, or no integer in a range
+    for P, c, maximize, out in seen:
+        assert_fields(out, solve_lp(P, c, maximize=maximize))
+        if rational:
+            assert_fields(out, fraction_simplex.solve_lp(P, c, maximize))
+    return [out.status for *_, out in seen]
+
+
+def assert_fields(got, want):
+    """Equal LPOutcomes, field by field, with every coordinate a Fraction."""
+    for name in FIELDS:
+        u, v = getattr(got, name), getattr(want, name)
+        assert u == v, name
+        if isinstance(u, tuple):
+            assert all(type(x) is F for x in u + v), name
+
+
+@pytest.mark.parametrize("kind,n", [("perm", 4), ("perm", 5), ("subtour", 4),
+                                    ("subtour", 5)] + [("cube", d) for d in range(1, 7)],
+                         ids=lambda v: str(v))
+def test_shared_phase1_explicit_systems(monkeypatch, kind, n):
+    P = _system(kind, n)
+    statuses = shared_against_one_shot(
+        monkeypatch, lambda: (bounding_box(P), recession_nontrivial(P)))
+    assert statuses == ["optimal"] * 4 * P.dim
+
+
+def test_shared_phase1_seeded_corpus(monkeypatch):
+    """3,000 polyhedra in 1-4 dimensions with rows over denominators 1-4.
+
+    The bounding LPs of every third polyhedron are also solved on the
+    rows' rational data: a row scale that fails to reach the tableau
+    prices phase 1 differently and changes Farkas rows, rays and optima.
+    The recession rows have right-hand side 0, so their probes need no
+    phase 1.
+    """
+    rng = random.Random(14)
+    polyhedra = []
+    for _ in range(3000):
+        d = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            a = [F(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.7 else 0
+                 for _ in range(d)]
+            if not any(a):
+                a[rng.randrange(d)] = F(1, rng.randint(1, 4))
+            rows.append(Halfspace(a, rng.choice(("<=", ">=", "=")),
+                                  F(rng.randint(-6, 6), rng.randint(1, 4))))
+        polyhedra.append(HPolyhedron(d, rows))
+    statuses = Counter()
+    for k, P in enumerate(polyhedra):
+        statuses.update(shared_against_one_shot(monkeypatch, lambda: bounding_box(P),
+                                                rational=k % 3 == 0))
+        statuses.update(shared_against_one_shot(monkeypatch,
+                                                lambda: recession_nontrivial(P)))
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 500
