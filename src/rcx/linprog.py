@@ -367,6 +367,14 @@ def _check(cond, what):
 _SIGN = {"<=": 1, "=": 0, ">=": -1}
 
 
+def _le_rows(P):
+    """(index, sign, A, B) per row of P's integer rows written as A . x <= B:
+    a >= row negated (sign -1), an = row as its + then its - row."""
+    for i, h in enumerate(P.constraints):
+        for s in (1, -1) if h.sense == "=" else (_SIGN[h.sense],):
+            yield i, s, [s * v for v in h._int_a], s * h._int_rhs
+
+
 def _combination(P, w, what):
     """(sum of w_i A_i, sum of w_i B_i) over P's integer rows A_i x ? B_i,
     once each w_i has its row's sign."""
@@ -406,19 +414,16 @@ def _solve_lps(P, objectives):
     """solve_lp's answer for each (objective, maximize), lazily, with one
     phase 1 for them all.
 
-    The standard form is P's integer rows, each as x+ and x- columns (an
-    `=` row as two rows). The checks read the rows' integer form: a
-    multiplier W_i on the integer row h_i is W_i * h._scale on its
-    rational row.
+    The standard form is P's _le_rows, each with x+ and x- columns. The
+    checks read the rows' integer form: a multiplier W_i on the integer
+    row h_i is W_i * h._scale on its rational row.
     """
     d = P.dim
     rows = []
     prov = []  # (constraint index, sign) per standard-form row
-    for i, h in enumerate(P.constraints):
-        for s in (1, -1) if h.sense == "=" else (_SIGN[h.sense],):
-            a = [s * v for v in h._int_a]
-            rows.append((a + [-v for v in a], s * h._int_rhs, h._scale))
-            prov.append((i, s))
+    for i, s, a, b in _le_rows(P):
+        rows.append((a + [-v for v in a], b, P.constraints[i]._scale))
+        prov.append((i, s))
     goals = []  # each objective in max form without denominators: c0 = sign * cs * c
     for c, maximize in objectives:
         ints, cs = _int_row(c)

@@ -17,6 +17,7 @@ from .linprog import (
     Halfspace,
     HPolyhedron,
     _box_objectives,
+    _le_rows,
     _solve_lps,
     conv_membership,
     recession_nontrivial,
@@ -166,7 +167,8 @@ class LatticeBox:
 
 def bounding_box(P):
     """Tightest integer box around P, via one LP per coordinate and sign,
-    all under one phase 1."""
+    all under one phase 1; None when P has points but some coordinate's
+    range holds no integer, so P has no lattice point."""
     lower = []
     upper = []
     answers = _solve_lps(P, _box_objectives(P.dim))
@@ -181,26 +183,23 @@ def bounding_box(P):
             raise UnboundedCoordinate(k + 1, "-")
         upper.append(floor(hi.value))
         lower.append(ceil(lo.value))
+    if any(l > u for l, u in zip(lower, upper)):
+        return None
     return LatticeBox(lower, upper)
 
 
 def _row_box(P):
     """Integer box from P's own rows by bound propagation, without any LP.
 
-    Each row's integer form, read as a . x <= b (an `=` row as two), bounds
-    each of its coordinates by b less the least its other terms can be.
-    Bounds stay exact rationals, so each holds on all of P and the rounded
-    box contains bounding_box(P). Passes stop when one changes nothing, or
-    after 2 * dim + 2, as rational bounds may converge only in the limit.
-    None when a side stays open or a range is empty: the LP path decides.
+    Each row a . x <= b of _le_rows(P) bounds each of its coordinates by b
+    less the least its other terms can be. Bounds stay exact rationals, so
+    each holds on all of P and the rounded box contains bounding_box(P).
+    Passes stop when one changes nothing, or after 2 * dim + 2, as
+    rational bounds may converge only in the limit. None when a side
+    stays open or a range is empty: the LP path decides.
     """
-    rows = []
-    for h in P.constraints:
-        terms = [(k, v) for k, v in enumerate(h._int_a) if v]
-        if h.sense != ">=":
-            rows.append((terms, h._int_rhs))
-        if h.sense != "<=":
-            rows.append(([(k, -v) for k, v in terms], -h._int_rhs))
+    rows = [([(k, v) for k, v in enumerate(a) if v], b)
+            for *_, a, b in _le_rows(P)]
     lo, hi = [None] * P.dim, [None] * P.dim
     for _ in range(2 * P.dim + 2):
         changed = False
@@ -234,41 +233,47 @@ def _row_box(P):
     return LatticeBox(lower, upper)
 
 
+def _lattice_box(P, max_points, spanned=None):
+    """(box, propagated): _row_box(P) if its volume fits the cap or it is
+    spanned, the bounds of a point set in P (then it is the LP box), else
+    bounding_box(P), None for a lattice-free P. The propagated box contains
+    the LP box, so TooLarge fires exactly when the LP box is past the cap."""
+    box = _row_box(P)
+    if box is not None and (box.volume <= _cap(max_points)
+                            or (box.lower, box.upper) == spanned):
+        return box, True
+    return bounding_box(P), False
+
+
 def enumerate_lattice(P, box=None, max_points=None):
     """All integer points of P inside the box, in lexicographic order.
 
-    Without a box, _row_box(P) gives one when propagation bounds every
-    coordinate and its volume is within the cap; otherwise bounding_box(P)
-    does, with 2 * dim LPs. Every box enclosing P yields the same points,
-    and since the propagated box contains the LP box, TooLarge fires
-    exactly when the LP box is past the cap. A propagated-box scan that
-    finds nothing still asks bounding_box(P), so an LP-infeasible P raises
-    Infeasible.
+    Without a box, _lattice_box(P) chooses one; every box enclosing P
+    yields the same points. A propagated-box scan that finds nothing asks
+    bounding_box(P), so an LP-infeasible P raises Infeasible.
 
     Odometer scan over the box with interval pruning: a partial assignment
-    is abandoned as soon as some row cannot be satisfied by any completion
-    within the remaining coordinate ranges.  All arithmetic is integer.
+    is abandoned as soon as some row of _le_rows(P) cannot be satisfied by
+    any completion within the remaining coordinate ranges.  All arithmetic
+    is integer.
     """
     presolved = False
     if box is None:
-        box = _row_box(P)
-        presolved = box is not None and box.volume <= _cap(max_points)
-        if not presolved:
-            box = bounding_box(P)
+        box, presolved = _lattice_box(P, max_points)
+        if box is None:
+            return PointSet(P.dim, [], validate=False)
     if box.dim != P.dim:
         raise DimMismatch("box dimension does not match polyhedron")
     _cap_check(box.volume, max_points, "lattice box")
     d = P.dim
     lo, hi = box.lower, box.upper
-    rows = [(h._int_a, h.sense, h._int_rhs) for h in P.constraints]
-    nr = len(rows)
-    minrem = [[0] * (d + 1) for _ in range(nr)]
-    maxrem = [[0] * (d + 1) for _ in range(nr)]
-    for r, (a, _, _) in enumerate(rows):
-        for k in range(d - 1, -1, -1):
-            t1, t2 = a[k] * lo[k], a[k] * hi[k]
-            minrem[r][k] = minrem[r][k + 1] + min(t1, t2)
-            maxrem[r][k] = maxrem[r][k + 1] + max(t1, t2)
+    rows = [(a, b) for *_, a, b in _le_rows(P)]
+    # lim[k][r]: the most row r's first k terms may sum to within the box
+    lim = [[b for _, b in rows]]
+    for k in range(d - 1, -1, -1):
+        lim.append([t - min(a[k] * lo[k], a[k] * hi[k])
+                    for t, (a, _) in zip(lim[-1], rows)])
+    lim.reverse()
     out = []
     x = [0] * d
 
@@ -277,21 +282,15 @@ def enumerate_lattice(P, box=None, max_points=None):
             out.append(tuple(x))
             return
         for v in range(lo[k], hi[k] + 1):
-            nxt = [s + row[0][k] * v for s, row in zip(sums, rows)]
-            ok = True
-            for r, (_, sense, rhs) in enumerate(rows):
-                s = nxt[r]
-                if sense != ">=" and s + minrem[r][k + 1] > rhs:
-                    ok = False
+            nxt = [s + a[k] * v for s, (a, _) in zip(sums, rows)]
+            for s, t in zip(nxt, lim[k + 1]):
+                if s > t:
                     break
-                if sense != "<=" and s + maxrem[r][k + 1] < rhs:
-                    ok = False
-                    break
-            if ok:
+            else:
                 x[k] = v
                 scan(k + 1, nxt)
 
-    scan(0, [0] * nr)
+    scan(0, [0] * len(rows))
     if presolved and not out:
         bounding_box(P)  # raises for an LP-infeasible P, as the LP path does
     return PointSet(d, out, validate=False)
@@ -316,28 +315,24 @@ def verify_relaxation(P, X, max_points=None):
     """Check that the integer points of P are exactly conv(X)'s lattice points.
 
     Point containment is tested first, so a failure names a concrete witness;
-    then an unboundedness guard (a rational recession ray plus any lattice
-    point gives infinitely many lattice points, while X spans only finitely
-    many); finally a full enumeration compared against the hull. When
-    _row_box(P) exists, P is bounded, so the probe is skipped, and the scan
-    uses that box if it fits the cap or X spans it (X lies in P, so a box
-    X spans is the LP box), else bounding_box(P).
+    then _lattice_box(P) chooses the box, given X's bounds. A coordinate
+    unbounded on P fails with a ray from the recession probe (a rational
+    recession ray plus any lattice point gives infinitely many lattice
+    points, while X spans only finitely many); finally a full enumeration
+    compared against the hull.
     """
     if P.dim != X.dim:
         raise DimMismatch("polyhedron and point set dimensions differ")
     for p in X:
         if not P.contains(p):
             return RelaxationReport("failed", ("missing_point", tuple(p)))
-    box = None  # X is empty: enumerate_lattice propagates and decides
+    box = None  # X is empty: enumerate_lattice chooses the box
     if len(X) > 0:
-        box = _row_box(P)
-        if box is None:
-            nontrivial, ray = recession_nontrivial(P)
-            if nontrivial:
-                return RelaxationReport("failed", ("unbounded_with_finite_X", ray))
-        if box is None or (box.volume > _cap(max_points)
-                           and X.bounds() != (box.lower, box.upper)):
-            box = bounding_box(P)
+        try:
+            box, _ = _lattice_box(P, max_points, X.bounds())
+        except UnboundedCoordinate:
+            _, ray = recession_nontrivial(P)
+            return RelaxationReport("failed", ("unbounded_with_finite_X", ray))
     lattice = enumerate_lattice(P, box=box, max_points=max_points)
     known = set(X.points)
     for z in lattice:
@@ -351,8 +346,8 @@ def verify_relaxation(P, X, max_points=None):
 def irredundant_count(P):
     """Count inequality rows that actually cut something off.
 
-    A row is redundant when optimizing its left-hand side over the other
-    rows still respects its bound.  Equality rows are left in place but
+    A row A . x <= B of _le_rows(P) is redundant when maximizing A over
+    the other rows stays within B.  Equality rows are left in place but
     excluded from the count and the redundancy list.
     """
     probe = solve_lp(P, [0] * P.dim, maximize=True)
@@ -360,15 +355,11 @@ def irredundant_count(P):
         raise Infeasible("polyhedron has no points")
     redundant = []
     total = 0
-    for i, c in enumerate(P.constraints):
-        if c.sense == "=":
+    for i, _, a, b in _le_rows(P):
+        if P.constraints[i].sense == "=":
             continue
         total += 1
-        out = solve_lp(P.without_row(i), c.a, maximize=c.sense == "<=")
-        if out.status != "optimal":
-            continue
-        if c.sense == "<=" and out.value <= c.rhs:
-            redundant.append(i)
-        elif c.sense == ">=" and out.value >= c.rhs:
+        out = solve_lp(P.without_row(i), a, maximize=True)
+        if out.status == "optimal" and out.value <= b:
             redundant.append(i)
     return total - len(redundant), redundant

@@ -14,6 +14,7 @@ reports and the same exceptions.
 from functools import cache
 
 from rcx.errors import DimMismatch
+from rcx.families import PointSet
 from rcx.linprog import conv_membership, recession_nontrivial
 from rcx import relaxations
 from rcx.relaxations import RelaxationReport
@@ -27,13 +28,16 @@ def bounding_box(P):
 
 @cache
 def enumerate_lattice(P, max_points=None):
-    """bounding_box(P), then the scan over that box.
+    """bounding_box(P), then the scan over that box; no points when P has
+    no lattice point (no box).
 
     Cached, so a test that asks both functions about one polyhedron
     solves its bounding LPs once; a raised exception is not cached.
     """
-    return relaxations.enumerate_lattice(P, box=bounding_box(P),
-                                         max_points=max_points)
+    box = bounding_box(P)
+    if box is None:
+        return PointSet(P.dim, [])
+    return relaxations.enumerate_lattice(P, box=box, max_points=max_points)
 
 
 def contains(P, p):

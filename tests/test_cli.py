@@ -261,6 +261,15 @@ class TestRelaxCommands:
             b'      "unbounded_with_finite_X",\n      [\n        "1",\n'
             b'        "0"\n      ]\n    ]\n  }\n}\n')
 
+    def test_lattice_free_polyhedron_verifies_empty(self, tmp_path):
+        # 1/3 <= x <= 2/3 has no lattice point, so an empty set is exact
+        P = HPolyhedron(1, [Halfspace((3,), ">=", 1), Halfspace((3,), "<=", 2)])
+        poly, pts = tmp_path / "third.json", tmp_path / "none.json"
+        fileio.write_doc(str(poly), fileio.polyhedron_doc(P))
+        fileio.write_doc(str(pts), fileio.pointset_doc(PointSet(1, [])))
+        res = run(["relax", "verify", str(poly), str(pts)])
+        assert (res.exit_code, res.summary) == (0, "verified, 0 lattice points")
+
     def test_verify_with_lattice_cap(self, cube2_files):
         poly, pts = cube2_files
         res = run(["relax", "verify", poly, pts, "--max-lattice", "2"])

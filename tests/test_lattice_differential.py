@@ -50,13 +50,15 @@ def same_answers(P, X, max_points=None):
 
 
 def check_boxes(P):
-    """_row_box(P) contains bounding_box(P) when both exist; is there a row box?"""
+    """_row_box(P) contains bounding_box(P) when both exist; is there a row box?
+
+    bounding_box(P) is None when P has points but no lattice point."""
     box = _row_box(P)
     try:
         lp_box = lp_path.bounding_box(P)
-    except (Infeasible, UnboundedCoordinate, ValueError):
+    except (Infeasible, UnboundedCoordinate):
         return box is not None
-    if box is not None:
+    if box is not None and lp_box is not None:
         assert all(lo <= l and h <= hi for lo, l, h, hi in zip(
             box.lower, lp_box.lower, lp_box.upper, box.upper)), (box, lp_box)
     return box is not None
@@ -233,10 +235,11 @@ def test_seeded_small_polyhedra():
     # get a box and still need the LP to prove them empty
     for k in (3, 5, 3, 5, 7, 3):
         tally(_odd_cycle_case(rng, k), None)
-    # both paths are exercised, with every outcome
+    # both paths are exercised, with every outcome; a lattice-free P is
+    # empty on both
     for key in [(True, "points"), (True, "empty"), (True, "Infeasible"),
-                (True, "TooLarge"), (True, "ValueError"), (False, "points"),
+                (True, "TooLarge"), (False, "points"), (False, "empty"),
                 (False, "Infeasible"), (False, "UnboundedCoordinate"),
-                (False, "ValueError"), "verified", "missing_point",
+                "verified", "missing_point",
                 "extra_lattice_point", "unbounded_with_finite_X"]:
         assert seen.get(key, 0) >= 1, (key, seen)

@@ -350,6 +350,30 @@ class TestRowBox:
                          + [Halfspace((0, 2, 0), "=", 2)])
         assert _row_box(P2) == LatticeBox((-1, 1, 0), (2, 1, 2))
 
+    def test_lattice_free_interval(self):
+        # 1/3 <= x <= 2/3 has points but no lattice point, and no
+        # propagated box: the LP box is empty, so there is nothing to scan
+        P = HPolyhedron(1, [Halfspace((3,), ">=", 1), Halfspace((3,), "<=", 2)])
+        assert _row_box(P) is None and bounding_box(P) is None
+        assert enumerate_lattice(P).points == []
+        assert verify_relaxation(P, PointSet(1, [])) == (
+            RelaxationReport("verified", None, 0))
+
+    def test_lattice_free_odd_triangle(self, monkeypatch):
+        # as in test_row_box_then_lp_infeasible, but the sum row allows 3/2:
+        # the LP holds only (1/2, 1/2, 1/2), so the empty scan of [0, 1]^3
+        # is followed by a bounding_box with no integer range
+        P = HPolyhedron(3, _box_rows(3) + [
+            Halfspace((1, 1, 0), ">=", 1), Halfspace((0, 1, 1), ">=", 1),
+            Halfspace((1, 0, 1), ">=", 1), Halfspace((1, 1, 1), "<=", Fraction(3, 2))])
+        assert _row_box(P) == LatticeBox((0, 0, 0), (1, 1, 1))
+        assert bounding_box(P) is None
+        counts = count_lps(monkeypatch)
+        assert enumerate_lattice(P).points == []
+        assert counts == {"relaxations": 6, "linprog": 0}
+        assert verify_relaxation(P, PointSet(3, [])) == (
+            RelaxationReport("verified", None, 0))
+
     def test_missing_side_is_no_box(self):
         # y has no upper row, but x + y <= 1 with x >= 0 gives y <= 1
         P = HPolyhedron(2, [Halfspace((1, 0), ">=", 0), Halfspace((1, 0), "<=", 1),
@@ -403,6 +427,28 @@ class TestVerifyRelaxation:
         kind, ray = report.reason
         assert kind == "unbounded_with_finite_X"
         assert any(v != 0 for v in ray) and all(v >= 0 for v in ray)
+
+    def test_bounding_lps_decide_boundedness(self, monkeypatch):
+        # the diamond |x| + |y| <= 1 has no propagated box: its 4 bounding
+        # LPs bound it, and no recession probe runs
+        diamond = HPolyhedron(2, [Halfspace((u, v), "<=", 1)
+                                  for u in (1, -1) for v in (1, -1)])
+        counts = count_lps(monkeypatch)
+        X = PointSet(2, [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)])
+        assert verify_relaxation(diamond, X) == RelaxationReport("verified", None, 5)
+        assert counts == {"relaxations": 4, "linprog": 0}
+
+    @pytest.mark.parametrize("rows, X", [
+        ([((1, 0), ">=", 0), ((0, 1), ">=", 0)], simplex(2)),
+        ([((1, 0), ">=", 0), ((0, 1), ">=", 0), ((0, 1), "<=", 1)], cube(2)),
+    ], ids=["quadrant", "strip"])
+    def test_probe_only_names_the_ray(self, monkeypatch, rows, X):
+        # the first bounding LP finds x unbounded above; one probe names the ray
+        P = HPolyhedron(2, [Halfspace(*row) for row in rows])
+        counts = count_lps(monkeypatch)
+        assert verify_relaxation(P, X) == RelaxationReport(
+            "failed", ("unbounded_with_finite_X", (1, 0)))
+        assert counts == {"relaxations": 1, "linprog": 1}
 
     def test_missing_point_wins_over_ray(self):
         shifted = HPolyhedron(2, [

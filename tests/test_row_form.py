@@ -1,0 +1,142 @@
+"""The lattice layer's shared decisions, each written once.
+
+`_le_rows` is the one place a row is written as `A . x <= B`; the
+propagated box, the lattice scan, the LP front end and
+`irredundant_count` all read it. `_lattice_box` is the one place the
+scan's box is chosen. `irredundant_count` is checked against the
+sense-by-sense loop it replaced.
+"""
+
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from rcx import linprog, relaxations
+from rcx.errors import Infeasible
+from rcx.families import PointSet, cube
+from rcx.linprog import Halfspace, HPolyhedron, _le_rows, solve_lp
+from rcx.relaxations import (
+    LatticeBox,
+    _row_box,
+    build_conn_cut_relaxation,
+    build_cube_relaxation,
+    build_rado_permutahedron,
+    build_subtour_relaxation,
+    enumerate_lattice,
+    irredundant_count,
+    verify_relaxation,
+)
+from test_lattice_differential import FLAVORS, _random_case, outcome
+
+
+def test_le_rows_on_a_mixed_polyhedron():
+    P = HPolyhedron(2, [
+        Halfspace((1, 2), "<=", 3),
+        Halfspace((Fraction(1, 2), 0), ">=", 1),   # integer row x_1 >= 2
+        Halfspace((0, 3), "=", 2),
+        Halfspace((0, 0), "=", 0),
+    ])
+    assert list(_le_rows(P)) == [
+        (0, 1, [1, 2], 3),
+        (1, -1, [-1, 0], -2),
+        (2, 1, [0, 3], 2),     # an = row: its + row, then its - row
+        (2, -1, [0, -3], -2),
+        (3, 1, [0, 0], 0),
+        (3, -1, [0, 0], 0),
+    ]
+
+
+def irredundant_reference(P):
+    """irredundant_count as it was written before _le_rows: each row's
+    rational data, optimized in the direction its sense bounds."""
+    probe = solve_lp(P, [0] * P.dim, maximize=True)
+    if probe.status == "infeasible":
+        raise Infeasible("polyhedron has no points")
+    redundant = []
+    total = 0
+    for i, c in enumerate(P.constraints):
+        if c.sense == "=":
+            continue
+        total += 1
+        out = solve_lp(P.without_row(i), c.a, maximize=c.sense == "<=")
+        if out.status != "optimal":
+            continue
+        if c.sense == "<=" and out.value <= c.rhs:
+            redundant.append(i)
+        elif c.sense == ">=" and out.value >= c.rhs:
+            redundant.append(i)
+    return total - len(redundant), redundant
+
+
+SYSTEMS = {
+    **{f"rado{n}": (lambda n=n: build_rado_permutahedron(n)) for n in (3, 4)},
+    **{f"cube{d}": (lambda d=d: build_cube_relaxation(d)) for d in range(1, 6)},
+    "subtour4": lambda: build_subtour_relaxation(4),
+    "dsubtour4": lambda: build_subtour_relaxation(4, directed=True),
+    "conn4": lambda: build_conn_cut_relaxation(4),
+}
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_irredundant_count_on_explicit_systems(name):
+    P = SYSTEMS[name]()
+    assert irredundant_count(P) == irredundant_reference(P)
+
+
+def test_irredundant_count_on_seeded_polyhedra():
+    rng = random.Random(20261019)
+    seen = {"redundant": 0, "irredundant": 0, "Infeasible": 0}
+    for i in range(400):
+        P = _random_case(rng, FLAVORS[i % len(FLAVORS)])
+        got = outcome(irredundant_count, P)
+        assert got == outcome(irredundant_reference, P), P
+        if isinstance(got[0], type):
+            seen[got[0].__name__] += 1
+        else:
+            seen["redundant" if got[1] else "irredundant"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_each_decision_has_one_home(monkeypatch):
+    # every reader of the <= form calls _le_rows itself and never reads a
+    # row's sense or integer data; each box choice goes through _lattice_box
+    readers, boxes = [], []
+
+    def le_rows(P, _real=_le_rows):
+        readers.append(sys._getframe(1).f_code.co_name)
+        return _real(P)
+
+    def lattice_box(*args, _real=relaxations._lattice_box):
+        boxes.append(args)
+        return _real(*args)
+
+    for module in (linprog, relaxations):
+        monkeypatch.setattr(module, "_le_rows", le_rows)
+    monkeypatch.setattr(relaxations, "_lattice_box", lattice_box)
+    P = build_cube_relaxation(3)
+    for fn, want in [(lambda: _row_box(P), "_row_box"),
+                     (lambda: enumerate_lattice(P, box=LatticeBox((0,) * 3, (1,) * 3)),
+                      "enumerate_lattice"),
+                     (lambda: solve_lp(P, [1, 0, 0]), "_solve_lps"),
+                     (lambda: irredundant_count(P), "irredundant_count")]:
+        readers.clear()
+        fn()
+        assert want in readers, (want, readers)
+        assert set(readers) <= {want, "_solve_lps"}, (want, readers)
+    for fn in (relaxations._row_box, relaxations.enumerate_lattice,
+               linprog._solve_lps, relaxations.irredundant_count):
+        names = set(fn.__code__.co_names)
+        for const in fn.__code__.co_consts:
+            if hasattr(const, "co_names"):  # a nested function
+                names |= set(const.co_names)
+        assert not names & {"_int_a", "_int_rhs", "_SIGN"}, fn.__name__
+        if fn is not relaxations.irredundant_count:  # it skips = rows by sense
+            assert "sense" not in names, fn.__name__
+    for fn in (lambda: enumerate_lattice(P),
+               lambda: verify_relaxation(P, cube(3)),
+               lambda: verify_relaxation(P, PointSet(3, []))):
+        boxes.clear()
+        fn()
+        assert len(boxes) == 1
