@@ -9,12 +9,31 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-from itertools import combinations, compress, permutations, product, starmap
+from itertools import (chain, combinations, compress, permutations, product,
+                       starmap)
 from math import comb, factorial
 
 from .errors import DimMismatch, OddNodeSet, TooLarge
 
 DEFAULT_CAP = 2**22
+_INT = frozenset({int})
+_TUPLE = frozenset({tuple})
+
+
+def _int_rows(rows, kinds):
+    """The one length of rows when each row's type is in kinds, all rows
+    have that length and each entry's type is exactly int (a bool is not);
+    None otherwise, and for no rows."""
+    if not rows or not kinds.issuperset(map(type, rows)):
+        return None
+    lengths = set(map(len, rows))
+    if len(lengths) > 1 or not _INT.issuperset(map(type, chain.from_iterable(rows))):
+        return None
+    return lengths.pop()
+
+
+def _joined(p):
+    return ",".join(map(str, p)) + "\n"
 
 
 class EdgeIndexer:
@@ -77,6 +96,10 @@ class PointSet:
                 for v in p:
                     if not isinstance(v, int):
                         raise TypeError("integer point families only")
+            if pts and _int_rows(pts, _TUPLE) is None:
+                # a bool or other int subclass is stored as its int, so
+                # equal sets have one digest and one file
+                pts = [tuple(map(int, p)) for p in pts]
             self.points = pts
         else:
             self.points = list(points)
@@ -107,20 +130,19 @@ class PointSet:
         return self._bounds
 
     def digest(self):
-        """Content hash of (dim, points); stable across runs."""
+        """Content hash of (dim, points); stable across runs. Each point is
+        hashed as its coordinates joined by commas plus a newline; integer
+        tuples are formatted through one row template."""
         if self._digest is None:
+            pts = self.points
             h = hashlib.sha256()
-            h.update(f"dim={self.dim};n={len(self.points)};".encode())
-            buf = []
-            for p in self.points:
-                buf.append(",".join(map(str, p)))
-                if len(buf) >= 4096:
-                    h.update("\n".join(buf).encode())
-                    h.update(b"\n")
-                    buf.clear()
-            if buf:
-                h.update("\n".join(buf).encode())
-                h.update(b"\n")
+            h.update(f"dim={self.dim};n={len(pts)};".encode())
+            if _int_rows(pts, _TUPLE) == self.dim:
+                text = (",".join(["%d"] * self.dim) + "\n").__mod__
+            else:
+                text = _joined
+            for i in range(0, len(pts), 4096):
+                h.update("".join(map(text, pts[i:i + 4096])).encode())
             self._digest = h.hexdigest()
         return self._digest
 
@@ -196,21 +218,22 @@ def diff(m, n, max_candidates=None):
 
 
 def _spanning_connected(n, edges):
-    if n == 1:
-        return True
-    adj = [[] for _ in range(n + 1)]
+    """True when the edges connect nodes 1..n: a flood fill from node 1 over
+    per-node neighbour bitmasks (bit v stands for node v)."""
+    nbr = [0] * (n + 1)
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    seen = frontier = 1 << 1
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << (n + 1)) - 2
 
 
 class _UnionFind:

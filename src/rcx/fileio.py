@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import lt
 from pathlib import Path
 
-from .families import PointSet
+from .families import _INT, PointSet, _int_rows
 from .linprog import SENSES, Halfspace, HPolyhedron
 from .rational import format_rational, parse_rational
 
 SCHEMA_VERSION = 1
-_INT = frozenset({int})
+_STR = frozenset({str})
+_ROW = frozenset({list, tuple})
+_LIST = frozenset({list})
 
 
 def _rational_field(v, field):
@@ -49,6 +53,13 @@ def _encode(v, newline):
     if isinstance(v, (list, tuple)) and v:
         if _INT.issuperset(map(type, v)):
             body = ("," + inner).join(map(str, v))
+        elif _STR.issuperset(map(type, v)):
+            body = ("," + inner).join(map(encode_basestring_ascii, v))
+        elif d := _int_rows(v, _ROW):
+            # integer rows of one length: one template formats each row
+            deeper = inner + "  "
+            row = "[" + deeper + ("," + deeper).join(["%d"] * d) + inner + "]"
+            body = ("," + inner).join(map(row.__mod__, map(tuple, v)))
         else:
             body = ("," + inner).join([_encode(u, inner) for u in v])
         return "[" + inner + body + newline + "]"
@@ -91,11 +102,12 @@ def _field(doc, name, kinds, required=True):
 
 
 def pointset_doc(X):
+    # list rows, as JSON gives them, so parse_pointset takes the doc back
     return {
         "dim": X.dim,
         "family": dict(X.family) if X.family else None,
         "legend": list(X.legend) if X.legend is not None else None,
-        "points": [list(map(int, p)) for p in X.points],
+        "points": list(map(list, X.points)),
     }
 
 
@@ -104,15 +116,18 @@ def parse_pointset(doc):
     if dim < 1:
         raise ValueError("field 'dim' must be at least 1")
     raw = _field(doc, "points", list)
-    for i, row in enumerate(raw):
-        # JSON integers are exactly the values of type int (a bool is not)
-        if (not isinstance(row, list) or len(row) != dim
-                or not _INT.issuperset(map(type, row))):
-            raise ValueError(f"field 'points'[{i}]: need {dim} integers")
+    # JSON integers are exactly the values of type int (a bool is not); a
+    # list that fails the check is walked to name its first bad row
+    if raw and _int_rows(raw, _LIST) != dim:
+        i = next(i for i, row in enumerate(raw) if _int_rows([row], _LIST) != dim)
+        raise ValueError(f"field 'points'[{i}]: need {dim} integers")
     family = _field(doc, "family", dict, required=False)
     legend = _field(doc, "legend", list, required=False)
-    return PointSet(dim, sorted(set(map(tuple, raw))), family=family,
-                    legend=legend, validate=False)
+    pts = list(map(tuple, raw))
+    # every file rcx writes is strictly increasing already
+    if not all(map(lt, pts, islice(pts, 1, None))):
+        pts = sorted(set(pts))
+    return PointSet(dim, pts, family=family, legend=legend, validate=False)
 
 
 def row_doc(h):

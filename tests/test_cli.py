@@ -494,6 +494,33 @@ class TestBuildBytes:
         assert hashlib.sha256(doc_bytes(out)).hexdigest() == BUILD_DIGESTS[args]
 
 
+# sha256 of the `rcx hiding verify ... --report FILE` report, which carries
+# the digests of both point files: (construction, target family) -> sha256
+VERIFY_DIGESTS = {
+    (("tsp", "2", "--undirected"), ("stsp", "6")):
+        "cb026999bc4c2c30e02c75cb68769e319fb639069c0e25a67fc0244644a6a4c4",
+    (("tsp", "2"), ("atsp", "6")):
+        "48f74945f0149eaa5b71810ef52d468e163b2a67e8059569e156898acf4360b1",
+    (("arb", "1"), ("arb", "4")):
+        "9072003f23525ea76fa9dcfc009e4e42eb1fab8b49fad0c7edec9a41ccf37a4d",
+    (("perm", "4"), ("perm", "4")):
+        "e02c3c96a209b953e4abf213e8e7dfbab9314cf69e0f2fb946aa063806aa9489",
+    (("tsp", "2", "--undirected"), ("conn", "6")):
+        "79d69d6e6ad3245fb7f82fcba9f13b0ab0a4658143c9555a4d5a115acd388c51",
+}
+
+
+class TestVerifyBytes:
+    @pytest.mark.parametrize("build, target", list(VERIFY_DIGESTS),
+                             ids=[" ".join(b + t) for b, t in VERIFY_DIGESTS])
+    def test_verify_report_matches_digest(self, tmp_path, build, target):
+        H, X, rep = tmp_path / "h.json", tmp_path / "x.json", tmp_path / "rep.json"
+        assert run(["hiding", "build", *build, "-o", str(H)]).exit_code == 0
+        assert run(["gen", *target, "-o", str(X)]).exit_code == 0
+        assert run(["hiding", "verify", str(H), str(X), "--report", str(rep)]).exit_code == 0
+        assert hashlib.sha256(doc_bytes(rep)).hexdigest() == VERIFY_DIGESTS[build, target]
+
+
 # gen, hiding build and relax build name their parameters as report does;
 # an extra positional never becomes the candidate cap
 WRONG_ARITY = [

@@ -1,4 +1,7 @@
 import ast
+import hashlib
+from fractions import Fraction
+from itertools import compress, product
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,8 @@ from rcx.families import (
     stsp,
     tjoins,
 )
+from rcx.families import _spanning_connected
+from test_fileio import FAMILY_SIZES
 
 
 def test_edge_indexer_undirected():
@@ -114,6 +119,37 @@ def test_conn_counts():
     assert len(conn(2)) == 1
     assert len(conn(3)) == 4
     assert len(conn(4)) == 38
+
+
+def _connected_by_adjacency(n, edges):
+    """The adjacency-list flood fill that _spanning_connected replaced."""
+    if n == 1:
+        return True
+    adj = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {1}
+    stack = [1]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bitmask_connectivity_matches_adjacency_lists(n):
+    pairs = EdgeIndexer(n).pairs
+    answers = []
+    for bits in product((0, 1), repeat=len(pairs)):
+        edges = list(compress(pairs, bits))
+        answers.append(_spanning_connected(n, edges))
+        assert answers[-1] == _connected_by_adjacency(n, edges), edges
+    # connected labelled graphs on n nodes
+    assert sum(answers) == [1, 1, 4, 38, 728][n - 1]
 
 
 def test_spt_counts():
@@ -272,3 +308,60 @@ def test_all_families_sorted():
             branch(3), tjoins(4, (1, 2))]
     for ps in sets:
         assert ps.points == sorted(set(ps.points)), ps
+
+
+def _joined_digest(X):
+    """The chunked-join digest that the row-template digest replaced."""
+    h = hashlib.sha256()
+    h.update(f"dim={X.dim};n={len(X.points)};".encode())
+    buf = []
+    for p in X.points:
+        buf.append(",".join(map(str, p)))
+        if len(buf) >= 4096:
+            h.update("\n".join(buf).encode())
+            h.update(b"\n")
+            buf.clear()
+    if buf:
+        h.update("\n".join(buf).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, params", FAMILY_SIZES,
+                         ids=[f"{n}{p}".replace(" ", "") for n, p in FAMILY_SIZES])
+def test_digest_matches_the_joined_text(name, params):
+    X = generate(name, *params)
+    assert X.digest() == _joined_digest(X)
+
+
+def _past_the_chunk(k):
+    """The first k points of cube(13): 4,096 points fill one chunk."""
+    return PointSet(13, list(product((0, 1), repeat=13))[:k])
+
+
+@pytest.mark.parametrize("X", [
+    PointSet(1, []), PointSet(3, []), PointSet(1, [(0,), (5,), (-2,)]),
+    PointSet(3, [(-1, 10, 0), (-123, 99, 7), (12345678901234567890, -10, 10)]),
+    _past_the_chunk(4095), _past_the_chunk(4096), _past_the_chunk(4097),
+    PointSet(2, [[0, 1], [1, 0]], validate=False),
+    PointSet(2, [(0, 1), [1, 0]], validate=False),
+    PointSet(2, [(0, True), (1, 0)], validate=False),
+    PointSet(2, [(0, 1), (Fraction(1, 2), 0)], validate=False),
+], ids=["empty1", "empty3", "dim1", "wide", "4095", "4096", "4097",
+        "lists", "mixed", "bool", "fraction"])
+def test_digest_edge_sets_match_the_joined_text(X):
+    assert X.digest() == _joined_digest(X)
+
+
+def test_digest_tells_a_bool_from_its_int():
+    ints = PointSet(2, [(0, 1), (1, 0)], validate=False)
+    bools = PointSet(2, [(0, True), (1, 0)], validate=False)
+    assert ints.digest() != bools.digest()
+
+
+def test_validated_bools_are_stored_as_ints():
+    ints = PointSet(2, [(0, 1), (1, 0)])
+    bools = PointSet(2, [(False, True), (1, 0), [True, 0]])
+    assert bools.points == ints.points
+    assert {type(v) for p in bools.points for v in p} == {int}
+    assert bools.digest() == ints.digest()

@@ -1,6 +1,7 @@
 """Byte-stable JSON round trips for point sets, polyhedra, and reports."""
 
 import json
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,14 @@ FAMILY_SIZES = [("cube", (1,)), ("cube", (5,)), ("simplex", (3,)), ("even", (4,)
                 ("atsp", (8,)), ("conn", (6,)), ("spt", (5,)), ("forests", (4,)),
                 ("arb", (4,)), ("arb", (4, 2)), ("branch", (3,)), ("tjoins", (1,)),
                 ("tjoins", (6, (1, 2, 3, 4)))]
+# tjoins(1) has dimension 0, which a point file may not have
+READABLE_SIZES = [(name, params) for name, params in FAMILY_SIZES
+                  if (name, params) != ("tjoins", (1,))]
+
+
+class Colour(IntEnum):
+    RED = 1
+
 
 EDGE_DOCS = [
     {}, [], {"a": []}, {"a": {}}, {"a": [[], {}, [[]], [{}]]},
@@ -44,6 +53,17 @@ EDGE_DOCS = [
     {"big": [-(10 ** 40), 10 ** 40, -1, 0], "neg": -(2 ** 70)},
     {"t": (1, (2, 3)), "nested": [[[[[-5]]]]]},
     "plain", 7, None, False,
+    # integer rows: only lists and tuples of exact ints of one nonzero
+    # length take the row template, everything else the general path
+    [[0, 1], [1, True]], {"points": [[True], [False]]},
+    [[1, 2], [3]], [[1], [2, 3]], [[]], [[], []], [[1, 2], []],
+    [[1, 2], (3, 4)], ((1, 2), [3, 4]), [(5, 6), (7, 8)],
+    [[1], [2], [-3]], {"points": [[0]]},
+    [[-1, 10 ** 40], [-(10 ** 40), 0], [-7, -8]],
+    [[[1]]], [[[1, 2]], [[3, 4]]], [[1, [2]], [3, 4]],
+    [[1, Colour.RED], [0, 0]], [[Colour.RED]],
+    [[1, 2], [3, 4.5]], [[1, "2"], [3, 4]], [[1, None]],
+    ["{1,2}", "(2,1)"], ["a", 1], ["a", ["b"]], [1, "a"],
 ]
 
 
@@ -84,6 +104,21 @@ class TestWriterMatchesTheLibrary:
     def test_edge_docs(self, doc):
         assert fileio.dumps(doc) == library_bytes(doc)
 
+    def test_point_rows_are_one_call(self, monkeypatch):
+        # the points list is formatted whole, not one _encode call per point,
+        # and the legend whole, not one call per label
+        doc = fileio.pointset_doc(generate("conn", 6))
+        encode, calls = fileio._encode, []
+
+        def counted(v, newline):
+            calls.append(v)
+            return encode(v, newline)
+
+        monkeypatch.setattr(fileio, "_encode", counted)
+        assert fileio.dumps(doc) == library_bytes(doc)
+        assert len(doc["points"]) == 26704
+        assert len(calls) < 20
+
 
 class TestPointSetDocs:
     def test_round_trip_preserves_everything(self):
@@ -106,6 +141,11 @@ class TestPointSetDocs:
         with pytest.raises(ValueError, match="dim"):
             fileio.parse_pointset({"points": [[0]]})
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_dim_below_one(self, dim):
+        with pytest.raises(ValueError, match="'dim' must be at least 1"):
+            fileio.parse_pointset({"dim": dim, "points": []})
+
     def test_rejects_bool_coordinate(self):
         with pytest.raises(ValueError, match="points"):
             fileio.parse_pointset({"dim": 1, "points": [[True]]})
@@ -113,6 +153,50 @@ class TestPointSetDocs:
     def test_rejects_ragged_row(self):
         with pytest.raises(ValueError, match="points"):
             fileio.parse_pointset({"dim": 2, "points": [[0, 0], [1]]})
+
+    @pytest.mark.parametrize("rows, bad", [
+        ([[0, 0], [1, True], [0.5, 0]], 1),
+        ([[0, 0], [1, 1], [0.5, 0]], 2),
+        ([[0, 0], [1], [1, 1, 1]], 1),
+        ([[0, 0, 0], [0, 0]], 0),
+        ([[0, 0], (1, 1)], 1),
+        ([(0, 0), (1, 1)], 0),
+        ([[0, 0], [1, "1"]], 1),
+        ([[0, 0], [1, None]], 1),
+        ([[0, 0], 7], 1),
+        ([[0, 0], [[1], 1]], 1),
+    ], ids=["bool", "float", "ragged", "long", "tuple", "tuples", "string",
+            "null", "scalar", "nested"])
+    def test_names_the_first_bad_row(self, rows, bad):
+        with pytest.raises(ValueError, match=fr"^field 'points'\[{bad}\]: need 2 integers$"):
+            fileio.parse_pointset({"dim": 2, "points": rows})
+
+    def test_unsorted_rows_with_duplicates_are_sorted_once(self):
+        doc = {"dim": 2, "points": [[1, 0], [0, 1], [1, 0], [-1, 5], [0, 1]]}
+        X = fileio.parse_pointset(doc)
+        assert X.points == [(-1, 5), (0, 1), (1, 0)]
+        assert X.digest() == PointSet(2, [(-1, 5), (0, 1), (1, 0)]).digest()
+
+    def test_increasing_rows_keep_their_order(self):
+        X = fileio.parse_pointset({"dim": 1, "points": [[-3], [0], [10 ** 40]]})
+        assert X.points == [(-3,), (0,), (10 ** 40,)]
+
+    @pytest.mark.parametrize("name, params", READABLE_SIZES,
+                             ids=[f"{n}{p}".replace(" ", "") for n, p in READABLE_SIZES])
+    def test_every_family_round_trips(self, name, params):
+        X = generate(name, *params)
+        for doc in (fileio.pointset_doc(X),
+                    json.loads(fileio.dumps(fileio.pointset_doc(X)))):
+            Y = fileio.parse_pointset(doc)
+            assert (Y.dim, Y.points, Y.family, Y.legend) == (X.dim, X.points,
+                                                              X.family, X.legend)
+            assert Y.digest() == X.digest()
+
+    def test_validated_bools_write_as_ints(self):
+        X = PointSet(2, [(True, 0), (0, 1)])
+        text = fileio.dumps(fileio.pointset_doc(X))
+        assert "true" not in text
+        assert fileio.parse_pointset(json.loads(text)).points == [(0, 1), (1, 0)]
 
     def test_write_and_read(self, tmp_path):
         path = tmp_path / "x.json"
