@@ -26,9 +26,13 @@ class Infeasible(ValueError):
 
 
 class UnboundedCoordinate(ValueError):
-    """A coordinate of the polyhedron is unbounded in some direction."""
+    """A coordinate of the polyhedron is unbounded in some direction.
 
-    def __init__(self, coord, direction):
+    ray is the checked recession ray of the bounding LP that found it.
+    """
+
+    def __init__(self, coord, direction, ray):
         self.coord = coord
         self.direction = direction
+        self.ray = ray
         super().__init__(f"coordinate {coord} unbounded ({direction})")

@@ -72,9 +72,10 @@ class EdgeIndexer:
         return tuple(self.label(k) for k in range(self.dim))
 
     def vector(self, edges):
+        """Each listed edge counted once per listing."""
         out = [0] * self.dim
         for u, v in edges:
-            out[self.index(u, v)] = 1
+            out[self.index(u, v)] += 1
         return tuple(out)
 
 

@@ -101,8 +101,14 @@ def _field(doc, name, kinds, required=True):
     return v
 
 
+def _check_dim(dim):
+    if dim < 1:
+        raise ValueError("field 'dim' must be at least 1")
+
+
 def pointset_doc(X):
     # list rows, as JSON gives them, so parse_pointset takes the doc back
+    _check_dim(X.dim)
     return {
         "dim": X.dim,
         "family": dict(X.family) if X.family else None,
@@ -113,8 +119,7 @@ def pointset_doc(X):
 
 def parse_pointset(doc):
     dim = _field(doc, "dim", int)
-    if dim < 1:
-        raise ValueError("field 'dim' must be at least 1")
+    _check_dim(dim)
     raw = _field(doc, "points", list)
     # JSON integers are exactly the values of type int (a bool is not); a
     # list that fails the check is walked to name its first bad row
@@ -156,8 +161,7 @@ def polyhedron_doc(P):
 
 def parse_polyhedron(doc):
     dim = _field(doc, "dim", int)
-    if dim < 1:
-        raise ValueError("field 'dim' must be at least 1")
+    _check_dim(dim)
     raw = _field(doc, "constraints", list)
     rows = [parse_row(r, f"constraints[{i}]") for i, r in enumerate(raw)]
     for i, h in enumerate(rows):

@@ -57,13 +57,6 @@ def flip_pair(b, bp):
     return c, cp, j
 
 
-def _arcs_vector(idx, arcs):
-    vec = [0] * idx.dim
-    for u, v in arcs:
-        vec[idx.index(u, v)] += 1
-    return tuple(vec)
-
-
 def _cycle_pairs(name, N, directed, drop_return_arc):
     """One point per even pattern b, the arcs of cycle_pair_arcs(N, b),
     2^(N-1) in total. Undirected, arcs are projected onto edges (summing
@@ -71,7 +64,7 @@ def _cycle_pairs(name, N, directed, drop_return_arc):
     if N < 1:
         raise ValueError("need N >= 1")
     idx = EdgeIndexer(2 * (N + 1), directed=directed)
-    pts = sorted(_arcs_vector(idx, cycle_pair_arcs(N, b, drop_return_arc))
+    pts = sorted(idx.vector(cycle_pair_arcs(N, b, drop_return_arc))
                  for b in product((0, 1), repeat=N) if sum(b) % 2 == 0)
     return PointSet(idx.dim, pts, family=_tag(name, N=N, directed=directed),
                     legend=idx.legend(), validate=False)

@@ -15,7 +15,7 @@ tableau.
 
 The hull oracles conv_membership and segment_hits_hull share one
 bounds presolve, one LP and one certificate check (_hull_point); a point
-is the segment [p, p].
+is the segment [p, p]. strict_separation is a solve_lp over (a, gamma).
 """
 
 from __future__ import annotations
@@ -585,7 +585,10 @@ def strict_separation(X, C):
     """Halfspace with a.x <= gamma on X and a.y >= gamma + 1 on C, or None.
 
     The unit gap is a normalization: any strictly separating row can be
-    scaled to it, so None really means no strict separation exists.
+    scaled to it, so None really means no strict separation exists. The
+    LP over (a, gamma) is solved by solve_lp, so a "no" carries its
+    checked Farkas row: convex weights on X and on C that meet at one
+    point.
     """
     X, C = _point_set(X), _point_set(C)
     ptsx, ptsc, d = X.points, C.points, X.dim
@@ -597,23 +600,12 @@ def strict_separation(X, C):
         m = max(p[0] for p in ptsx)
         a = (Fraction(1),) + (Fraction(0),) * (d - 1)
         return Halfspace(a, "<=", m)
-    # variables: a as u - v, gamma as g - h, all nonnegative
-    nv = 2 * d + 2
-    rows = []
-    for x in ptsx:
-        rows.append((list(x) + [-v for v in x] + [-1, 1], 0))
-    for y in ptsc:
-        rows.append(([-v for v in y] + list(y) + [1, -1], -1))
-    status, z, *_ = next(_solve_standard(nv, _tableau_rows(rows), [[0] * nv]))
-    if status != "optimal":
+    rows = [Halfspace((*x, -1), "<=", 0) for x in ptsx]
+    rows += [Halfspace((*y, -1), ">=", 1) for y in ptsc]
+    out = solve_lp(HPolyhedron(d + 1, rows), [0] * (d + 1))
+    if out.status == "infeasible":
         return None
-    z, den = z
-    a = tuple(Fraction(z[j] - z[d + j], den) for j in range(d))
-    gamma = Fraction(z[2 * d] - z[2 * d + 1], den)
-    h, gap = Halfspace(a, "<=", gamma), Halfspace(a, ">=", gamma + 1)
-    _check(all(map(h.satisfied_by, ptsx)), "separation valid side")
-    _check(all(map(gap.satisfied_by, ptsc)), "separation violated side")
-    return h
+    return Halfspace(out.point[:d], "<=", out.point[d])
 
 
 def recession_nontrivial(P):

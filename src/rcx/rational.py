@@ -59,7 +59,7 @@ def _int_row(row):
     return [v.numerator * (den // v.denominator) for v in row], den
 
 
-def _int_rows(rows):
+def _cleared_rows(rows):
     # clear denominators row by row; plain ints pass through
     out = []
     for row in rows:
@@ -152,7 +152,7 @@ def gaussian_rank(rows):
         return 0, []
     ncols = len(rows[0])
     ech = _Echelon(ncols)
-    for row in _int_rows(rows):
+    for row in _cleared_rows(rows):
         if len(row) != ncols:
             raise DimMismatch("ragged rows")
         ech.add(row)
@@ -252,7 +252,7 @@ def _nullspace_equations(ech, d, base):
         a[f] = Fraction(1)
         for row, p in zip(ech.rows, ech.pivots):
             a[p] = Fraction(-row[f], row[p])
-        a = tuple(_primitive(_int_rows([a])[0]))
+        a = tuple(_primitive(_cleared_rows([a])[0]))
         eqs.append((a, vdot(a, base)))
     return tuple(eqs)
 

@@ -20,7 +20,6 @@ from .linprog import (
     _le_rows,
     _solve_lps,
     conv_membership,
-    recession_nontrivial,
     solve_lp,
 )
 
@@ -168,7 +167,8 @@ class LatticeBox:
 def bounding_box(P):
     """Tightest integer box around P, via one LP per coordinate and sign,
     all under one phase 1; None when P has points but some coordinate's
-    range holds no integer, so P has no lattice point."""
+    range holds no integer, so P has no lattice point. An open side
+    raises UnboundedCoordinate with the LP's checked ray."""
     lower = []
     upper = []
     answers = _solve_lps(P, _box_objectives(P.dim))
@@ -177,10 +177,10 @@ def bounding_box(P):
         if hi.status == "infeasible":
             raise Infeasible("polyhedron has no points")
         if hi.status == "unbounded":
-            raise UnboundedCoordinate(k + 1, "+")
+            raise UnboundedCoordinate(k + 1, "+", hi.ray)
         lo = next(answers)
         if lo.status == "unbounded":
-            raise UnboundedCoordinate(k + 1, "-")
+            raise UnboundedCoordinate(k + 1, "-", lo.ray)
         upper.append(floor(hi.value))
         lower.append(ceil(lo.value))
     if any(l > u for l, u in zip(lower, upper)):
@@ -316,7 +316,8 @@ def verify_relaxation(P, X, max_points=None):
 
     Point containment is tested first, so a failure names a concrete witness;
     then _lattice_box(P) chooses the box, given X's bounds. A coordinate
-    unbounded on P fails with a ray from the recession probe (a rational
+    unbounded on P fails with the checked ray of the bounding LP that
+    found it, scaled so its largest |coordinate| is 1 (a rational
     recession ray plus any lattice point gives infinitely many lattice
     points, while X spans only finitely many); finally a full enumeration
     compared against the hull.
@@ -330,8 +331,9 @@ def verify_relaxation(P, X, max_points=None):
     if len(X) > 0:
         try:
             box, _ = _lattice_box(P, max_points, X.bounds())
-        except UnboundedCoordinate:
-            _, ray = recession_nontrivial(P)
+        except UnboundedCoordinate as exc:
+            top = max(map(abs, exc.ray))
+            ray = tuple([v / top for v in exc.ray])
             return RelaxationReport("failed", ("unbounded_with_finite_X", ray))
     lattice = enumerate_lattice(P, box=box, max_points=max_points)
     known = set(X.points)

@@ -72,6 +72,16 @@ class TestGen:
         assert res.exit_code == 2
         assert "'two'" in res.summary
 
+    @pytest.mark.parametrize("args", [["cube", "0"], ["simplex", "0"], ["even", "0"],
+                                      ["tjoins", "1"], ["conn", "1"], ["spt", "1"]],
+                             ids=" ".join)
+    def test_dimension_zero_writes_no_file(self, tmp_path, args):
+        # no reader takes a dim-0 point file, so the writer refuses it too
+        out = tmp_path / "no.json"
+        res = run(["gen", *args, "-o", str(out)])
+        assert res == CommandResult(2, None, "error: field 'dim' must be at least 1")
+        assert not out.exists()
+
     def test_explicit_cap_flag(self, tmp_path):
         res = run(["gen", "cube", "4", "--max-candidates", "3",
                    "-o", str(tmp_path / "no.json")])
@@ -519,6 +529,43 @@ class TestVerifyBytes:
         assert run(["gen", *target, "-o", str(X)]).exit_code == 0
         assert run(["hiding", "verify", str(H), str(X), "--report", str(rep)]).exit_code == 0
         assert hashlib.sha256(doc_bytes(rep)).hexdigest() == VERIFY_DIGESTS[build, target]
+
+
+# (command, family) -> (exit code, summary, sha256 of the report); the rows
+# strict_separation finds are written into these reports
+SEPARATION_DIGESTS = {
+    ("index", ("even", "2")): (
+        0, "index 2", "6c787021cfab5cb75907e9e92e710be299525b4b5739b5f427b925f6a598bbed"),
+    ("index", ("even", "3")): (
+        0, "index 4", "a2e690aae662add106e645d03fafb2a474a34b11a39a254b10c8f28c3b0a98f4"),
+    ("index", ("even", "4")): (
+        0, "index 8", "12587d07f734cb7d6b75798bfcb7d33fde5f5e15c94741f199dcc1caf8362710"),
+    ("index", ("odd", "3")): (
+        0, "index 4", "b6b36585af78704f3f8f0c990174693e5a20b585fc3b7934f54fb971e5fbd77f"),
+    ("index", ("cube", "3")): (
+        0, "index 0", "493e5914564904f24f3ae8153554ab7b3b55cd6ae8a1c257e4b9699aacad3e5e"),
+    ("rationalize", ("simplex", "2")): (
+        0, "separable: (1, 1) . x <= 1",
+        "8516285321847c6e30a162200ef0c6799fc23cccc1ea0d89c77eb5c54e8e0d1c"),
+    ("rationalize", ("simplex", "3")): (
+        0, "separable: (1, 1, 1) . x <= 1",
+        "628d0fc666d64ab15f94dc87b03d2b12505a0ec8c88ed54ba24d86b8eb472756"),
+    ("rationalize", ("even", "2")): (
+        1, "not separable by a single row",
+        "5e4c8a6f0479fe5c49c23d6b42f680d7126cc68160ae33957b0f6037d388b01c"),
+}
+
+
+class TestSeparationBytes:
+    @pytest.mark.parametrize("command, family", list(SEPARATION_DIGESTS),
+                             ids=[" ".join((c, *f)) for c, f in SEPARATION_DIGESTS])
+    def test_report_matches_digest(self, tmp_path, command, family):
+        X, rep = tmp_path / "x.json", tmp_path / "rep.json"
+        assert run(["gen", *family, "-o", str(X)]).exit_code == 0
+        res = run([command, str(X), "--report", str(rep)])
+        code, summary, digest = SEPARATION_DIGESTS[command, family]
+        assert (res.exit_code, res.summary) == (code, summary)
+        assert hashlib.sha256(doc_bytes(rep)).hexdigest() == digest
 
 
 # gen, hiding build and relax build name their parameters as report does;

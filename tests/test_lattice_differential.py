@@ -7,11 +7,13 @@ the same reports and the same exceptions (type and message): on the
 explicit systems, on the binary relaxations that `bound_report`
 certifies, and on seeded small polyhedra built to hit every branch of
 the presolve. Wherever both boxes exist, the box `_row_box` propagates
-from P's rows must contain the LP box.
+from P's rows must contain the LP box. On seeded open polyhedra, the ray
+an `UnboundedCoordinate` carries must be a checked recession ray.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -22,6 +24,7 @@ from rcx.linprog import Halfspace, HPolyhedron
 from rcx.relaxations import (
     RelaxationReport,
     _row_box,
+    bounding_box,
     build_conn_cut_relaxation,
     build_cube_relaxation,
     build_rado_permutahedron,
@@ -243,3 +246,32 @@ def test_seeded_small_polyhedra():
                 "verified", "missing_point",
                 "extra_lattice_point", "unbounded_with_finite_X"]:
         assert seen.get(key, 0) >= 1, (key, seen)
+
+
+def test_seeded_unbounded_rays():
+    """Each open side's ray is the bounding LP's: nonzero, in the recession
+    cone and growing the named coordinate; verify_relaxation reports it
+    scaled so its largest |coordinate| is 1."""
+    rng = random.Random(5)
+    rays = reports = 0
+    for i in range(2000):
+        P = _random_case(rng, FLAVORS[i % len(FLAVORS)])
+        try:
+            bounding_box(P)
+        except UnboundedCoordinate as exc:
+            ray, k, grows = exc.ray, exc.coord - 1, exc.direction == "+"
+        except Infeasible:
+            continue
+        else:
+            continue
+        rays += 1
+        assert any(ray) and all(Halfspace(h.a, h.sense, 0).satisfied_by(ray)
+                                for h in P.constraints)
+        assert ray[k] > 0 if grows else ray[k] < 0
+        pts = [p for p in product(range(-4, 5), repeat=P.dim) if P.contains(p)]
+        if pts:
+            reports += 1
+            top = max(map(abs, ray))
+            assert verify_relaxation(P, PointSet(P.dim, pts[:3])) == RelaxationReport(
+                "failed", ("unbounded_with_finite_X", tuple(v / top for v in ray)))
+    assert rays >= 100 and reports >= 50

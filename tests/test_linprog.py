@@ -275,9 +275,13 @@ def _bump_y(r):
      "dual combination equals objective"),
     (lambda: solve_lp(STRIP, [1, 0]), 5, _bump_y, "ray in the recession cone"),
     (lambda: strict_separation([(0, 0), (1, 0)], [(0, 1), (1, 1)]), 1,
-     lambda z: z[:-2] + [z[-2] + 1000, z[-1]], "separation violated side"),
+     lambda z: z[:-2] + [z[-2] + 1000, z[-1]], "optimal point feasible"),
+    # no row parts even(2) from odd(2): the Farkas row negated has the
+    # wrong sign on every row it weighs
+    (lambda: strict_separation(generate("even", 2), generate("odd", 2)), 4,
+     lambda y: [-v for v in y], "farkas"),
 ], ids=["farkas-sign", "dual-sign-max", "dual-sign-min", "dual-combination-max",
-        "dual-combination-min", "ray", "separation-gap"])
+        "dual-combination-min", "ray", "separation-gap", "separation-farkas"])
 def test_lp_rejects_tampered_certificates(monkeypatch, ask, part, tamper, what):
     ask()  # the true answer passes its checks
     _tampered(monkeypatch, part, tamper)

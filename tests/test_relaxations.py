@@ -443,12 +443,13 @@ class TestVerifyRelaxation:
         ([((1, 0), ">=", 0), ((0, 1), ">=", 0), ((0, 1), "<=", 1)], cube(2)),
     ], ids=["quadrant", "strip"])
     def test_probe_only_names_the_ray(self, monkeypatch, rows, X):
-        # the first bounding LP finds x unbounded above; one probe names the ray
+        # the first bounding LP finds x unbounded above, and its checked ray
+        # is the witness: no recession probe runs
         P = HPolyhedron(2, [Halfspace(*row) for row in rows])
         counts = count_lps(monkeypatch)
         assert verify_relaxation(P, X) == RelaxationReport(
             "failed", ("unbounded_with_finite_X", (1, 0)))
-        assert counts == {"relaxations": 1, "linprog": 1}
+        assert counts == {"relaxations": 1, "linprog": 0}
 
     def test_missing_point_wins_over_ray(self):
         shifted = HPolyhedron(2, [
