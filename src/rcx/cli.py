@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import fileio
 from .errors import TooLarge
@@ -65,22 +66,15 @@ def _parse_box(text):
     return tuple(lows), tuple(highs)
 
 
-def _write_report(ns, doc):
-    path = getattr(ns, "report", None) or getattr(ns, "out", None)
-    if path is None:
-        return None
-    fileio.write_doc(path, doc)
-    return path
-
-
+# each handler returns (exit code, document, summary); run writes the
+# document to the one output option, ns.path, when it is given
 def _cmd_gen(ns):
     kwargs = {} if ns.max_candidates is None else {"max_candidates": ns.max_candidates}
     params = _arity(ns.family, FAMILIES.get(ns.family), _params(ns.params),
                     "max_candidates", bool(kwargs))
     X = generate(ns.family, *params, **kwargs)
-    fileio.write_doc(ns.out, fileio.pointset_doc(X))
-    return CommandResult(
-        0, ns.out, f"{ns.family}: {len(X.points)} points, dim {X.dim} -> {ns.out}")
+    return (0, fileio.pointset_doc(X),
+            f"{ns.family}: {len(X.points)} points, dim {X.dim} -> {ns.path}")
 
 
 # builders take the parsed options, then the named positionals
@@ -98,9 +92,8 @@ def _cmd_hiding_build(ns):
     kind = ns.construction
     build = _HIDING_BUILDERS[kind]
     H = build(ns, *_arity(kind, build, _params(ns.params), "ns"))
-    fileio.write_doc(ns.out, fileio.pointset_doc(H))
-    return CommandResult(
-        0, ns.out, f"{kind}: {len(H.points)} points, dim {H.dim} -> {ns.out}")
+    return (0, fileio.pointset_doc(H),
+            f"{kind}: {len(H.points)} points, dim {H.dim} -> {ns.path}")
 
 
 def _cmd_hiding_verify(ns):
@@ -113,10 +106,9 @@ def _cmd_hiding_verify(ns):
         wit["failure"] = cert.failure
     doc = fileio.report_doc("hiding verify", status,
                             bound=cert.rc_lower_bound, witnesses=wit)
-    path = _write_report(ns, doc)
     if cert.valid:
-        return CommandResult(0, path, f"valid hiding set, bound {cert.bound}")
-    return CommandResult(1, path, f"invalid hiding set: {cert.failure[0]}")
+        return 0, doc, f"valid hiding set, bound {cert.bound}"
+    return 1, doc, f"invalid hiding set: {cert.failure[0]}"
 
 
 def _cmd_hiding_max(ns):
@@ -126,8 +118,7 @@ def _cmd_hiding_max(ns):
     doc = fileio.report_doc(
         "hiding max", "ok", bound=size,
         witnesses={"points": [list(p) for p in witness.points]})
-    path = _write_report(ns, doc)
-    return CommandResult(0, path, f"largest hiding set in the box: {size} points")
+    return 0, doc, f"largest hiding set in the box: {size} points"
 
 
 _RELAX_BUILDERS = {
@@ -144,10 +135,8 @@ def _cmd_relax_build(ns):
     except KeyError:
         raise ValueError(f"unknown relaxation {ns.name!r}") from None
     P = builder(ns, *_arity(ns.name, builder, _params(ns.params), "ns"))
-    fileio.write_doc(ns.out, fileio.polyhedron_doc(P))
-    return CommandResult(
-        0, ns.out,
-        f"{ns.name}: {len(P.constraints)} rows, dim {P.dim} -> {ns.out}")
+    return (0, fileio.polyhedron_doc(P),
+            f"{ns.name}: {len(P.constraints)} rows, dim {P.dim} -> {ns.path}")
 
 
 def _cmd_relax_verify(ns):
@@ -157,11 +146,9 @@ def _cmd_relax_verify(ns):
     doc = fileio.report_doc(
         "relax verify", rep.status,
         bound=rep.lattice_count, witnesses={"reason": rep.reason})
-    path = _write_report(ns, doc)
     if rep.status == "verified":
-        return CommandResult(
-            0, path, f"verified, {rep.lattice_count} lattice points")
-    return CommandResult(1, path, f"failed: {rep.reason[0]}")
+        return 0, doc, f"verified, {rep.lattice_count} lattice points"
+    return 1, doc, f"failed: {rep.reason[0]}"
 
 
 def _cmd_relax_irredundant(ns):
@@ -170,10 +157,7 @@ def _cmd_relax_irredundant(ns):
     doc = fileio.report_doc(
         "relax irredundant", "ok", bound=kept,
         witnesses={"redundant_rows": list(redundant)})
-    path = _write_report(ns, doc)
-    return CommandResult(
-        0, path,
-        f"{kept} irredundant inequality rows ({len(redundant)} redundant)")
+    return 0, doc, f"{kept} irredundant inequality rows ({len(redundant)} redundant)"
 
 
 def _cmd_index(ns):
@@ -183,8 +167,7 @@ def _cmd_index(ns):
         "index", "ok", bound=k,
         witnesses={"rows": [fileio.row_doc(h) for h in system.halfspaces],
                    "target_digest": system.target})
-    path = _write_report(ns, doc)
-    return CommandResult(0, path, f"index {k}")
+    return 0, doc, f"index {k}"
 
 
 def _cmd_rationalize(ns):
@@ -192,14 +175,11 @@ def _cmd_rationalize(ns):
     h = rationalize_halfspace(X)
     if h is None:
         doc = fileio.report_doc("rationalize", "not_separable", witnesses=None)
-        path = _write_report(ns, doc)
-        return CommandResult(1, path, "not separable by a single row")
+        return 1, doc, "not separable by a single row"
     doc = fileio.report_doc("rationalize", "separable",
                             witnesses={"row": fileio.row_doc(h)})
-    path = _write_report(ns, doc)
     lhs = ", ".join(fileio.format_rational(v) for v in h.a)
-    return CommandResult(
-        0, path, f"separable: ({lhs}) . x {h.sense} {fileio.format_rational(h.rhs)}")
+    return 0, doc, f"separable: ({lhs}) . x {h.sense} {fileio.format_rational(h.rhs)}"
 
 
 def _cmd_report(ns):
@@ -212,15 +192,13 @@ def _cmd_report(ns):
         lower_certified=r.lower_certified,
         upper_bound=r.upper_bound, upper_source=r.upper_source,
         upper_certified=r.upper_certified, notes=list(r.notes))
-    path = _write_report(ns, doc)
     low = "certified" if r.lower_certified else "uncertified"
     high = "certified" if r.upper_certified else "uncertified"
-    return CommandResult(
-        0, path,
-        f"{r.family}: floor {r.lower_bound} ({low}), "
-        f"ceiling {r.upper_bound} ({high})")
+    return (0, doc, f"{r.family}: floor {r.lower_bound} ({low}), "
+                    f"ceiling {r.upper_bound} ({high})")
 
 
+@cache
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="rcx",
@@ -231,7 +209,7 @@ def _build_parser():
     gen = sub.add_parser("gen", help="generate a point family")
     gen.add_argument("family")
     gen.add_argument("params", nargs="*")
-    gen.add_argument("-o", "--out", required=True)
+    gen.add_argument("-o", "--out", dest="path", required=True)
     gen.add_argument("--max-candidates", type=int, default=None)
     gen.set_defaults(handler=_cmd_gen)
 
@@ -240,20 +218,20 @@ def _build_parser():
     hb = hsub.add_parser("build")
     hb.add_argument("construction", choices=tuple(_HIDING_BUILDERS))
     hb.add_argument("params", nargs="*")
-    hb.add_argument("-o", "--out", required=True)
+    hb.add_argument("-o", "--out", dest="path", required=True)
     hb.add_argument("--undirected", action="store_true")
     hb.add_argument("--part", type=int, choices=(1, 2), default=1)
     hb.set_defaults(handler=_cmd_hiding_build)
     hv = hsub.add_parser("verify")
     hv.add_argument("hiding")
     hv.add_argument("points")
-    hv.add_argument("--report")
+    hv.add_argument("--report", dest="path")
     hv.set_defaults(handler=_cmd_hiding_verify)
     hm = hsub.add_parser("max")
     hm.add_argument("points")
     hm.add_argument("--box", required=True)
     hm.add_argument("--max-lattice", type=int, default=None)
-    hm.add_argument("--report")
+    hm.add_argument("--report", dest="path")
     hm.set_defaults(handler=_cmd_hiding_max)
 
     relax = sub.add_parser("relax", help="explicit relaxations and checks")
@@ -261,37 +239,37 @@ def _build_parser():
     rb = rsub.add_parser("build")
     rb.add_argument("name")
     rb.add_argument("params", nargs="*")
-    rb.add_argument("-o", "--out", required=True)
+    rb.add_argument("-o", "--out", dest="path", required=True)
     rb.add_argument("--directed", action="store_true")
     rb.set_defaults(handler=_cmd_relax_build)
     rv = rsub.add_parser("verify")
     rv.add_argument("polyhedron")
     rv.add_argument("points")
     rv.add_argument("--max-lattice", type=int, default=None)
-    rv.add_argument("--report")
+    rv.add_argument("--report", dest="path")
     rv.set_defaults(handler=_cmd_relax_verify)
     ri = rsub.add_parser("irredundant")
     ri.add_argument("polyhedron")
-    ri.add_argument("--report")
+    ri.add_argument("--report", dest="path")
     ri.set_defaults(handler=_cmd_relax_irredundant)
 
     idx = sub.add_parser("index", help="exact minimum cube-separating system")
     idx.add_argument("points")
     idx.add_argument("--limit", type=int, default=4)
     idx.add_argument("--max-subsets", type=int, default=16)
-    idx.add_argument("--report")
+    idx.add_argument("--report", dest="path")
     idx.set_defaults(handler=_cmd_index)
 
     rat = sub.add_parser("rationalize", help="single separating row, if any")
     rat.add_argument("points")
-    rat.add_argument("--report")
+    rat.add_argument("--report", dest="path")
     rat.set_defaults(handler=_cmd_rationalize)
 
     rep = sub.add_parser("report", help="floor/ceiling size report for a family")
     rep.add_argument("family")
     rep.add_argument("params", nargs="*")
     rep.add_argument("--box", default=None)
-    rep.add_argument("-o", "--out")
+    rep.add_argument("-o", "--out", "--report", dest="path")
     rep.set_defaults(handler=_cmd_report)
 
     return top
@@ -306,11 +284,14 @@ def run(argv):
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, None, "" if code == 0 else "usage error")
     try:
-        return ns.handler(ns)
+        code, doc, summary = ns.handler(ns)
+        if ns.path is not None:
+            fileio.write_doc(ns.path, doc)
     except TooLarge as exc:
         return CommandResult(2, None, f"too large: {exc}")
     except (ValueError, TypeError, OSError) as exc:
         return CommandResult(2, None, f"error: {exc}")
+    return CommandResult(code, ns.path, summary)
 
 
 def main(argv=None):

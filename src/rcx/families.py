@@ -312,13 +312,9 @@ def spt(n, max_candidates=None):
     idx = EdgeIndexer(n)
     _cap_check(comb(idx.dim, n - 1), max_candidates, f"spt({n})")
     pts = []
-    for chosen in combinations(range(idx.dim), n - 1):
-        edges = [idx.pairs[k] for k in chosen]
+    for edges in combinations(idx.pairs, n - 1):
         if _spanning_connected(n, edges):
-            vec = [0] * idx.dim
-            for k in chosen:
-                vec[k] = 1
-            pts.append(tuple(vec))
+            pts.append(idx.vector(edges))
     pts.sort()
     return PointSet(idx.dim, pts, family=_tag("spt", n=n),
                     legend=idx.legend(), validate=False)
@@ -370,12 +366,8 @@ def arb(n, root=None, max_candidates=None):
         others = [v for v in range(1, n + 1) if v != r]
         choices = [[u for u in range(1, n + 1) if u != v] for v in others]
         for parents in product(*choices):
-            parent = dict(zip(others, parents))
-            if _reaches(r, parent):
-                vec = [0] * idx.dim
-                for v, u in parent.items():
-                    vec[idx.index(u, v)] = 1
-                pts.append(tuple(vec))
+            if _reaches(r, dict(zip(others, parents))):
+                pts.append(idx.vector(zip(parents, others)))
     pts.sort()
     return PointSet(idx.dim, pts, family=_tag("arb", n=n, root=root),
                     legend=idx.legend(), validate=False)

@@ -346,11 +346,14 @@ def verify_relaxation(P, X, max_points=None):
 
 
 def irredundant_count(P):
-    """Count inequality rows that actually cut something off.
+    """Inequality rows of an irredundant subsystem describing P, and the
+    rows dropped to reach it.
 
-    A row A . x <= B of _le_rows(P) is redundant when maximizing A over
-    the other rows stays within B.  Equality rows are left in place but
-    excluded from the count and the redundancy list.
+    Rows are eliminated in order: a row A . x <= B of _le_rows(P) is
+    dropped when maximizing A over the rows still kept, without it, stays
+    within B.  Each drop leaves P unchanged, so the kept rows describe P
+    and none of them is implied by the others.  Equality rows are always
+    kept and are excluded from the count and the redundancy list.
     """
     probe = solve_lp(P, [0] * P.dim, maximize=True)
     if probe.status == "infeasible":
@@ -361,7 +364,8 @@ def irredundant_count(P):
         if P.constraints[i].sense == "=":
             continue
         total += 1
-        out = solve_lp(P.without_row(i), a, maximize=True)
+        rest = [h for j, h in enumerate(P.constraints) if j != i and j not in redundant]
+        out = solve_lp(HPolyhedron(P.dim, rest), a, maximize=True)
         if out.status == "optimal" and out.value <= b:
             redundant.append(i)
     return total - len(redundant), redundant

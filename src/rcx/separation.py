@@ -64,15 +64,15 @@ def _complement(xset, d):
     return [y for y in product((0, 1), repeat=d) if y not in xset]
 
 
-def _validate_system(system, pts, ypts, d, err=InvalidSystem):
-    for i, h in enumerate(system.halfspaces):
+def _validate_system(rows, pts, ypts, d, err=InvalidSystem):
+    for i, h in enumerate(rows):
         if len(h.a) != d:
             raise err(f"row {i} has dimension {len(h.a)}, expected {d}")
         for x in pts:
             if not h.satisfied_by(x):
                 raise err(f"row {i} cuts off the kept point {x}")
     for y in ypts:
-        if all(h.satisfied_by(y) for h in system.halfspaces):
+        if all(h.satisfied_by(y) for h in rows):
             raise err(f"excluded point {y} satisfies every row")
 
 
@@ -185,9 +185,8 @@ def jeroslow_index(X, limit=4, max_complement=16):
     k = len(rows)
     if not base_clique <= k <= m:
         raise RuntimeError("cover size escaped its certified bounds")
-    system = SeparationSystem(rows, target)
-    _validate_system(system, pts, ypts, d, err=RuntimeError)
-    return k, system
+    _validate_system(rows, pts, ypts, d, err=RuntimeError)
+    return k, SeparationSystem(rows, target)
 
 
 def build_binary_relaxation(X, system=None):
@@ -204,7 +203,7 @@ def build_binary_relaxation(X, system=None):
     _cap_check(2 ** d, None, f"cube({d})")
     ypts = _complement(xset, d)
     if system is not None:
-        _validate_system(system, pts, ypts, d)
+        _validate_system(system.halfspaces, pts, ypts, d)
         head = list(system.halfspaces)
     else:
         head = [Halfspace(tuple(1 - 2 * v for v in y), ">=", 1 - sum(y))
@@ -223,12 +222,10 @@ def rationalize_halfspace(X):
     if not pts:
         raise EmptySet("need at least one point to separate")
     _cap_check(2 ** d, None, f"cube({d})")
-    h = strict_separation(pts, _complement(xset, d))
-    if h is None:
-        return None
-    for z in product((0, 1), repeat=d):
-        if h.satisfied_by(z) != (z in xset):
-            raise RuntimeError(f"row misclassifies {z}")
+    ypts = _complement(xset, d)
+    h = strict_separation(pts, ypts)
+    if h is not None:
+        _validate_system([h], pts, ypts, d, err=RuntimeError)
     return h
 
 

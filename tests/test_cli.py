@@ -1,13 +1,15 @@
 """End-to-end checks of the rcx command line: exit codes, pinned
 summaries, byte-stable files, and diagnostics that name the bad input."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from rcx import fileio
-from rcx.cli import _HIDING_BUILDERS, _RELAX_BUILDERS, CommandResult, main, run
+from rcx.cli import (_HIDING_BUILDERS, _RELAX_BUILDERS, CommandResult, _build_parser,
+                     main, run)
 from rcx.families import FAMILIES, PointSet
 from rcx.linprog import Halfspace, HPolyhedron
 from rcx.separation import _REPORTS
@@ -361,6 +363,14 @@ class TestReportCommand:
         run(["report", "perm", "4", "-o", str(b)])
         assert doc_bytes(a) == doc_bytes(b)
 
+    def test_report_flag_writes_what_o_writes(self, tmp_path):
+        files = {flag: tmp_path / f"{flag.strip('-')}.json"
+                 for flag in ("-o", "--out", "--report")}
+        for flag, out in files.items():
+            res = run(["report", "even", "3", flag, str(out)])
+            assert (res.exit_code, res.report_path) == (0, str(out))
+        assert len({doc_bytes(out) for out in files.values()}) == 1
+
     def test_unknown_family(self):
         res = run(["report", "zonotope", "3"])
         assert res.exit_code == 2
@@ -568,6 +578,77 @@ class TestSeparationBytes:
         assert hashlib.sha256(doc_bytes(rep)).hexdigest() == digest
 
 
+# (input built by, command run on it with its options) -> (summary, sha256
+# of the --report file); subtour 4's degree rows leave a triangle, so 3 of
+# its 19 inequality rows stay however the mutually implied ones are ordered
+FILE_REPORT_DIGESTS = {
+    (("gen", "simplex", "2"), ("hiding", "max", "--box=-3:3,-3:3")): (
+        "largest hiding set in the box: 3 points",
+        "640073375650f8e45cbc867d09bdcd843b56baa9ec79fb050e76bb1b8b0d231e"),
+    (("gen", "simplex", "3"), ("hiding", "max", "--box=-1:1,-1:1,-1:1")): (
+        "largest hiding set in the box: 3 points",
+        "88ef73bbac2b9478445fbdd8fd3b646c5e0197cf2f5c3bef9867921bd4273f3c"),
+    (("relax", "build", "rado", "3"), ("relax", "irredundant")): (
+        "6 irredundant inequality rows (3 redundant)",
+        "6ce4aceeaec056a6575b06c988d8803b813c77a645adc104c49a72f99e68d8be"),
+    (("relax", "build", "rado", "4"), ("relax", "irredundant")): (
+        "14 irredundant inequality rows (4 redundant)",
+        "631254376563356b7c4ec9d9e698d21ae31f85a3f65f19b7e814f3d70a75d780"),
+    (("relax", "build", "cube", "3"), ("relax", "irredundant")): (
+        "4 irredundant inequality rows (0 redundant)",
+        "d80a60143d4195aeb98b75464e1b89ea579af1be9b7307ee172f9fabecc3b24b"),
+    (("relax", "build", "subtour", "4"), ("relax", "irredundant")): (
+        "3 irredundant inequality rows (16 redundant)",
+        "db354baed7c26dc5a9b5b30b895d7f4c103eab24c94d17b964e29f064cc99825"),
+}
+
+
+class TestFileReportBytes:
+    @pytest.mark.parametrize("build, command", list(FILE_REPORT_DIGESTS),
+                             ids=[" ".join(b + c) for b, c in FILE_REPORT_DIGESTS])
+    def test_report_matches_digest(self, tmp_path, build, command):
+        src, rep = tmp_path / "in.json", tmp_path / "rep.json"
+        assert run([*build, "-o", str(src)]).exit_code == 0
+        res = run([*command[:2], str(src), *command[2:], "--report", str(rep)])
+        summary, digest = FILE_REPORT_DIGESTS[build, command]
+        assert (res.exit_code, res.summary) == (0, summary)
+        assert hashlib.sha256(doc_bytes(rep)).hexdigest() == digest
+
+
+def _leaf_parsers(parser, words=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*words, name))
+
+
+# subcommand -> (spellings of its output option, whether it is required)
+OUTPUT_OPTIONS = {
+    "gen": (("-o", "--out"), True),
+    "hiding build": (("-o", "--out"), True),
+    "hiding verify": (("--report",), False),
+    "hiding max": (("--report",), False),
+    "relax build": (("-o", "--out"), True),
+    "relax verify": (("--report",), False),
+    "relax irredundant": (("--report",), False),
+    "index": (("--report",), False),
+    "rationalize": (("--report",), False),
+    "report": (("-o", "--out", "--report"), False),
+}
+
+
+def test_every_subcommand_has_one_output_destination():
+    seen = {}
+    for name, parser in _leaf_parsers(_build_parser()):
+        outs = [a for a in parser._actions
+                if {"-o", "--out", "--report"} & set(a.option_strings)]
+        assert [a.dest for a in outs] == ["path"], name
+        seen[name] = tuple(outs[0].option_strings), outs[0].required
+    assert seen == OUTPUT_OPTIONS
+
+
 # gen, hiding build and relax build name their parameters as report does;
 # an extra positional never becomes the candidate cap
 WRONG_ARITY = [
@@ -643,6 +724,11 @@ class TestDiagnostics:
         out = tmp_path / "x.json"
         res = run([*args, "-o", str(out)])
         assert (res.exit_code, res.summary) == (0, f"{summary} -> {out}")
+
+    def test_unwritable_output_is_an_error(self, tmp_path):
+        res = run(["gen", "cube", "2", "-o", str(tmp_path / "no" / "x.json")])
+        assert res.exit_code == 2
+        assert res.summary.startswith("error:") and "x.json" in res.summary
 
     def test_no_arguments_is_usage_error(self):
         assert run([]).exit_code == 2

@@ -6,7 +6,7 @@ import pytest
 
 from rcx.errors import DimMismatch, Infeasible, TooLarge, UnboundedCoordinate
 from rcx.families import PointSet, atsp, conn, cube, even, perm, simplex, stsp
-from rcx.linprog import Halfspace, HPolyhedron
+from rcx.linprog import Halfspace, HPolyhedron, solve_lp
 from rcx import linprog, relaxations
 from rcx.relaxations import (
     LatticeBox,
@@ -483,16 +483,36 @@ class TestIrredundantCount:
             assert redundant == []
 
     def test_duplicate_row_flagged(self):
+        # the first copy is dropped; the second, tested without it, stays
         base = build_cube_relaxation(2)
         P = HPolyhedron(2, list(base.constraints) + [base.constraints[0]])
         count, redundant = irredundant_count(P)
-        assert count == 2
-        assert redundant == [0, 3]
+        assert count == 3
+        assert redundant == [0]
 
     def test_infeasible(self):
         P = HPolyhedron(1, [Halfspace((1,), "<=", -1), Halfspace((1,), ">=", 0)])
         with pytest.raises(Infeasible):
             irredundant_count(P)
+
+    @pytest.mark.parametrize("build, kept", [
+        (lambda: build_subtour_relaxation(4), 3),
+        (lambda: build_subtour_relaxation(5), 20),
+        (lambda: build_rado_permutahedron(4), 14),
+    ], ids=["subtour4", "subtour5", "rado4"])
+    def test_kept_rows_describe_P_irredundantly(self, build, kept):
+        # subtour 4's mutually implied rows must not all be dropped: the
+        # degree equations alone leave the kept system unbounded
+        P = build()
+        count, redundant = irredundant_count(P)
+        Q = HPolyhedron(P.dim, [h for i, h in enumerate(P.constraints)
+                                if i not in redundant])
+        assert count == kept
+        assert irredundant_count(Q) == (kept, [])
+        for i in redundant:
+            h = P.constraints[i]
+            out = solve_lp(Q, h.a, maximize=h.sense == "<=")
+            assert out.status == "optimal" and h.satisfied_by(out.point)
 
 
 class TestLatticeBox:

@@ -3,8 +3,8 @@
 `_le_rows` is the one place a row is written as `A . x <= B`; the
 propagated box, the lattice scan, the LP front end and
 `irredundant_count` all read it. `_lattice_box` is the one place the
-scan's box is chosen. `irredundant_count` is checked against the
-sense-by-sense loop it replaced.
+scan's box is chosen. `irredundant_count` is checked against a
+sense-by-sense loop over the rows' rational data.
 """
 
 import random
@@ -49,8 +49,9 @@ def test_le_rows_on_a_mixed_polyhedron():
 
 
 def irredundant_reference(P):
-    """irredundant_count as it was written before _le_rows: each row's
-    rational data, optimized in the direction its sense bounds."""
+    """irredundant_count's sequential elimination without _le_rows: each
+    row's rational data, optimized in the direction its sense bounds over
+    the rows not yet dropped."""
     probe = solve_lp(P, [0] * P.dim, maximize=True)
     if probe.status == "infeasible":
         raise Infeasible("polyhedron has no points")
@@ -60,7 +61,9 @@ def irredundant_reference(P):
         if c.sense == "=":
             continue
         total += 1
-        out = solve_lp(P.without_row(i), c.a, maximize=c.sense == "<=")
+        kept = HPolyhedron(P.dim, [h for j, h in enumerate(P.constraints)
+                                   if j != i and j not in redundant])
+        out = solve_lp(kept, c.a, maximize=c.sense == "<=")
         if out.status != "optimal":
             continue
         if c.sense == "<=" and out.value <= c.rhs:
