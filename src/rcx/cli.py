@@ -185,13 +185,7 @@ def _cmd_rationalize(ns):
 def _cmd_report(ns):
     box = _parse_box(ns.box) if ns.box else None
     r = bound_report(ns.family, *_params(ns.params), box=box)
-    doc = fileio.report_doc(
-        "report", "ok",
-        family=r.family, params=r.params,
-        lower_bound=r.lower_bound, lower_source=r.lower_source,
-        lower_certified=r.lower_certified,
-        upper_bound=r.upper_bound, upper_source=r.upper_source,
-        upper_certified=r.upper_certified, notes=list(r.notes))
+    doc = fileio.report_doc("report", "ok", **vars(r))
     low = "certified" if r.lower_certified else "uncertified"
     high = "certified" if r.upper_certified else "uncertified"
     return (0, doc, f"{r.family}: floor {r.lower_bound} ({low}), "

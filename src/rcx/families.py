@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-from itertools import (chain, combinations, compress, permutations, product,
-                       starmap)
+from itertools import chain, combinations, compress, permutations, product
 from math import comb, factorial
 
 from .errors import DimMismatch, OddNodeSet, TooLarge
@@ -237,24 +236,6 @@ def _spanning_connected(n, edges):
     return seen == (1 << (n + 1)) - 2
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.p = list(range(n + 1))
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.p[ra] = rb
-        return True
-
-
 def _tours(name, n, directed, max_candidates):
     """Hamiltonian cycles on 1..n, one per node order (1, *tail); undirected,
     only orders with tail[0] < tail[-1] are kept, as each cycle comes once
@@ -299,16 +280,12 @@ def _edge_subsets(name, n, directed, max_candidates, keep, **params):
 
 def conn(n, max_candidates=None):
     """Characteristic vectors of connected spanning edge subsets."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     return _edge_subsets("conn", n, False, max_candidates,
                          lambda edges: _spanning_connected(n, edges))
 
 
 def spt(n, max_candidates=None):
     """Characteristic vectors of spanning trees."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     idx = EdgeIndexer(n)
     _cap_check(comb(idx.dim, n - 1), max_candidates, f"spt({n})")
     pts = []
@@ -321,13 +298,19 @@ def spt(n, max_candidates=None):
 
 
 def _acyclic(n, edges):
-    return all(starmap(_UnionFind(n).union, edges))
+    """True when no edge joins two nodes of one component; every node
+    carries its component's label, and a join relabels one side."""
+    label = list(range(n + 1))
+    for u, v in edges:
+        a, b = label[u], label[v]
+        if a == b:
+            return False
+        label = [a if x == b else x for x in label]
+    return True
 
 
 def forests(n, max_candidates=None):
     """Characteristic vectors of acyclic edge subsets."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     return _edge_subsets("forests", n, False, max_candidates,
                          lambda edges: _acyclic(n, edges))
 
@@ -354,8 +337,6 @@ def arb(n, root=None, max_candidates=None):
     exactly the arborescences, n·(n-1)^(n-1) candidates in all, or
     (n-1)^(n-1) with a fixed root; the cap is checked against those picks.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     if root is not None and not 1 <= root <= n:
         raise ValueError("root out of range")
     idx = EdgeIndexer(n, directed=True)
@@ -376,8 +357,6 @@ def arb(n, root=None, max_candidates=None):
 def branch(n, root=None, max_candidates=None):
     """Characteristic vectors of branchings: in-degree at most one
     everywhere and no cycle in the underlying undirected graph."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     if root is not None and not 1 <= root <= n:
         raise ValueError("root out of range")
 
@@ -412,8 +391,6 @@ def tjoins(n, terminals=(), max_candidates=None):
     degree-parity pruning as soon as a node's incident edges are all
     decided; output comes out sorted without an extra pass.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     T = tjoin_terminals(n, terminals)
     idx = EdgeIndexer(n)
     m = idx.dim

@@ -9,9 +9,9 @@ against the integer rows before it is returned: an optimal point with
 matching dual multipliers, an infeasibility witness, or a feasible
 improving ray. Fractions are built only for the answer itself.
 
-One polyhedron under many objectives (bounding_box, the recession probe)
-shares one phase 1: each objective is priced on a copy of the feasible
-tableau.
+One polyhedron under many objectives (bounding_box, and the same
+bounding LPs of a recession cone) shares one phase 1: each objective is
+priced on a copy of the feasible tableau.
 
 The hull oracles conv_membership and segment_hits_hull share one
 bounds presolve, one LP and one certificate check (_hull_point); a point
@@ -608,22 +608,23 @@ def strict_separation(X, C):
     return Halfspace(out.point[:d], "<=", out.point[d])
 
 
+def _unit_ray(ray):
+    """ray scaled so its largest |coordinate| is 1."""
+    top = max(map(abs, ray))
+    return tuple([v / top for v in ray])
+
+
 def recession_nontrivial(P):
     """Does the recession cone of P contain a nonzero vector?
 
-    Probes each coordinate in both directions over the recession rows
-    (P's rows with right-hand side 0) intersected with the [-1, 1] box,
-    all under one phase 1; returns (bool, witness or None).
+    Asks the cone (P's rows with right-hand side 0) the bounding LPs of
+    each coordinate, all under one phase 1, and returns (True, the
+    checked ray of the first unbounded answer as a unit ray) or
+    (False, None).
     """
     d = P.dim
-    rows = [Halfspace(h.a, h.sense, 0) for h in P.constraints]
-    for k in range(d):
-        e = [int(j == k) for j in range(d)]
-        rows.append(Halfspace(e, "<=", 1))
-        rows.append(Halfspace(e, ">=", -1))
-    probes = _box_objectives(d)
-    for (_, maximize), out in zip(probes, _solve_lps(HPolyhedron(d, rows), probes)):
-        _check(out.status == "optimal", "recession probe is bounded")
-        if (out.value > 0) if maximize else (out.value < 0):
-            return True, out.point
+    cone = HPolyhedron(d, [Halfspace(h.a, h.sense, 0) for h in P.constraints])
+    for out in _solve_lps(cone, _box_objectives(d)):
+        if out.status == "unbounded":
+            return True, _unit_ray(out.ray)
     return False, None

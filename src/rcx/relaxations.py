@@ -19,6 +19,7 @@ from .linprog import (
     _box_objectives,
     _le_rows,
     _solve_lps,
+    _unit_ray,
     conv_membership,
     solve_lp,
 )
@@ -332,9 +333,8 @@ def verify_relaxation(P, X, max_points=None):
         try:
             box, _ = _lattice_box(P, max_points, X.bounds())
         except UnboundedCoordinate as exc:
-            top = max(map(abs, exc.ray))
-            ray = tuple([v / top for v in exc.ray])
-            return RelaxationReport("failed", ("unbounded_with_finite_X", ray))
+            return RelaxationReport("failed", ("unbounded_with_finite_X",
+                                               _unit_ray(exc.ray)))
     lattice = enumerate_lattice(P, box=box, max_points=max_points)
     known = set(X.points)
     for z in lattice:

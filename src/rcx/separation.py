@@ -87,8 +87,7 @@ def _kept_and_excluded(X, budget, what, limit=None):
     m = 2 ** d - len(xset)
     if not m or not pts:
         return S, ([] if pts else None)
-    if m > budget:
-        raise TooLarge(f"complement of {m} points is past {what}")
+    _cap_check(m, budget, what)
     return S, _complement(xset, d)
 
 
@@ -119,7 +118,7 @@ def jeroslow_index(X, limit=4, max_complement=16):
     if not 1 <= max_complement <= 20:
         raise ValueError("complement budget must be between 1 and 20")
     S, ypts = _kept_and_excluded(
-        X, max_complement, f"the exact-cover budget of {max_complement}", limit)
+        X, max_complement, "the exact-cover budget", limit)
     pts, d = S.points, S.dim
     target = (X if hasattr(X, "digest") else PointSet(d, pts)).digest()
     if not ypts:

@@ -2,13 +2,13 @@
 
 Kept as a test-only reference: `enumerate_lattice` solves the 2·d
 bounding LPs and scans the LP box; `verify_relaxation` runs the
-recession probe on every polyhedron with a point to check, then that
-enumeration. A box passed to the library's `enumerate_lattice` is
-scanned as given, with no propagation, so the scan is the library's
-own. Containment is tested here in `Fraction` arithmetic over `h.a` and
-`h.rhs`, not by `P.contains`, which reads the rows' integer form. The
-differential tests require both paths to give the same points, the same
-reports and the same exceptions.
+recession test (`recession_nontrivial`) on every polyhedron with a
+point to check, then that enumeration. A box passed to the library's
+`enumerate_lattice` is scanned as given, with no propagation, so the
+scan is the library's own. Containment is tested here in `Fraction`
+arithmetic over `h.a` and `h.rhs`, not by `P.contains`, which reads the
+rows' integer form. The differential tests require both paths to give
+the same points, the same reports and the same exceptions.
 """
 
 from functools import cache
@@ -50,7 +50,7 @@ def contains(P, p):
 
 
 def verify_relaxation(P, X, max_points=None):
-    """Containment, the recession probe, then the LP-box enumeration."""
+    """Containment, the recession test, then the LP-box enumeration."""
     if P.dim != X.dim:
         raise DimMismatch("polyhedron and point set dimensions differ")
     for p in X:

@@ -84,6 +84,14 @@ class TestGen:
         assert res == CommandResult(2, None, "error: field 'dim' must be at least 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["conn", "spt", "forests", "arb", "branch",
+                                        "tjoins"])
+    def test_no_nodes_is_refused_by_the_edge_indexer(self, tmp_path, family):
+        out = tmp_path / "no.json"
+        res = run(["gen", family, "0", "-o", str(out)])
+        assert res == CommandResult(2, None, "error: need at least one node")
+        assert not out.exists()
+
     def test_explicit_cap_flag(self, tmp_path):
         res = run(["gen", "cube", "4", "--max-candidates", "3",
                    "-o", str(tmp_path / "no.json")])

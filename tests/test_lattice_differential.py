@@ -1,14 +1,17 @@
 """The propagated box against the LP path it skips.
 
-`lp_path` is the LP path: 2·d bounding LPs, the recession probe, then
+`lp_path` is the LP path: 2·d bounding LPs, the recession test, then
 the scan over the LP box, with containment in `Fraction` arithmetic.
 `enumerate_lattice` and `verify_relaxation` must give the same points,
 the same reports and the same exceptions (type and message): on the
 explicit systems, on the binary relaxations that `bound_report`
 certifies, and on seeded small polyhedra built to hit every branch of
-the presolve. Wherever both boxes exist, the box `_row_box` propagates
-from P's rows must contain the LP box. On seeded open polyhedra, the ray
-an `UnboundedCoordinate` carries must be a checked recession ray.
+the presolve. Two reports that both name an unbounded direction may
+name different rays, as an open polyhedron has many: each must be a
+unit ray of P's recession cone. Wherever both boxes exist, the box
+`_row_box` propagates from P's rows must contain the LP box. On seeded
+open polyhedra, the ray an `UnboundedCoordinate` carries must be a
+checked recession ray.
 """
 
 import random
@@ -44,11 +47,35 @@ def outcome(fn, *args, **kwargs):
     return got.points if isinstance(got, PointSet) else got
 
 
+def unbounded_ray(report):
+    """The ray of an unbounded_with_finite_X report, else None."""
+    if isinstance(report, RelaxationReport) and report.reason is not None:
+        kind, witness = report.reason
+        return witness if kind == "unbounded_with_finite_X" else None
+    return None
+
+
+def assert_unit_ray(P, ray):
+    """ray is nonzero, its largest |coordinate| is 1, and it lies in P's
+    recession cone, in Fraction arithmetic over h.a."""
+    assert any(ray) and max(map(abs, ray)) == 1, ray
+    for h in P.constraints:
+        lhs = sum(u * v for u, v in zip(h.a, ray, strict=True))
+        assert {"<=": lhs <= 0, ">=": lhs >= 0, "=": lhs == 0}[h.sense], (h, ray)
+
+
 def same_answers(P, X, max_points=None):
     lattice = outcome(enumerate_lattice, P, max_points=max_points)
     assert lattice == outcome(lp_path.enumerate_lattice, P, max_points=max_points)
     report = outcome(verify_relaxation, P, X, max_points=max_points)
-    assert report == outcome(lp_path.verify_relaxation, P, X, max_points=max_points)
+    want = outcome(lp_path.verify_relaxation, P, X, max_points=max_points)
+    rays = unbounded_ray(report), unbounded_ray(want)
+    if None in rays:
+        assert report == want
+    else:
+        assert report.status == want.status and report.lattice_count is None
+        for ray in rays:
+            assert_unit_ray(P, ray)
     return lattice, report
 
 
@@ -246,6 +273,34 @@ def test_seeded_small_polyhedra():
                 "verified", "missing_point",
                 "extra_lattice_point", "unbounded_with_finite_X"]:
         assert seen.get(key, 0) >= 1, (key, seen)
+
+
+# Cases 50 and 1534 of the seed-5 _random_case corpus below: the bounding
+# LP of P and lp_path's recession test name different rays. (Cases 78,
+# 484, 708 and 1688 of that corpus are open too, but have no lattice
+# point in [-4, 4]^d to serve as a target.)
+OPEN_CASES = {
+    "seed5-50": HPolyhedron(3, [Halfspace((3, 1, 0), "<=", Fraction(9, 2)),
+                                Halfspace((1, 0, 0), ">=", Fraction(-4, 3)),
+                                Halfspace((3, 3, 1), "<=", Fraction(-7, 2))]),
+    "seed5-1534": HPolyhedron(2, [Halfspace((1, 0), "<=", 2),
+                                  Halfspace((0, 1), "<=", Fraction(9, 2)),
+                                  Halfspace((-1, -2), ">=", -11),
+                                  Halfspace((-1, 3), ">=", Fraction(19, 2)),
+                                  Halfspace((1, 3), "<=", Fraction(39, 2))]),
+}
+
+
+@pytest.mark.parametrize("name", list(OPEN_CASES))
+def test_open_cases_with_different_rays(name):
+    """Against its first three lattice points in [-4, 4]^d, each case is
+    rejected by both paths with different unit rays of its cone."""
+    P = OPEN_CASES[name]
+    pts = [p for p in product(range(-4, 5), repeat=P.dim) if P.contains(p)]
+    X = PointSet(P.dim, pts[:3])
+    _, report = same_answers(P, X)
+    ray = unbounded_ray(report)
+    assert ray is not None and ray != unbounded_ray(lp_path.verify_relaxation(P, X))
 
 
 def test_seeded_unbounded_rays():

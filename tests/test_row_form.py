@@ -3,13 +3,16 @@
 `_le_rows` is the one place a row is written as `A . x <= B`; the
 propagated box, the lattice scan, the LP front end and
 `irredundant_count` all read it. `_lattice_box` is the one place the
-scan's box is chosen. `irredundant_count` is checked against a
-sense-by-sense loop over the rows' rational data.
+scan's box is chosen. `families._cap_check` is the one size guard.
+`irredundant_count` is checked against a sense-by-sense loop over the
+rows' rational data.
 """
 
+import ast
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +146,28 @@ def test_each_decision_has_one_home(monkeypatch):
         boxes.clear()
         fn()
         assert len(boxes) == 1
+
+
+def test_size_guard_has_one_home():
+    # every count past a cap is refused by _cap_check; the one other
+    # TooLarge is jeroslow_index's dimension limit, which is no count
+    src = Path(linprog.__file__).parent
+    raised = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # ast.walk is breadth-first, so the innermost enclosing def is last
+        owner = {id(node): "<module>" for node in ast.walk(tree)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                owner.update((id(node), getattr(fn, "name", "<lambda>"))
+                             for node in ast.walk(fn))
+        raised += [(path.stem, owner[id(node)], ast.unparse(node))
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None))
+                   == "TooLarge"]
+    assert sorted(raised) == [
+        ("families", "_cap_check",
+         "TooLarge(f'{what}: {count} candidates exceed the cap of {cap}')"),
+        ("separation", "_kept_and_excluded",
+         "TooLarge(f'dimension {d} exceeds the limit {limit}')"),
+    ], raised

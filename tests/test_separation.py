@@ -140,8 +140,8 @@ class TestConflictCliqueBound:
     def test_budget_in_dimension_40_comes_before_the_cube(self):
         with deadline(0.5), pytest.raises(TooLarge) as err:
             conflict_clique_bound(PointSet(40, [(0,) * 40]))
-        assert str(err.value) == (f"complement of {2 ** 40 - 1} points is past "
-                                  f"the pair budget")
+        assert str(err.value) == (f"the pair budget: {2 ** 40 - 1} candidates "
+                                  f"exceed the cap of 32")
 
 
 def _cube_subsets():
@@ -391,6 +391,35 @@ class TestBoundReport:
         r = bound_report("even", 3, box=((0, 0, 0), (1, 1, 1)))
         assert r.lower_bound == 4 and r.lower_certified
         assert any("nothing larger" in s for s in r.notes)
+
+    def test_box_search_beats_a_weak_construction(self, monkeypatch):
+        # two odd points are a valid but small hiding set for even(3); the
+        # box search finds all four and certifies them
+        monkeypatch.setattr(separation, "build_parity_hiding",
+                            lambda n: PointSet(3, [(1, 0, 0), (0, 1, 0)]))
+        r = bound_report("even", 3, box=((0, 0, 0), (1, 1, 1)))
+        assert r.lower_bound == 4 and r.lower_certified
+        assert r.lower_source == "box search clique of 4 points"
+        assert "box search beat the construction floor" in r.notes
+
+    def test_box_search_skipped_past_the_limits(self):
+        r = bound_report("even", 7, box=((0,) * 7, (1,) * 7))
+        assert not r.lower_certified and not r.upper_certified
+        assert r.notes[-1] == "box search skipped: family too large to enumerate here"
+
+    def test_failed_ceiling_is_noted(self, monkeypatch):
+        # without node 1's degree equality (row 30), the subtour rows of
+        # stsp 6 admit an extra lattice point
+        build = separation.build_subtour_relaxation
+        monkeypatch.setattr(separation, "build_subtour_relaxation",
+                            lambda n, directed: build(n, directed).without_row(30))
+        r = bound_report("stsp", 6)
+        assert r.upper_bound == 66 and not r.upper_certified
+        assert r.lower_certified
+        failed = [s for s in r.notes if "relaxation verification failed" in s]
+        assert len(failed) == 1
+        assert failed[0].startswith("stsp: relaxation verification failed "
+                                    "(('extra_lattice_point', ")
 
     def test_floor_never_above_certified_ceiling(self):
         for fam, args in (("stsp", (6,)), ("atsp", (4,)), ("conn", (4,)),
