@@ -39,41 +39,58 @@ def _rational_field(v, field):
     raise ValueError(f"field {field!r}: not an exact rational: {v!r}")
 
 
+_ROWS_PER_PIECE = 4096
+
+
 def dumps(doc):
     """The bytes of json.dumps(doc, indent=2, sort_keys=True) plus a newline,
     written without the standard library's pure-Python indenting encoder."""
-    return _encode(doc, "\n") + "\n"
+    return "".join(_encode(doc, "\n")) + "\n"
 
 
 def _encode(v, newline):
-    # `newline` is a line break plus the indentation of v's own line
+    """The text of v, in pieces; `newline` is a line break plus the
+    indentation of v's own line."""
     if isinstance(v, str):
-        return encode_basestring_ascii(v)
+        yield encode_basestring_ascii(v)
+        return
     inner = newline + "  "
+    sep = "," + inner
     if isinstance(v, (list, tuple)) and v:
+        yield "[" + inner
         if _INT.issuperset(map(type, v)):
-            body = ("," + inner).join(map(str, v))
+            yield sep.join(map(str, v))
         elif _STR.issuperset(map(type, v)):
-            body = ("," + inner).join(map(encode_basestring_ascii, v))
+            yield sep.join(map(encode_basestring_ascii, v))
         elif d := _int_rows(v, _ROW):
-            # integer rows of one length: one template formats each row
+            # integer rows of one length: one template formats each row,
+            # a batch of rows to a piece
             deeper = inner + "  "
             row = "[" + deeper + ("," + deeper).join(["%d"] * d) + inner + "]"
-            body = ("," + inner).join(map(row.__mod__, map(tuple, v)))
+            for k in range(0, len(v), _ROWS_PER_PIECE):
+                yield (sep if k else "") + sep.join(
+                    map(row.__mod__, map(tuple, v[k:k + _ROWS_PER_PIECE])))
         else:
-            body = ("," + inner).join([_encode(u, inner) for u in v])
-        return "[" + inner + body + newline + "]"
-    if isinstance(v, dict) and v and all(type(k) is str for k in v):
-        body = ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _encode(v[k], inner)
-             for k in sorted(v)])
-        return "{" + inner + body + newline + "}"
-    # scalars, empty containers, other keys: the library's own text, indented
-    return json.dumps(v, indent=2, sort_keys=True).replace("\n", newline)
+            for k, u in enumerate(v):
+                if k:
+                    yield sep
+                yield from _encode(u, inner)
+        yield newline + "]"
+    elif isinstance(v, dict) and v and all(type(k) is str for k in v):
+        for n, k in enumerate(sorted(v)):
+            yield ("{" + inner if n == 0 else sep) + encode_basestring_ascii(k) + ": "
+            yield from _encode(v[k], inner)
+        yield newline + "}"
+    else:
+        # scalars, empty containers, other keys: the library's own text, indented
+        yield json.dumps(v, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def write_doc(path, doc):
-    Path(path).write_text(dumps(doc), encoding="utf-8")
+    """dumps(doc) written to path as it is encoded, piece by piece."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_encode(doc, "\n"))
+        fh.write("\n")
 
 
 def read_doc(path):

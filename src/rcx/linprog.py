@@ -9,9 +9,10 @@ against the integer rows before it is returned: an optimal point with
 matching dual multipliers, an infeasibility witness, or a feasible
 improving ray. Fractions are built only for the answer itself.
 
-One polyhedron under many objectives (bounding_box, and the same
-bounding LPs of a recession cone) shares one phase 1: each objective is
-priced on a copy of the feasible tableau.
+One polyhedron under many objectives (bounding_box, the same bounding
+LPs of a recession cone, and irredundant_count's LPs, each over P less
+some rows) shares one phase 1: each objective is priced on a copy of
+the feasible tableau, after the rows it leaves out are deleted.
 
 The hull oracles conv_membership and segment_hits_hull share one
 bounds presolve, one LP and one certificate check (_hull_point); a point
@@ -150,52 +151,68 @@ class _Tableau:
     compares, so the pivots are those of the rational tableau; the row
     scales price the artificials and count a slack ray in rational units.
 
-    pivot, price_out and drop_artificials replace rows and never change
-    one in place, so copy() shares the rows.
+    Variables are labelled as in the full standard form: the ncols
+    structural columns, a mirror label ncols + j for each of the first
+    `free` columns (minus column j in every row and cost, so x_j is the
+    difference of the two), then one slack per row, then one artificial
+    per row with a negative rhs. Only the structural and slack columns
+    are stored: a mirror stays minus its column through every pivot, and
+    an artificial starts basic and never enters once it leaves, so
+    nothing reads their columns. A row is ncols + m + 1 wide; _col maps a label to its stored
+    column and sign.
+
+    pivot, price_out and drop_row replace rows and never change one in
+    place, so copy() shares the rows.
     """
 
-    def __init__(self, ncols, rows):
-        self.n = ncols
+    def __init__(self, ncols, rows, free=0):
+        self.ncols = ncols
+        self.free = free
+        self.n = ncols + free
         self.m = len(rows)
+        self.art0 = self.n + self.m
+        self.width = ncols + self.m + 1
         self.T = []
         self.den = [1] * self.m
         self.mult = [m for _, _, m in rows]
         self.basis = []
         self.delta = 1
-        self.red = []
+        self.red = [0] * self.width
         self.rden = 1
         self.scale = 1
-        neg = [i for i, (_, rhs, _) in enumerate(rows) if rhs < 0]
-        self.art0 = self.n + self.m
-        self.width = self.art0 + len(neg) + 1
-        art_of = {r: self.art0 + k for k, r in enumerate(neg)}
-        pad = [0] * (self.width - self.n)
+        self.n_art = 0
         for i, (coeffs, rhs, _) in enumerate(rows):
+            row = list(coeffs) + [0] * self.m + [rhs]
+            row[ncols + i] = 1
             if rhs < 0:
-                row = [-v for v in coeffs] + pad
-                row[self.n + i] = -1
-                row[-1] = -rhs
-                row[art_of[i]] = 1
-                self.basis.append(art_of[i])
+                row = [-v for v in row]
+                self.basis.append(self.art0 + self.n_art)
+                self.n_art += 1
             else:
-                row = list(coeffs) + pad
-                row[self.n + i] = 1
-                row[-1] = rhs
                 self.basis.append(self.n + i)
             self.T.append(row)
-        self.n_art = len(neg)
 
     def copy(self):
         t = copy.copy(self)
         t.T, t.den, t.basis = list(self.T), list(self.den), list(self.basis)
         return t
 
+    def _col(self, j):
+        """(stored column, sign) of the label j."""
+        if j < self.ncols:
+            return j, 1
+        if j < self.n:
+            return j - self.ncols, -1
+        return j - self.free, 1
+
     def price_out(self, costs):
-        """Install an objective (list over leading columns) as reduced costs."""
+        """Install an objective, one cost per label (missing ones are 0), as
+        reduced costs."""
         scale = _den_lcm(costs)
         delta = self.delta
         ints = [v.numerator * (scale // v.denominator) for v in costs]
-        red = [delta * c for c in ints] + [0] * (self.width - len(ints))
+        own = ints[:self.ncols] + ints[self.n:self.art0]  # labels with a stored column
+        red = [delta * c for c in own] + [0] * (self.width - len(own))
         for row, d, b in zip(self.T, self.den, self.basis):
             f = ints[b] if b < len(ints) else 0
             if f:
@@ -207,26 +224,27 @@ class _Tableau:
         self.scale = scale
 
     def pivot(self, r, e):
-        """Bring row r to denominator delta, then eliminate column e.
+        """Bring row r to denominator delta, then eliminate the label e.
 
-        Rows with a 0 in column e keep their entries and denominator.
+        Rows with a 0 in e's column keep their entries and denominator.
         """
+        c, s = self._col(e)
         T, den = self.T, self.den
         row = T[r]
         d = den[r]
         if d != self.delta:
             row = [v * self.delta // d for v in row]
-        p = row[e]
+        p = s * row[c]
         if p < 0:
             row = [-v for v in row]
             p = -p
         for i, other in enumerate(T):
-            f = other[e]
+            f = s * other[c]
             if f and i != r:
                 d = den[i]
                 T[i] = [(p * x - f * y) // d for x, y in zip(other, row)]
                 den[i] = p
-        f = self.red[e]
+        f = s * self.red[c]
         if f:
             d = self.rden
             self.red = [(p * x - f * y) // d for x, y in zip(self.red, row)]
@@ -236,57 +254,77 @@ class _Tableau:
         self.basis[r] = e
         self.delta = p
 
-    def run(self, last_col):
-        """Bland's rule until optimal or unbounded; entering cols < last_col."""
+    def _leaving(self, c, s):
+        """The ratio-test row of the column s * T[.][c] (least rhs / entry
+        over its positive entries, ties to the least basic label), or None."""
         basis = self.basis
+        best_row = None
+        for i, row in enumerate(self.T):
+            coef = s * row[c]
+            if coef > 0:
+                # compare row[-1] / coef with the best ratio so far;
+                # the row's denominator cancels
+                if best_row is None:
+                    best_row, best_rhs, best_coef = i, row[-1], coef
+                    continue
+                lhs, rhs = row[-1] * best_coef, best_rhs * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best_row]):
+                    best_row, best_rhs, best_coef = i, row[-1], coef
+        return best_row
+
+    def run(self):
+        """Bland's rule until optimal or unbounded: the least label with a
+        positive reduced cost enters; artificials never do."""
+        nc, free = self.ncols, self.free
         while True:
-            e = None
             red = self.red
-            for j in range(last_col):
-                if red[j] > 0:
-                    e = j
-                    break
+            e = next((j for j in range(nc) if red[j] > 0), None)
+            if e is None:  # a mirror's reduced cost is minus its column's
+                e = next((nc + j for j in range(free) if red[j] < 0), None)
+            if e is None:
+                e = next((j + free for j in range(nc, nc + self.m) if red[j] > 0), None)
             if e is None:
                 return "optimal", None
-            best_row = None
-            for i, row in enumerate(self.T):
-                coef = row[e]
-                if coef > 0:
-                    # compare row[-1] / coef with the best ratio so far;
-                    # the row's denominator cancels
-                    if best_row is None:
-                        best_row, best_rhs, best_coef = i, row[-1], coef
-                        continue
-                    lhs, rhs = row[-1] * best_coef, best_rhs * coef
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[best_row]):
-                        best_row, best_rhs, best_coef = i, row[-1], coef
-            if best_row is None:
+            r = self._leaving(*self._col(e))
+            if r is None:
                 return "unbounded", e
-            self.pivot(best_row, e)
+            self.pivot(r, e)
 
     def drop_artificials(self):
-        """After a zero-value phase 1: pivot artificials out, drop their columns.
+        """After a zero-value phase 1, pivot each artificial still basic (at
+        0) out on the first label with a nonzero entry in its row. Its own
+        slack's entry is minus the artificial's, so one always exists."""
+        for r, b in enumerate(self.basis):
+            if b >= self.art0:
+                c = next(j for j, v in enumerate(self.T[r][:-1]) if v)
+                self.pivot(r, c if c < self.ncols else c + self.free)
+        self.red = [0] * self.width  # phase 1's costs are spent
 
-        Rows that reduce to 0 = 0 are implied by the others and are deleted.
+    def drop_row(self, k):
+        """Delete input row k from a feasible tableau, with its slack.
+
+        A basic slack loses its row. A nonbasic one is pivoted in first on
+        the ratio-test row of its column, taken in the + direction, or
+        else in the - direction (the column is one of B^-1, so it is never
+        0); either keeps the other rows feasible. The deleted row and
+        column meet in a unit column of the input system, so delta stays
+        |det| of the basis that is left.
         """
-        cut = self.art0
-        keep = []
-        for r in range(len(self.T)):
-            if self.basis[r] >= cut:
-                e = next((j for j in range(cut) if self.T[r][j] != 0), None)
-                if e is None:
-                    continue
-                self.pivot(r, e)
-            keep.append(r)
-        self.T = [self.T[r][:cut] + [self.T[r][-1]] for r in keep]
-        self.den = [self.den[r] for r in keep]
-        self.basis = [self.basis[r] for r in keep]
-        self.width = cut + 1
+        s = self.n + k
+        if s in self.basis:
+            r = self.basis.index(s)
+        else:
+            c = self.ncols + k
+            r = self._leaving(c, 1)
+            if r is None:
+                r = self._leaving(c, -1)
+            self.pivot(r, s)
+        del self.T[r], self.den[r], self.basis[r]
 
-    def _basic(self, col):
-        """Column col on the basic structural variables, 0 elsewhere, as
-        (integers, their common positive denominator)."""
-        rows = [(b, row[col], d)
+    def _basic(self, c, s=1):
+        """The stored column c times s on the basic labels, 0 elsewhere, as
+        (integers over the labels, their common positive denominator)."""
+        rows = [(b, s * row[c], d)
                 for row, d, b in zip(self.T, self.den, self.basis) if b < self.n]
         den = lcm(*[d for _, _, d in rows])
         x = [0] * self.n
@@ -302,35 +340,41 @@ class _Tableau:
 
     def slack_duals(self):
         # the multipliers on the integer rows
-        return [-v for v in self.red[self.n:self.n + self.m]], self.scale * self.rden
+        nc = self.ncols
+        return [-v for v in self.red[nc:nc + self.m]], self.scale * self.rden
 
     def ray(self, e):
         # a slack enters in units of its rational row: mult units of its own
         k = self.mult[e - self.n] if e >= self.n else 1
-        r, den = self._basic(e)
+        r, den = self._basic(*self._col(e))
         r = [-k * v for v in r]
         if e < self.n:
             r[e] = den
         return r, den
 
 
-def _solve_standard(ncols, rows, objectives):
+def _solve_standard(ncols, rows, objectives, free=0):
     """max costs . z subject to rows as <=, z >= 0, for each costs in objectives.
 
-    Each row is (coeffs, rhs, scale): integers, scale times a rational
-    row. Phase 1 runs once; each objective is then priced on a copy of
-    the feasible tableau, one at a time as the caller asks. Yields
-    (status, x, value, duals, farkas, ray) per objective: x, duals,
-    farkas and ray are (integers, positive denominator), duals and farkas
-    are multipliers on the integer rows, and value is (numerator,
+    Each row is (coeffs, rhs, scale): integers over the ncols columns,
+    scale times a rational row. The first `free` columns also get a
+    mirror column (_Tableau), so z has ncols + free entries and costs
+    has ncols: a mirror costs minus its column. Phase 1 runs once; each
+    objective is then priced on a copy of the feasible tableau, one at a
+    time as the caller asks. An objective may come as (costs, dropped):
+    that LP leaves the rows `dropped` out (a feasible system only; the
+    caller checks that they carry no multiplier). Yields (status, x,
+    value, duals, farkas, ray) per objective: x, duals, farkas and ray
+    are (integers, positive denominator), duals and farkas are
+    multipliers on the integer rows, and value is (numerator,
     denominator).
     """
-    tab = _Tableau(ncols, rows)
+    tab = _Tableau(ncols, rows, free)
     if tab.n_art:
         # the artificial of a row scaled by m stands for m units of the
         # rational one, so it costs -1/m
         tab.price_out([0] * tab.art0 + [Fraction(-1, m) for _, rhs, m in rows if rhs < 0])
-        status, _ = tab.run(tab.art0)
+        status, _ = tab.run()
         if status != "optimal":  # pragma: no cover - box below is bounded
             raise RuntimeError("phase 1 cannot be unbounded")
         if tab.red[-1] > 0:
@@ -340,9 +384,12 @@ def _solve_standard(ncols, rows, objectives):
             return
         tab.drop_artificials()
     for costs in objectives:
+        costs, dropped = costs if isinstance(costs, tuple) else (costs, ())
         t = tab.copy()
-        t.price_out(costs)
-        status, e = t.run(t.n + t.m)
+        for k in dropped:
+            t.drop_row(k)
+        t.price_out(costs + [-v for v in costs[:free]])
+        status, e = t.run()
         if status == "unbounded":
             yield "unbounded", t.solution(), None, None, None, t.ray(e)
         else:
@@ -414,27 +461,38 @@ def _solve_lps(P, objectives):
     """solve_lp's answer for each (objective, maximize), lazily, with one
     phase 1 for them all.
 
-    The standard form is P's _le_rows, each with x+ and x- columns. The
-    checks read the rows' integer form: a multiplier W_i on the integer
-    row h_i is W_i * h._scale on its rational row.
+    An objective may come as (objective, maximize, dropped): that LP is
+    over P without the constraints whose indices are in `dropped`, after
+    the same phase 1 of P, so P must have points. Its answer is checked
+    against the constraints it kept, and a dropped one must carry no
+    multiplier. The standard form is P's _le_rows, each x with a free
+    column (its x+ and x- parts). The checks read the rows' integer form:
+    a multiplier W_i on the integer row h_i is W_i * h._scale on its
+    rational row.
     """
     d = P.dim
     rows = []
     prov = []  # (constraint index, sign) per standard-form row
     for i, s, a, b in _le_rows(P):
-        rows.append((a + [-v for v in a], b, P.constraints[i]._scale))
+        rows.append((a, b, P.constraints[i]._scale))
         prov.append((i, s))
-    goals = []  # each objective in max form without denominators: c0 = sign * cs * c
-    for c, maximize in objectives:
-        ints, cs = _int_row(c)
-        sign = 1 if maximize else -1
-        goals.append(([sign * v for v in ints], cs, sign))
-    answers = _solve_standard(2 * d, rows, (c0 + [-v for v in c0] for c0, _, _ in goals))
+    goals = []  # the objective being answered, as the core takes it
 
-    def fold(ys):
+    def standard(objectives):
+        for c, maximize, *dropped in objectives:
+            # in max form without denominators: c0 = sign * cs * c
+            ints, cs = _int_row(c)
+            sign = 1 if maximize else -1
+            c0 = [sign * v for v in ints]
+            dropped = set(*dropped)
+            goals.append((c0, cs, sign, dropped))
+            yield c0, [k for k, (i, _) in enumerate(prov) if i in dropped]
+
+    def fold(ys, dropped, what):
         w = [0] * len(P.constraints)
         for (i, s), yk in zip(prov, ys):
             if yk:
+                _check(i not in dropped, f"{what} on a dropped row")
                 w[i] += s * yk
         return w
 
@@ -448,10 +506,14 @@ def _solve_lps(P, objectives):
     def multipliers(w, den):  # w / den on the integer rows, on the rational ones
         return tuple([Fraction(wk * h._scale, den) for h, wk in zip(P.constraints, w)])
 
-    for (c0, cs, sign), (status, z, value, y_std, farkas_std, ray_std) in zip(
-            goals, answers):
+    # the core takes one objective before it answers it
+    for status, z, value, y_std, farkas_std, ray_std in _solve_standard(
+            d, rows, standard(objectives), free=d):
+        c0, cs, sign, dropped = goals.pop()
+        kept = [h for i, h in enumerate(P.constraints)
+                if i not in dropped] if dropped else P.constraints
         if status == "infeasible":
-            w = fold(farkas_std[0])
+            w = fold(farkas_std[0], dropped, "farkas")
             comb, beta = _combination(P, w, "farkas")
             _check(not any(comb), "farkas combination is zero")
             _check(beta < 0, "farkas value negative")
@@ -459,21 +521,20 @@ def _solve_lps(P, objectives):
             continue
 
         x, den = split(z[0]), z[1]
-        _check(all(_holds(h, x, den) for h in P.constraints),
+        _check(all(_holds(h, x, den) for h in kept),
                "optimal point feasible" if status == "optimal"
                else "unbounded: basic point feasible")
         if status == "unbounded":
             r, rden = split(ray_std[0]), ray_std[1]
             _check(any(r), "ray nonzero")
-            _check(all(_holds(h, r, 0) for h in P.constraints),
-                   "ray in the recession cone")
+            _check(all(_holds(h, r, 0) for h in kept), "ray in the recession cone")
             _check(vdot(c0, r) > 0, "ray improves objective")
             yield LPOutcome(status="unbounded", point=vector(x, den),
                             ray=vector(r, rden))
             continue
 
         # the value V / vden and the multipliers w / yden are those of c0
-        (V, vden), w, yden = value, fold(y_std[0]), y_std[1]
+        (V, vden), w, yden = value, fold(y_std[0], dropped, "dual"), y_std[1]
         _check(vdot(c0, x) * vden == V * den, "objective value matches point")
         comb, dual_value = _combination(P, w, "dual")
         _check(comb == [yden * v for v in c0], "dual combination equals objective")

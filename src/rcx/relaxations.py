@@ -21,7 +21,6 @@ from .linprog import (
     _solve_lps,
     _unit_ray,
     conv_membership,
-    solve_lp,
 )
 
 
@@ -353,19 +352,23 @@ def irredundant_count(P):
     dropped when maximizing A over the rows still kept, without it, stays
     within B.  Each drop leaves P unchanged, so the kept rows describe P
     and none of them is implied by the others.  Equality rows are always
-    kept and are excluded from the count and the redundancy list.
+    kept and are excluded from the count and the redundancy list.  All
+    the LPs share one phase 1 of P, which the zero objective probes for
+    points; each LP leaves out its row and the rows dropped so far, as
+    they stand when it is priced.
     """
-    probe = solve_lp(P, [0] * P.dim, maximize=True)
-    if probe.status == "infeasible":
-        raise Infeasible("polyhedron has no points")
+    tests = [(i, a, b) for i, _, a, b in _le_rows(P) if P.constraints[i].sense != "="]
     redundant = []
-    total = 0
-    for i, _, a, b in _le_rows(P):
-        if P.constraints[i].sense == "=":
-            continue
-        total += 1
-        rest = [h for j, h in enumerate(P.constraints) if j != i and j not in redundant]
-        out = solve_lp(HPolyhedron(P.dim, rest), a, maximize=True)
+
+    def objectives():
+        yield [0] * P.dim, True
+        for i, a, _ in tests:
+            yield a, True, [i, *redundant]
+
+    answers = _solve_lps(P, objectives())
+    if next(answers).status == "infeasible":
+        raise Infeasible("polyhedron has no points")
+    for (i, _, b), out in zip(tests, answers):
         if out.status == "optimal" and out.value <= b:
             redundant.append(i)
-    return total - len(redundant), redundant
+    return len(tests) - len(redundant), redundant

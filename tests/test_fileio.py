@@ -120,6 +120,16 @@ class TestWriterMatchesTheLibrary:
         assert len(doc["points"]) == 26704
         assert len(calls) < 20
 
+    def test_write_doc_streams_point_rows_in_batches(self, tmp_path):
+        # the points list comes in pieces of 4,096 rows, between its
+        # brackets, and write_doc writes them as they come: dumps' bytes
+        doc = fileio.pointset_doc(generate("conn", 6))
+        pieces = list(fileio._encode(doc["points"], "\n  "))
+        assert len(pieces) == 1 + 7 + 1  # 26,704 rows in 7 batches
+        assert pieces[0] == "[\n    " and pieces[-1] == "\n  ]"
+        fileio.write_doc(tmp_path / "conn6.json", doc)
+        assert (tmp_path / "conn6.json").read_bytes() == library_bytes(doc).encode()
+
 
 class TestPointSetDocs:
     def test_round_trip_preserves_everything(self):

@@ -242,8 +242,8 @@ def _tampered(monkeypatch, part, tamper, only=None):
     one at index `only` among the objectives of one call."""
     solve = linprog._solve_standard
 
-    def tampered(*args):
-        for k, out in enumerate(solve(*args)):
+    def tampered(*args, **kwargs):
+        for k, out in enumerate(solve(*args, **kwargs)):
             if only in (None, k):
                 out = list(out)
                 out[part] = _tamper_vector(out[part], tamper)

@@ -205,26 +205,48 @@ def count_lps(monkeypatch):
 
 
 class _CountingTableau(linprog._Tableau):
-    """The integer tableau, counting how many are built (copies are not)."""
+    """The integer tableau, counting how many are built (copies are not)
+    and the pivots they all take."""
 
     built = 0
+    pivots = 0
 
     def __init__(self, *args):
         _CountingTableau.built += 1
         super().__init__(*args)
 
+    def pivot(self, r, e):
+        _CountingTableau.pivots += 1
+        super().pivot(r, e)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    monkeypatch.setattr(linprog, "_Tableau", _CountingTableau)
+    monkeypatch.setattr(_CountingTableau, "built", 0)
+    monkeypatch.setattr(_CountingTableau, "pivots", 0)
+    return _CountingTableau
+
 
 class TestOnePhase1PerPolyhedron:
-    """bounding_box and the recession probe price every objective on one
-    tableau after one phase 1."""
+    """bounding_box, the recession probe and irredundant_count price every
+    objective on one tableau after one phase 1."""
 
-    def test_rado5_box_builds_one_tableau(self, monkeypatch):
-        monkeypatch.setattr(linprog, "_Tableau", _CountingTableau)
-        monkeypatch.setattr(_CountingTableau, "built", 0)
+    def test_rado5_box_builds_one_tableau(self, monkeypatch, counting):
         counts = count_lps(monkeypatch)
         assert bounding_box(build_rado_permutahedron(5)) == LatticeBox((1,) * 5, (5,) * 5)
         assert counts == {"relaxations": 10, "linprog": 0}
-        assert _CountingTableau.built == 1
+        assert counting.built == 1
+        # the pivots of the tableau that stored its x- and artificial columns
+        assert counting.pivots == 58
+
+    def test_rado5_irredundant_builds_one_tableau(self, monkeypatch, counting):
+        counts = count_lps(monkeypatch)
+        # the five nonnegativity rows go; the probe plus one LP per inequality
+        assert irredundant_count(build_rado_permutahedron(5)) == (30, [31, 32, 33, 34, 35])
+        assert counts == {"relaxations": 36, "linprog": 0}
+        assert counting.built == 1
+        assert counting.pivots == 171  # 1,312 with one phase 1 per LP
 
     @pytest.mark.parametrize("P, probes", [
         (build_cube_relaxation(3), 6),                              # bounded: all 2d
@@ -232,13 +254,26 @@ class TestOnePhase1PerPolyhedron:
         (HPolyhedron(2, [Halfspace((0, 1), "=", 0),
                          Halfspace((1, 0), "<=", 0)]), 2),          # at min x_1
     ], ids=["cube3", "ray-first", "ray-second"])
-    def test_recession_probe_builds_one_tableau(self, monkeypatch, P, probes):
-        monkeypatch.setattr(linprog, "_Tableau", _CountingTableau)
-        monkeypatch.setattr(_CountingTableau, "built", 0)
+    def test_recession_probe_builds_one_tableau(self, monkeypatch, counting, P, probes):
         counts = count_lps(monkeypatch)
         linprog.recession_nontrivial(P)
         assert counts == {"relaxations": 0, "linprog": probes}
-        assert _CountingTableau.built == 1
+        assert counting.built == 1
+
+    def test_rows_store_x_plus_and_slack_columns(self, monkeypatch):
+        # Rado 4 has 4 coordinates and 20 rows in <= form, 15 of them with
+        # a negative right-hand side and so an artificial: each row is
+        # 4 + 20 + 1 wide, with no x- and no artificial columns
+        widths = set()
+
+        class Recording(linprog._Tableau):
+            def pivot(self, r, e):
+                super().pivot(r, e)
+                widths.update(len(row) for row in self.T + [self.red])
+
+        monkeypatch.setattr(linprog, "_Tableau", Recording)
+        assert solve_lp(build_rado_permutahedron(4), [1, 2, 3, 4]).value == 30
+        assert widths == {4 + 20 + 1}
 
 
 class TestRowBox:
@@ -513,6 +548,74 @@ class TestIrredundantCount:
             h = P.constraints[i]
             out = solve_lp(Q, h.a, maximize=h.sense == "<=")
             assert out.status == "optimal" and h.satisfied_by(out.point)
+
+
+class _DropRecorder(linprog._Tableau):
+    """The integer tableau, noting (row, how its slack leaves) for each row
+    it drops: with its own row ("basic"), or pivoted in first in the "+"
+    or "-" direction."""
+
+    drops = []
+
+    def drop_row(self, k):
+        column = [row[self.ncols + k] for row in self.T]
+        way = "basic" if self.n + k in self.basis else "+" if max(column) > 0 else "-"
+        _DropRecorder.drops.append((k, way))
+        super().drop_row(k)
+
+
+class TestRowDrops:
+    """irredundant_count answers each LP on its phase-1 tableau, less the
+    row under test and the rows dropped so far."""
+
+    @pytest.fixture(autouse=True)
+    def recorder(self, monkeypatch):
+        monkeypatch.setattr(linprog, "_Tableau", _DropRecorder)
+        monkeypatch.setattr(_DropRecorder, "drops", [])
+
+    def test_slack_pivots_in_the_minus_direction(self):
+        # phase 1 leaves x = 1 + x- + s: the slack's column has no positive
+        # entry; without its one row, max -x is unbounded and the row stays
+        assert irredundant_count(HPolyhedron(1, [Halfspace((1,), ">=", 1)])) == (1, [])
+        assert _DropRecorder.drops == [(0, "-")]
+
+    def test_unbounded_redundant_and_equation_rows(self, monkeypatch):
+        # x >= -1 is implied by x >= 0; without both, max -x is unbounded,
+        # so x >= 0 stays, as does x <= 1; y <= 3 is implied by y = 0
+        x, y = (1, 0), (0, 1)
+        P = HPolyhedron(2, [Halfspace(x, ">=", -1), Halfspace(x, ">=", 0),
+                            Halfspace(x, "<=", 1), Halfspace(y, "=", 0),
+                            Halfspace(y, "<=", 3)])
+        statuses = []
+        solve = relaxations._solve_lps
+
+        def recording(P, objectives):
+            for out in solve(P, objectives):
+                statuses.append(out.status)
+                yield out
+
+        monkeypatch.setattr(relaxations, "_solve_lps", recording)
+        assert irredundant_count(P) == (2, [0, 4])
+        assert statuses == ["optimal", "optimal", "unbounded", "unbounded", "optimal"]
+        # each LP drops its own row and x >= -1 (row 0), once that is
+        # found redundant; the equation's <= rows 3 and 4 are never dropped
+        assert _DropRecorder.drops == [(0, "basic"), (0, "basic"), (1, "basic"),
+                                       (0, "basic"), (2, "basic"), (0, "basic"),
+                                       (5, "basic")]
+
+    def test_slack_pivots_in_the_plus_direction(self):
+        # Rado 3 in <= form: the equation's rows 0 and 1, the subset rows
+        # 2 to 7, the nonnegativity rows 8 to 10
+        assert irredundant_count(build_rado_permutahedron(3)) == (6, [7, 8, 9])
+        assert [k for k, way in _DropRecorder.drops if way == "+"] == [5, 7]
+        assert {k for k, _ in _DropRecorder.drops} == set(range(2, 11))
+
+    def test_a_drop_that_does_not_happen_fails_the_check(self, monkeypatch):
+        # each LP is then over all of P: the row under test is within its
+        # bound, and its dual weighs the row it was meant to leave out
+        monkeypatch.setattr(_DropRecorder, "drop_row", lambda self, k: None)
+        with pytest.raises(RuntimeError, match="internal certificate check failed"):
+            irredundant_count(build_rado_permutahedron(3))
 
 
 class TestLatticeBox:

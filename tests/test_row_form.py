@@ -77,9 +77,10 @@ def irredundant_reference(P):
 
 
 SYSTEMS = {
-    **{f"rado{n}": (lambda n=n: build_rado_permutahedron(n)) for n in (3, 4)},
+    **{f"rado{n}": (lambda n=n: build_rado_permutahedron(n)) for n in (3, 4, 5)},
     **{f"cube{d}": (lambda d=d: build_cube_relaxation(d)) for d in range(1, 6)},
     "subtour4": lambda: build_subtour_relaxation(4),
+    "subtour5": lambda: build_subtour_relaxation(5),
     "dsubtour4": lambda: build_subtour_relaxation(4, directed=True),
     "conn4": lambda: build_conn_cut_relaxation(4),
 }

@@ -7,7 +7,11 @@ or ratio that the rule compares, so both must take the same pivots and
 return identical points, values, duals, Farkas rows and rays, and every
 caller must give identical answers. The integer core runs phase 1 once
 for all objectives over one polyhedron; the reference solves each
-objective from scratch, so each shared objective is replayed too.
+objective from scratch, so each shared objective is replayed too. The
+core stores no x- and no artificial columns, so the reference writes
+them out; an objective that leaves rows out (irredundant_count's) is
+solved by the reference on the rows it keeps, and only its answer, not
+its pivots, must match.
 """
 
 import random
@@ -59,26 +63,50 @@ def run_both(monkeypatch, fn):
 
     Every standard-form LP of the reference run, one per objective, is
     replayed on the integer core alone and must give the identical
-    output; then the two runs' answers must be equal. Returns the number
-    of standard-form LPs and the answers.
+    output; then the two runs' answers must be equal. The reference
+    writes each mirror column out as minus its column, and solves an
+    objective that drops rows from scratch on the rows it keeps (that
+    LP is the one replayed), its multipliers 0 on the dropped rows.
+    Returns the number of standard-form LPs and the answers.
     """
     calls = []
 
-    def reference(ncols, rows, objectives):
-        rational = fraction_simplex.rational_rows(rows)
+    def reference(ncols, rows, objectives, free=0):
         for costs in objectives:
-            out = fraction_simplex._solve_standard(ncols, rational, costs)
-            calls.append(((ncols, rows, costs), out))
-            yield fraction_simplex.to_core(out, rows)
+            costs, dropped = costs if isinstance(costs, tuple) else (costs, ())
+            kept = [row for k, row in enumerate(rows) if k not in dropped]
+            full = [(a + [-v for v in a[:free]], b, m) for a, b, m in kept]
+            out = fraction_simplex._solve_standard(
+                ncols + free, fraction_simplex.rational_rows(full),
+                costs + [-v for v in costs[:free]])
+            calls.append(((ncols, kept, costs, free), out))
+            yield _on_all_rows(fraction_simplex.to_core(out, full), dropped, len(rows))
 
     with monkeypatch.context() as m:
         m.setattr(linprog, "_solve_standard", reference)
         want = fn()
-    for (ncols, rows, costs), out in calls:
-        assert_same(out, next(linprog._solve_standard(ncols, rows, [costs])), rows)
+    for (ncols, rows, costs, free), out in calls:
+        assert_same(out, next(linprog._solve_standard(ncols, rows, [costs], free=free)),
+                    rows)
     got = fn()
     assert got == want
     return len(calls), got
+
+
+def _on_all_rows(out, dropped, m):
+    """A core answer over the kept rows, its multipliers put back on all m
+    rows with 0 on the dropped ones."""
+    if not dropped:
+        return out
+
+    def spread(y):
+        if y is None:
+            return None
+        values = iter(y[0])
+        return [0 if k in dropped else next(values) for k in range(m)], y[1]
+
+    status, x, value, duals, farkas, ray = out
+    return status, x, value, spread(duals), spread(farkas), ray
 
 
 class _DropRecorder(fraction_simplex._Tableau):
@@ -199,7 +227,8 @@ def test_no_rows():
         ("optimal", ([0, 0], 1), (0, 1), ([], 1), None, None)]
 
 
-def test_criterion_11_generator(monkeypatch):
+def _criterion_11_cases():
+    """The LPs of acceptance criterion 11: (P, c, maximize), 1,000 of them."""
     rng = random.Random(20240814)
 
     def rand_row(d):
@@ -215,9 +244,31 @@ def test_criterion_11_generator(monkeypatch):
         rows = [rand_row(d) for _ in range(rng.randint(1, 5))]
         c = [rng.randint(-3, 3) for _ in range(d)]
         cases.append((HPolyhedron(d, rows), c, rng.random() < 0.5))
+    return cases
+
+
+def test_criterion_11_generator(monkeypatch):
+    cases = _criterion_11_cases()
     n, _ = run_both(monkeypatch, lambda: [solve_lp(P, c, maximize=m)
                                           for P, c, m in cases])
     assert n == 1000
+
+
+def test_criterion_11_pivots(monkeypatch):
+    # the count of the tableau that stored its x- and artificial columns:
+    # storing fewer columns changes no pivot
+    pivots = []
+
+    class Counting(linprog._Tableau):
+        def pivot(self, r, e):
+            pivots.append(e)
+            super().pivot(r, e)
+
+    cases = _criterion_11_cases()
+    monkeypatch.setattr(linprog, "_Tableau", Counting)
+    for P, c, m in cases:
+        solve_lp(P, c, maximize=m)
+    assert len(pivots) == 2545
 
 
 def test_fractional_solve_lp_corpus(monkeypatch):
