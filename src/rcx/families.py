@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-from itertools import chain, combinations, compress, permutations, product
+from itertools import chain, compress, permutations, product
 from math import comb, factorial
 
 from .errors import DimMismatch, OddNodeSet, TooLarge
@@ -145,6 +145,14 @@ class PointSet:
                 h.update("".join(map(text, pts[i:i + 4096])).encode())
             self._digest = h.hexdigest()
         return self._digest
+
+
+def _point_set(X):
+    """X if it has .points/.dim/.bounds, else a PointSet in the list's order."""
+    if hasattr(X, "points"):
+        return X
+    pts = list(X)
+    return PointSet(len(pts[0]) if pts else None, pts, validate=False)
 
 
 def _cap(cap):
@@ -284,17 +292,32 @@ def conn(n, max_candidates=None):
                          lambda edges: _spanning_connected(n, edges))
 
 
+def _trees(n):
+    """Every labelled tree on nodes 1..n once, as its edges (child, parent)
+    with node n as the root: each Prüfer sequence decoded, the smallest
+    leaf first, so node n is never removed."""
+    for seq in product(range(1, n + 1), repeat=max(n - 2, 0)):
+        degree = [0] + [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for parent in seq:
+            leaf = degree.index(1)
+            edges.append((leaf, parent))
+            degree[leaf] = 0
+            degree[parent] -= 1
+        if n > 1:
+            edges.append((degree.index(1), n))
+        yield edges
+
+
 def spt(n, max_candidates=None):
-    """Characteristic vectors of spanning trees."""
+    """Characteristic vectors of spanning trees, decoded from Prüfer
+    sequences; the cap counts the C(m, n-1) edge subsets of size n - 1."""
     idx = EdgeIndexer(n)
     _cap_check(comb(idx.dim, n - 1), max_candidates, f"spt({n})")
-    pts = []
-    for edges in combinations(idx.pairs, n - 1):
-        if _spanning_connected(n, edges):
-            pts.append(idx.vector(edges))
-    pts.sort()
-    return PointSet(idx.dim, pts, family=_tag("spt", n=n),
-                    legend=idx.legend(), validate=False)
+    return PointSet(idx.dim, sorted(map(idx.vector, _trees(n))),
+                    family=_tag("spt", n=n), legend=idx.legend(), validate=False)
 
 
 def _acyclic(n, edges):
@@ -315,27 +338,15 @@ def forests(n, max_candidates=None):
                          lambda edges: _acyclic(n, edges))
 
 
-def _reaches(root, parent):
-    """True when following parents from every node ends at the root."""
-    done = {root}
-    for v in parent:
-        path = []
-        while v not in done:
-            if v in path:
-                return False
-            path.append(v)
-            v = parent[v]
-        done.update(path)
-    return True
-
-
 def arb(n, root=None, max_candidates=None):
     """Characteristic vectors of spanning arborescences (any root by
     default, or a fixed one).
 
-    Every node but the root picks a parent; the picks without a cycle are
-    exactly the arborescences, n·(n-1)^(n-1) candidates in all, or
-    (n-1)^(n-1) with a fixed root; the cap is checked against those picks.
+    Each tree of _trees(n) with the labels r and n swapped, its edges
+    written as arcs parent -> child, is one arborescence rooted at r, and
+    every one comes once. The cap counts the parent picks (every node but
+    the root picks a parent): n·(n-1)^(n-1), or (n-1)^(n-1) with a fixed
+    root.
     """
     if root is not None and not 1 <= root <= n:
         raise ValueError("root out of range")
@@ -344,11 +355,10 @@ def arb(n, root=None, max_candidates=None):
     _cap_check(picks, max_candidates, f"arb({n})")
     pts = []
     for r in range(1, n + 1) if root is None else (root,):
-        others = [v for v in range(1, n + 1) if v != r]
-        choices = [[u for u in range(1, n + 1) if u != v] for v in others]
-        for parents in product(*choices):
-            if _reaches(r, dict(zip(others, parents))):
-                pts.append(idx.vector(zip(parents, others)))
+        label = list(range(n + 1))
+        label[r], label[n] = n, r
+        pts += [idx.vector([(label[p], label[c]) for c, p in tree])
+                for tree in _trees(n)]
     pts.sort()
     return PointSet(idx.dim, pts, family=_tag("arb", n=n, root=root),
                     legend=idx.legend(), validate=False)
@@ -387,55 +397,30 @@ def tjoins(n, terminals=(), max_candidates=None):
     """Characteristic vectors of edge sets whose odd-degree nodes are
     exactly the given terminals.
 
-    Generated by a depth-first sweep over edges in index order with
-    degree-parity pruning as soon as a node's incident edges are all
-    decided; output comes out sorted without an extra pass.
+    The T-joins are one coset of the cycle space: each subset of the edges
+    off node 1 takes the edge {1, v} for every node v whose parity is
+    still wrong, and node 1's parity follows, as |T| is even. The cap
+    counts all 2^m edge subsets. From n = 3 on every coordinate takes both
+    values: an edge off node 1 is chosen freely, and {1, v} flips with any
+    edge at v off node 1; below that there is one point.
     """
     T = tjoin_terminals(n, terminals)
     idx = EdgeIndexer(n)
     m = idx.dim
     _cap_check(2**m, max_candidates, f"tjoins({n})")
-    target = 0
-    for t in T:
-        target |= 1 << (t - 1)
-    family = _tag("tjoins", n=n, terminals=list(T))
-    if m == 0:
-        pts = [()] if target == 0 else []
-        return PointSet(0, pts, family=family, legend=(), validate=False)
-    edge_mask = [(1 << (u - 1)) | (1 << (v - 1)) for u, v in idx.pairs]
-    last = [-1] * (n + 1)
-    for k, (u, v) in enumerate(idx.pairs):
-        last[u] = k
-        last[v] = k
-    finish = [[] for _ in range(m)]
-    for v in range(1, n + 1):
-        if last[v] >= 0:
-            finish[last[v]].append(v - 1)
-    out = []
-    and_bits = (1 << m) - 1
-    or_bits = 0
-    # stack frames: (next edge index, parity bitmask, chosen-edge bitmask)
-    stack = [(0, 0, 0)]
-    while stack:
-        k, par, bits = stack.pop()
-        if k == m:
-            out.append(tuple((bits >> j) & 1 for j in range(m)))
-            and_bits &= bits
-            or_bits |= bits
-            continue
-        for b in (1, 0):  # pushed 1 first so the 0-branch is explored first
-            np = par ^ edge_mask[k] if b else par
-            ok = True
-            for node in finish[k]:
-                if ((np >> node) & 1) != ((target >> node) & 1):
-                    ok = False
-                    break
-            if ok:
-                stack.append((k + 1, np, bits | (b << k)))
-    bounds = (tuple((and_bits >> j) & 1 for j in range(m)),
-              tuple((or_bits >> j) & 1 for j in range(m))) if out else None
-    return PointSet(m, out, family=family, legend=idx.legend(),
-                    validate=False, bounds=bounds)
+    rest = idx.pairs[n - 1:]  # the edges off node 1; {1, v} comes first
+    masks = [(1 << u) | (1 << v) for u, v in rest]
+    want = sum(1 << t for t in T)  # bit t: node t has odd degree
+    pts = []
+    for bits in product((0, 1), repeat=len(rest)):
+        wrong = want  # bit v: node v's parity is wrong, so {1, v} is taken
+        for mask in compress(masks, bits):
+            wrong ^= mask
+        pts.append(tuple([wrong >> v & 1 for v in range(2, n + 1)]) + bits)
+    pts.sort()
+    bounds = (pts[0], pts[0]) if n < 3 else ((0,) * m, (1,) * m)
+    return PointSet(m, pts, family=_tag("tjoins", n=n, terminals=list(T)),
+                    legend=idx.legend(), validate=False, bounds=bounds)
 
 
 FAMILIES = {

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations, compress, product
 
 from .errors import DimMismatch, EmptySet
-from .families import EdgeIndexer, PointSet, _cap_check, _tag, odd, tjoin_terminals
+from .families import (EdgeIndexer, PointSet, _cap_check, _parity, _tag, odd,
+                       tjoin_terminals)
 from .linprog import Halfspace, HPolyhedron, conv_membership, segment_hits_hull
 from .rational import affine_hull, in_affine_hull
 from .relaxations import LatticeBox, enumerate_lattice
@@ -65,7 +66,7 @@ def _cycle_pairs(name, N, directed, drop_return_arc):
         raise ValueError("need N >= 1")
     idx = EdgeIndexer(2 * (N + 1), directed=directed)
     pts = sorted(idx.vector(cycle_pair_arcs(N, b, drop_return_arc))
-                 for b in product((0, 1), repeat=N) if sum(b) % 2 == 0)
+                 for b in _parity(name, N, 0, None))
     return PointSet(idx.dim, pts, family=_tag(name, N=N, directed=directed),
                     legend=idx.legend(), validate=False)
 
@@ -180,11 +181,10 @@ def build_tjoin_hiding(n, terminals):
     def part(p, groups, parity, fixed):
         """Unions of the groups chosen with the given parity, plus fixed."""
         pts = []
-        for bits in product((0, 1), repeat=len(groups)):
-            if sum(bits) % 2 == parity:
-                vec = idx.vector(fixed + [e for g in compress(groups, bits) for e in g])
-                if _degree_parities(n, idx, vec) != tuple(T):
-                    pts.append(vec)
+        for bits in _parity("tjoin_hiding", len(groups), parity, None):
+            vec = idx.vector(fixed + [e for g in compress(groups, bits) for e in g])
+            if _degree_parities(n, idx, vec) != tuple(T):
+                pts.append(vec)
         return PointSet(idx.dim, sorted(pts), legend=idx.legend(), validate=False,
                         family=_tag("tjoin_hiding", n=n, terminals=list(T), part=p))
 

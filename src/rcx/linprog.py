@@ -27,16 +27,10 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimMismatch, EmptySet
-from .families import PointSet
-from .rational import _den_lcm, _int_row, is_zero_vector, vdot
+from .families import _point_set
+from .rational import _frac, _int_row, is_zero_vector, vdot
 
 SENSES = ("<=", "=", ">=")
-
-
-def _frac(v):
-    if isinstance(v, float):
-        raise TypeError("floats are not allowed; use Fraction or int")
-    return Fraction(v)
 
 
 def _holds(h, x, den=1):
@@ -208,9 +202,8 @@ class _Tableau:
     def price_out(self, costs):
         """Install an objective, one cost per label (missing ones are 0), as
         reduced costs."""
-        scale = _den_lcm(costs)
+        ints, scale = _int_row(costs)
         delta = self.delta
-        ints = [v.numerator * (scale // v.denominator) for v in costs]
         own = ints[:self.ncols] + ints[self.n:self.art0]  # labels with a stored column
         red = [delta * c for c in own] + [0] * (self.width - len(own))
         for row, d, b in zip(self.T, self.den, self.basis):
@@ -541,14 +534,6 @@ def _solve_lps(P, objectives):
         _check(dual_value * vden == V * yden, "dual value equals primal value")
         yield LPOutcome(status="optimal", value=Fraction(sign * V, vden * cs),
                         point=vector(x, den), dual=multipliers(w, sign * yden * cs))
-
-
-def _point_set(X):
-    """X if it has .points/.dim/.bounds, else a PointSet in the list's order."""
-    if hasattr(X, "points"):
-        return X
-    pts = list(X)
-    return PointSet(len(pts[0]) if pts else None, pts, validate=False)
 
 
 def _hull_point(a, b, X, mismatch):

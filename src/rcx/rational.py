@@ -59,14 +59,16 @@ def _int_row(row):
     return [v.numerator * (den // v.denominator) for v in row], den
 
 
+def _frac(v):
+    """v as a Fraction; the one place a float is refused."""
+    if isinstance(v, float):
+        raise TypeError("floats are not allowed; use Fraction or int")
+    return Fraction(v)
+
+
 def _cleared_rows(rows):
-    # clear denominators row by row; plain ints pass through
-    out = []
-    for row in rows:
-        if any(isinstance(v, float) for v in row):
-            raise TypeError("floats are not allowed; use Fraction or int")
-        out.append(_int_row(row)[0])
-    return out
+    # clear denominators row by row
+    return [_int_row([_frac(v) for v in row])[0] for row in rows]
 
 
 def _primitive(row):

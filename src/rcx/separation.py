@@ -14,7 +14,8 @@ from functools import cache
 from itertools import product
 
 from .errors import EmptySet, InvalidSystem, TooLarge
-from .families import PointSet, _arity, _cap_check, generate, tjoin_terminals
+from .families import (PointSet, _arity, _cap_check, _point_set, generate,
+                       tjoin_terminals)
 from .hiding import (_conflict_graph, _max_clique, build_arb_hiding,
                      build_diff_hiding, build_parity_hiding, build_perm_hiding,
                      build_tjoin_hiding, build_tsp_hiding, max_hiding_in_box,
@@ -42,13 +43,10 @@ class SeparationSystem:
 
 def _cube_points(X):
     """Validated (points, dim, point set) for a subset of {0,1}^d."""
-    if hasattr(X, "points"):
-        pts, d = list(X.points), X.dim
-    else:
-        pts = list(X)
-        if not pts:
-            raise ValueError("cannot infer the dimension of an empty plain list")
-        d = len(pts[0])
+    S = _point_set(X)
+    pts, d = S.points, S.dim
+    if d is None:
+        raise ValueError("cannot infer the dimension of an empty plain list")
     out = []
     for p in pts:
         p = tuple(p)
@@ -120,7 +118,7 @@ def jeroslow_index(X, limit=4, max_complement=16):
     S, ypts = _kept_and_excluded(
         X, max_complement, "the exact-cover budget", limit)
     pts, d = S.points, S.dim
-    target = (X if hasattr(X, "digest") else PointSet(d, pts)).digest()
+    target = PointSet(d, pts).digest()
     if not ypts:
         # the whole cube needs no row; an empty X one row below the cube
         rows = () if pts else (Halfspace((1,) + (0,) * (d - 1), "<=", -1),)

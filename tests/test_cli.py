@@ -125,6 +125,15 @@ class TestSizeGuard:
             "too large: diff_hiding(23): 8388608 candidates exceed the cap of 4194304")
         assert not out.exists()
 
+    def test_hiding_build_tsp_refusal(self, tmp_path):
+        # the 2^23 patterns pass the one size guard before any is built
+        out = tmp_path / "no.json"
+        res = run(["hiding", "build", "tsp", "23", "-o", str(out)])
+        assert res == CommandResult(
+            2, None,
+            "too large: tsp_hiding(23): 8388608 candidates exceed the cap of 4194304")
+        assert not out.exists()
+
     def test_rationalize_refusal(self, tmp_path):
         src = tmp_path / "point23.json"
         fileio.write_doc(str(src), fileio.pointset_doc(PointSet(23, [(0,) * 23])))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rcx
-from rcx.errors import OddNodeSet, TooLarge
+from rcx.errors import DimMismatch, OddNodeSet, TooLarge
 from rcx.families import (
     EdgeIndexer,
     PointSet,
@@ -202,6 +202,15 @@ def test_arb_7_fits_the_default_cap_and_8_does_not():
         arb(8)
 
 
+def test_spt_and_tjoins_caps_count_their_candidate_subsets():
+    # C(36, 8) edge subsets of size n - 1 for spt 9; 2^28 edge subsets for tjoins 8
+    with pytest.raises(TooLarge, match=r"^spt\(9\): 30260340 candidates exceed the cap of 4194304$"):
+        spt(9)
+    with pytest.raises(TooLarge,
+                       match=r"^tjoins\(8\): 268435456 candidates exceed the cap of 4194304$"):
+        tjoins(8, (1, 2, 3, 4))
+
+
 def test_branch_counts():
     assert len(branch(2)) == 3
     assert len(branch(3)) == 16
@@ -365,3 +374,24 @@ def test_validated_bools_are_stored_as_ints():
     assert bools.points == ints.points
     assert {type(v) for p in bools.points for v in p} == {int}
     assert bools.digest() == ints.digest()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PointSet(2, [], legend=("a",)), DimMismatch,
+     "legend length does not match dimension"),
+    (lambda: PointSet(2, [(1, 2, 3)]), DimMismatch, "point of wrong dimension"),
+    (lambda: PointSet(2, []).bounds(), ValueError, "empty point set has no bounds"),
+    (lambda: perm(0), ValueError, "need n >= 1"),
+    (lambda: diff(0, 2), ValueError, "need m, n >= 1"),
+    (lambda: diff(2, 0), ValueError, "need m, n >= 1"),
+    (lambda: stsp(2), ValueError, "cycles need n >= 3"),
+    (lambda: atsp(1), ValueError, "directed cycles need n >= 2"),
+    (lambda: arb(3, 0), ValueError, "root out of range"),
+    (lambda: arb(3, 4), ValueError, "root out of range"),
+    (lambda: branch(3, 4), ValueError, "root out of range"),
+], ids=["legend", "point-dim", "empty-bounds", "perm0", "diff-m0", "diff-n0",
+        "stsp2", "atsp1", "arb-root0", "arb-root4", "branch-root4"])
+def test_input_guards(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert str(got.value) == message

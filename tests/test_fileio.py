@@ -300,3 +300,25 @@ class TestReadDoc:
         p.write_text("[1, 2]\n")
         with pytest.raises(ValueError):
             fileio.read_doc(str(p))
+
+
+def _one_row(row):
+    return fileio.parse_polyhedron({"dim": 1, "constraints": [row]})
+
+
+def test_plain_int_coefficient_is_exact():
+    P = _one_row({"a": [2], "sense": "<=", "rhs": 3})
+    assert P.constraints[0].a == (Fraction(2),)
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"a": [True], "sense": "<=", "rhs": 1},
+     "field 'constraints[0].a[0]': expected a rational, got a boolean"),
+    ([1, "<=", 1], "field 'constraints[0]' must be an object"),
+    ({"a": [0], "sense": "<=", "rhs": "-1"},
+     "field 'constraints[0]': zero row with a nontrivial right-hand side"),
+], ids=["bool", "non-object", "zero-row"])
+def test_row_guards(row, message):
+    with pytest.raises(ValueError) as got:
+        _one_row(row)
+    assert str(got.value) == message

@@ -517,3 +517,23 @@ ORACLE_DIGESTS = {
 def test_hull_oracle_answers_match_digest(corpus):
     answers, digest = ORACLE_DIGESTS[corpus]
     assert hashlib.sha256(repr(answers()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: HPolyhedron(2, [((1, 0), "<=", 1)]), TypeError,
+     "constraints must be Halfspace rows"),
+    (lambda: box(2).contains((0, 0, 0)), DimMismatch,
+     "point dimension does not match polyhedron"),
+    (lambda: solve_lp(box(2), [1]), DimMismatch,
+     "objective dimension does not match polyhedron"),
+    (lambda: conv_membership((0,), [(0, 0), (1, 1)]), DimMismatch,
+     "point dimension does not match point set"),
+    (lambda: segment_hits_hull((0, 0), (1,), [(0, 0), (1, 1)]), DimMismatch,
+     "segment endpoints do not match point set dimension"),
+    (lambda: strict_separation([(0, 0)], [(1, 1, 1)]), DimMismatch,
+     "point sets of different dimensions"),
+], ids=["row-type", "contains", "objective", "membership", "segment", "separation"])
+def test_input_guards(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert str(got.value) == message

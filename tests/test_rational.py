@@ -177,3 +177,9 @@ def test_hull_points_always_members():
         # base plus any basis direction stays in the hull
         for b in h.basis:
             assert in_affine_hull(tuple(x + y for x, y in zip(h.base_point, b)), h)
+
+
+def test_rank_of_no_rows_and_of_ragged_rows():
+    assert gaussian_rank([]) == (0, [])
+    with pytest.raises(DimMismatch, match="^ragged rows$"):
+        gaussian_rank([[1, 2], [1]])

@@ -630,3 +630,13 @@ class TestLatticeBox:
             LatticeBox((Fraction(1, 2),), (1,))
         with pytest.raises(DimMismatch):
             LatticeBox((0,), (1, 1))
+
+
+@pytest.mark.parametrize("build, n, message", [
+    (build_conn_cut_relaxation, 1, "need at least two nodes"),
+    (build_rado_permutahedron, 1, "need at least two coordinates"),
+])
+def test_size_floors(build, n, message):
+    with pytest.raises(ValueError) as got:
+        build(n)
+    assert str(got.value) == message

@@ -4,6 +4,9 @@
 propagated box, the lattice scan, the LP front end and
 `irredundant_count` all read it. `_lattice_box` is the one place the
 scan's box is chosen. `families._cap_check` is the one size guard.
+`families._point_set` is the one intake of a point list,
+`rational._frac` the one float rule, `rational._int_row` the one
+denominator clearing and `families._parity` the one parity filter.
 `irredundant_count` is checked against a sense-by-sense loop over the
 rows' rational data.
 """
@@ -149,11 +152,11 @@ def test_each_decision_has_one_home(monkeypatch):
         assert len(boxes) == 1
 
 
-def test_size_guard_has_one_home():
-    # every count past a cap is refused by _cap_check; the one other
-    # TooLarge is jeroslow_index's dimension limit, which is no count
+def _owned(match):
+    """(module, innermost enclosing def, source) of each ast node in
+    rcx's modules that match accepts."""
     src = Path(linprog.__file__).parent
-    raised = []
+    found = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         # ast.walk is breadth-first, so the innermost enclosing def is last
@@ -162,13 +165,48 @@ def test_size_guard_has_one_home():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 owner.update((id(node), getattr(fn, "name", "<lambda>"))
                              for node in ast.walk(fn))
-        raised += [(path.stem, owner[id(node)], ast.unparse(node))
-                   for node in ast.walk(tree) if isinstance(node, ast.Call)
-                   and getattr(node.func, "id", getattr(node.func, "attr", None))
-                   == "TooLarge"]
-    assert sorted(raised) == [
+        found += [(path.stem, owner[id(node)], ast.unparse(node))
+                  for node in ast.walk(tree) if match(node)]
+    return sorted(found)
+
+
+def _calls(name):
+    return lambda node: (isinstance(node, ast.Call) and name
+                         == getattr(node.func, "id", getattr(node.func, "attr", None)))
+
+
+def test_size_guard_has_one_home():
+    # every count past a cap is refused by _cap_check; the one other
+    # TooLarge is jeroslow_index's dimension limit, which is no count
+    raised = _owned(_calls("TooLarge"))
+    assert raised == [
         ("families", "_cap_check",
          "TooLarge(f'{what}: {count} candidates exceed the cap of {cap}')"),
         ("separation", "_kept_and_excluded",
          "TooLarge(f'dimension {d} exceeds the limit {limit}')"),
     ], raised
+
+
+def test_point_set_intake_number_rule_and_parity_have_one_home():
+    # a plain list becomes a point set in families._point_set; a float is
+    # refused in rational._frac; a row's denominators are cleared in
+    # rational._int_row; a parity is filtered in families._parity
+    def has_points(node):
+        return (_calls("hasattr")(node) and len(node.args) == 2
+                and getattr(node.args[1], "value", None) == "points")
+
+    def refuses_floats(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "floats are not allowed" in node.value)
+
+    def sum_mod_2(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and _calls("sum")(node.left)
+                and getattr(node.right, "value", None) == 2)
+
+    homes = {"hasattr points": (has_points, ("families", "_point_set")),
+             "float refusal": (refuses_floats, ("rational", "_frac")),
+             "_den_lcm call": (_calls("_den_lcm"), ("rational", "_int_row")),
+             "sum % 2": (sum_mod_2, ("families", "_parity"))}
+    for what, (match, home) in homes.items():
+        assert [found[:2] for found in _owned(match)] == [home], what

@@ -438,3 +438,19 @@ class TestBoundReport:
         with pytest.raises(RuntimeError):
             RcBoundReport("even", {"n": 3}, 9, "floor", True,
                           8, "ceiling", True, ())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: separation._cube_points([]),
+     "cannot infer the dimension of an empty plain list"),
+    (lambda: separation._cube_points([(0, 1), (1,)]), "point (1,) has the wrong dimension"),
+    (lambda: jeroslow_index(even(2), max_complement=0),
+     "complement budget must be between 1 and 20"),
+    (lambda: jeroslow_index(even(2), max_complement=21),
+     "complement budget must be between 1 and 20"),
+    (lambda: separation._diff_params(2, 0), "need n >= 1"),
+], ids=["empty-list", "point-length", "budget0", "budget21", "diff-n0"])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
