@@ -313,11 +313,19 @@ def _trees(n):
 
 def spt(n, max_candidates=None):
     """Characteristic vectors of spanning trees, decoded from Prüfer
-    sequences; the cap counts the C(m, n-1) edge subsets of size n - 1."""
+    sequences; the cap counts the C(m, n-1) edge subsets of size n - 1.
+
+    From n = 3 on every coordinate takes both values: an edge is in the
+    star at one of its ends and not in the star at the third node; below
+    that there is one point.
+    """
     idx = EdgeIndexer(n)
-    _cap_check(comb(idx.dim, n - 1), max_candidates, f"spt({n})")
-    return PointSet(idx.dim, sorted(map(idx.vector, _trees(n))),
-                    family=_tag("spt", n=n), legend=idx.legend(), validate=False)
+    m = idx.dim
+    _cap_check(comb(m, n - 1), max_candidates, f"spt({n})")
+    pts = sorted(map(idx.vector, _trees(n)))
+    bounds = (pts[0], pts[0]) if n < 3 else ((0,) * m, (1,) * m)
+    return PointSet(m, pts, family=_tag("spt", n=n), legend=idx.legend(),
+                    validate=False, bounds=bounds)
 
 
 def _acyclic(n, edges):
@@ -347,6 +355,12 @@ def arb(n, root=None, max_candidates=None):
     every one comes once. The cap counts the parent picks (every node but
     the root picks a parent): n·(n-1)^(n-1), or (n-1)^(n-1) with a fixed
     root.
+
+    An arc into a fixed root is always 0. With two or more points every
+    other arc (u, v) takes both values: from n = 3 on, v's parent is u in
+    one arborescence and another node in the next; for n = 2 with no
+    fixed root, each arc is the one arc of the arborescence at its tail.
+    Otherwise (n = 1, or n = 2 with a root) there is one point.
     """
     if root is not None and not 1 <= root <= n:
         raise ValueError("root out of range")
@@ -360,8 +374,10 @@ def arb(n, root=None, max_candidates=None):
         pts += [idx.vector([(label[p], label[c]) for c, p in tree])
                 for tree in _trees(n)]
     pts.sort()
+    hi = tuple([int(v != root) for _, v in idx.pairs])
+    bounds = (pts[0], pts[0]) if len(pts) == 1 else ((0,) * idx.dim, hi)
     return PointSet(idx.dim, pts, family=_tag("arb", n=n, root=root),
-                    legend=idx.legend(), validate=False)
+                    legend=idx.legend(), validate=False, bounds=bounds)
 
 
 def branch(n, root=None, max_candidates=None):

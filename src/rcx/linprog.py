@@ -13,6 +13,9 @@ One polyhedron under many objectives (bounding_box, the same bounding
 LPs of a recession cone, and irredundant_count's LPs, each over P less
 some rows) shares one phase 1: each objective is priced on a copy of
 the feasible tableau, after the rows it leaves out are deleted.
+Consecutive calls over one HPolyhedron object (solve_lp after solve_lp,
+bounding_box after irredundant_count) share it too: _solve_lps keeps
+the last polyhedron's phase 1 in one slot, held by a weak reference.
 
 The hull oracles conv_membership and segment_hits_hull share one
 bounds presolve, one LP and one certificate check (_hull_point); a point
@@ -22,6 +25,7 @@ is the segment [p, p]. strict_separation is a solve_lp over (a, gamma).
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -346,36 +350,46 @@ class _Tableau:
         return r, den
 
 
-def _solve_standard(ncols, rows, objectives, free=0):
-    """max costs . z subject to rows as <=, z >= 0, for each costs in objectives.
-
-    Each row is (coeffs, rhs, scale): integers over the ncols columns,
-    scale times a rational row. The first `free` columns also get a
-    mirror column (_Tableau), so z has ncols + free entries and costs
-    has ncols: a mirror costs minus its column. Phase 1 runs once; each
-    objective is then priced on a copy of the feasible tableau, one at a
-    time as the caller asks. An objective may come as (costs, dropped):
-    that LP leaves the rows `dropped` out (a feasible system only; the
-    caller checks that they carry no multiplier). Yields (status, x,
-    value, duals, farkas, ray) per objective: x, duals, farkas and ray
-    are (integers, positive denominator), duals and farkas are
-    multipliers on the integer rows, and value is (numerator,
-    denominator).
-    """
+def _phase1(ncols, rows, free=0):
+    """Phase 1 of the rows as _solve_standard takes them: (the feasible
+    tableau, its artificials pivoted out, None), or (None, the Farkas
+    multipliers on the integer rows) when the rows have no point."""
     tab = _Tableau(ncols, rows, free)
     if tab.n_art:
         # the artificial of a row scaled by m stands for m units of the
         # rational one, so it costs -1/m
         tab.price_out([0] * tab.art0 + [Fraction(-1, m) for _, rhs, m in rows if rhs < 0])
         status, _ = tab.run()
-        if status != "optimal":  # pragma: no cover - box below is bounded
+        if status != "optimal":  # pragma: no cover - its value is at most 0
             raise RuntimeError("phase 1 cannot be unbounded")
         if tab.red[-1] > 0:
-            farkas = tab.slack_duals()
-            for _ in objectives:
-                yield "infeasible", None, None, None, farkas, None
-            return
+            return None, tab.slack_duals()
         tab.drop_artificials()
+    return tab, None
+
+
+def _solve_standard(ncols, rows, objectives, free=0, start=None):
+    """max costs . z subject to rows as <=, z >= 0, for each costs in objectives.
+
+    Each row is (coeffs, rhs, scale): integers over the ncols columns,
+    scale times a rational row. The first `free` columns also get a
+    mirror column (_Tableau), so z has ncols + free entries and costs
+    has ncols: a mirror costs minus its column. Phase 1 runs once, or
+    not at all when `start` is _phase1's answer for these rows; each
+    objective is then priced on a copy of the feasible tableau, one at a
+    time as the caller asks, so `start` is never changed. An objective
+    may come as (costs, dropped): that LP leaves the rows `dropped` out
+    (a feasible system only; the caller checks that they carry no
+    multiplier). Yields (status, x, value, duals, farkas, ray) per
+    objective: x, duals, farkas and ray are (integers, positive
+    denominator), duals and farkas are multipliers on the integer rows,
+    and value is (numerator, denominator).
+    """
+    tab, farkas = start or _phase1(ncols, rows, free)
+    if tab is None:
+        for _ in objectives:
+            yield "infeasible", None, None, None, farkas, None
+        return
     for costs in objectives:
         costs, dropped = costs if isinstance(costs, tuple) else (costs, ())
         t = tab.copy()
@@ -450,9 +464,17 @@ def solve_lp(P, objective, maximize=True):
     return next(_solve_lps(P, [([_frac(v) for v in objective], maximize)]))
 
 
+# The last polyhedron _solve_lps was asked about, as (a weak reference to
+# it, its standard-form rows, their provenance, their _phase1 answer): the
+# next call over the same object starts from that phase 1. One slot,
+# replaced as one tuple; its tableau is only ever copied.
+_last_phase1 = None
+
+
 def _solve_lps(P, objectives):
     """solve_lp's answer for each (objective, maximize), lazily, with one
-    phase 1 for them all.
+    phase 1 for them all, and none when the previous call was over the
+    same object P (_last_phase1).
 
     An objective may come as (objective, maximize, dropped): that LP is
     over P without the constraints whose indices are in `dropped`, after
@@ -463,12 +485,20 @@ def _solve_lps(P, objectives):
     a multiplier W_i on the integer row h_i is W_i * h._scale on its
     rational row.
     """
+    global _last_phase1
     d = P.dim
-    rows = []
-    prov = []  # (constraint index, sign) per standard-form row
-    for i, s, a, b in _le_rows(P):
-        rows.append((a, b, P.constraints[i]._scale))
-        prov.append((i, s))
+    last = _last_phase1
+    if last is not None and last[0]() is P:
+        _, rows, prov, start = last
+    else:
+        _last_phase1 = None  # the old tableau goes before the new one is built
+        rows = []
+        prov = []  # (constraint index, sign) per standard-form row
+        for i, s, a, b in _le_rows(P):
+            rows.append((a, b, P.constraints[i]._scale))
+            prov.append((i, s))
+        start = _phase1(d, rows, free=d)
+        _last_phase1 = (weakref.ref(P), rows, prov, start)
     goals = []  # the objective being answered, as the core takes it
 
     def standard(objectives):
@@ -501,7 +531,7 @@ def _solve_lps(P, objectives):
 
     # the core takes one objective before it answers it
     for status, z, value, y_std, farkas_std, ray_std in _solve_standard(
-            d, rows, standard(objectives), free=d):
+            d, rows, standard(objectives), free=d, start=start):
         c0, cs, sign, dropped = goals.pop()
         kept = [h for i, h in enumerate(P.constraints)
                 if i not in dropped] if dropped else P.constraints

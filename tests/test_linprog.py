@@ -537,3 +537,22 @@ def test_input_guards(call, error, message):
     with pytest.raises(error) as got:
         call()
     assert str(got.value) == message
+
+
+def test_warm_call_rejects_a_tampered_multiplier(monkeypatch):
+    # the second LP over one object starts from the first one's phase 1
+    # (no tableau is built), and its answer still gets every check
+    P = box(2, lo=1, hi=2)
+    assert solve_lp(P, [1, 0]).value == 2
+    phase1 = []
+
+    def recorded(*args, _real=linprog._phase1, **kwargs):
+        phase1.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "_phase1", recorded)
+    assert solve_lp(P, [0, 1]).value == 2
+    _tampered(monkeypatch, 3, lambda y: [-v for v in y])
+    with pytest.raises(RuntimeError, match="internal certificate check failed: dual sign"):
+        solve_lp(P, [0, 1])
+    assert phase1 == []

@@ -222,6 +222,8 @@ class _CountingTableau(linprog._Tableau):
 
 @pytest.fixture
 def counting(monkeypatch):
+    # an empty slot, so no count depends on the LPs of an earlier test
+    monkeypatch.setattr(linprog, "_last_phase1", None)
     monkeypatch.setattr(linprog, "_Tableau", _CountingTableau)
     monkeypatch.setattr(_CountingTableau, "built", 0)
     monkeypatch.setattr(_CountingTableau, "pivots", 0)
@@ -230,7 +232,8 @@ def counting(monkeypatch):
 
 class TestOnePhase1PerPolyhedron:
     """bounding_box, the recession probe and irredundant_count price every
-    objective on one tableau after one phase 1."""
+    objective on one tableau after one phase 1, and so do consecutive
+    calls over one object."""
 
     def test_rado5_box_builds_one_tableau(self, monkeypatch, counting):
         counts = count_lps(monkeypatch)
@@ -247,6 +250,21 @@ class TestOnePhase1PerPolyhedron:
         assert counts == {"relaxations": 36, "linprog": 0}
         assert counting.built == 1
         assert counting.pivots == 171  # 1,312 with one phase 1 per LP
+
+    def test_rado5_seeded_objectives_build_one_tableau(self, counting):
+        # perfbench lp-bounds' four Rado 5 objectives at seed 1, one
+        # solve_lp each over one object: phase 1 runs in the first only
+        P = build_rado_permutahedron(5)
+        pivots = []
+        for c in ([-5, 9, -7, -1, -6], [6, 5, 6, 3, -3], [-6, 6, -9, 3, 4],
+                  [-9, 5, -1, -2, 9]):
+            before = counting.pivots
+            assert solve_lp(P, c).status == "optimal"
+            pivots.append(counting.pivots - before)
+        assert counting.built == 1
+        # phase 1 takes 33 of the first 38; each on a fresh object takes
+        # 38, 35, 40 and 41, 154 in all
+        assert pivots == [38, 2, 7, 8]
 
     @pytest.mark.parametrize("P, probes", [
         (build_cube_relaxation(3), 6),                              # bounded: all 2d

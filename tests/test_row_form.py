@@ -4,6 +4,8 @@
 propagated box, the lattice scan, the LP front end and
 `irredundant_count` all read it. `_lattice_box` is the one place the
 scan's box is chosen. `families._cap_check` is the one size guard.
+`linprog._solve_lps` is the one reader and writer of the slot that
+keeps the last polyhedron's phase 1.
 `families._point_set` is the one intake of a point list,
 `rational._frac` the one float rule, `rational._int_row` the one
 denominator clearing and `families._parity` the one parity filter.
@@ -185,6 +187,20 @@ def test_size_guard_has_one_home():
         ("separation", "_kept_and_excluded",
          "TooLarge(f'dimension {d} exceeds the limit {limit}')"),
     ], raised
+
+
+def test_phase1_slot_has_one_home():
+    # the last polyhedron's phase 1 is defined once and only _solve_lps
+    # reads or replaces it
+    def slot(node):
+        return ((isinstance(node, ast.Name) and node.id == "_last_phase1")
+                or (isinstance(node, ast.Attribute) and node.attr == "_last_phase1")
+                or (isinstance(node, ast.Global) and "_last_phase1" in node.names))
+
+    found = _owned(slot)
+    assert {f[:2] for f in found} == {("linprog", "<module>"), ("linprog", "_solve_lps")}
+    assert [f for f in found if f[1] == "<module>"] == [
+        ("linprog", "<module>", "_last_phase1")]
 
 
 def test_point_set_intake_number_rule_and_parity_have_one_home():

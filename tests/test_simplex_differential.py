@@ -6,8 +6,9 @@ rule, and rescaling rows and columns by positive factors changes no sign
 or ratio that the rule compares, so both must take the same pivots and
 return identical points, values, duals, Farkas rows and rays, and every
 caller must give identical answers. The integer core runs phase 1 once
-for all objectives over one polyhedron; the reference solves each
-objective from scratch, so each shared objective is replayed too. The
+for all objectives over one polyhedron, and keeps it for the next call
+over the same object; the reference solves each objective from scratch,
+so each shared objective is replayed too. The
 core stores no x- and no artificial columns, so the reference writes
 them out; an objective that leaves rows out (irredundant_count's) is
 solved by the reference on the rows it keeps, and only its answer, not
@@ -15,6 +16,7 @@ its pivots, must match.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -64,14 +66,21 @@ def run_both(monkeypatch, fn):
     Every standard-form LP of the reference run, one per objective, is
     replayed on the integer core alone and must give the identical
     output; then the two runs' answers must be equal. The reference
-    writes each mirror column out as minus its column, and solves an
-    objective that drops rows from scratch on the rows it keeps (that
-    LP is the one replayed), its multipliers 0 on the dropped rows.
-    Returns the number of standard-form LPs and the answers.
+    ignores `start`, the integer core's phase 1 that _solve_lps keeps
+    for its last polyhedron, and solves every LP from scratch; it must
+    have answered every LP _solve_lps answered, so an LP that skips the
+    seam fails here. The reference writes each mirror
+    column out as minus its column, and solves an objective that drops
+    rows from scratch on the rows it keeps (that LP is the one
+    replayed), its multipliers 0 on the dropped rows. The second run
+    starts from the phase 1 the first one left. Returns the number of
+    standard-form LPs and the answers.
     """
     calls = []
+    asked = []
 
-    def reference(ncols, rows, objectives, free=0):
+    def reference(ncols, rows, objectives, free=0, start=None):
+        caller = sys._getframe(1).f_code.co_name  # the frame that asks
         for costs in objectives:
             costs, dropped = costs if isinstance(costs, tuple) else (costs, ())
             kept = [row for k, row in enumerate(rows) if k not in dropped]
@@ -79,13 +88,23 @@ def run_both(monkeypatch, fn):
             out = fraction_simplex._solve_standard(
                 ncols + free, fraction_simplex.rational_rows(full),
                 costs + [-v for v in costs[:free]])
-            calls.append(((ncols, kept, costs, free), out))
+            calls.append((caller, (ncols, kept, costs, free), out))
             yield _on_all_rows(fraction_simplex.to_core(out, full), dropped, len(rows))
+
+    def counted(P, objectives, _solve=linprog._solve_lps):
+        for out in _solve(P, objectives):
+            asked.append(out)
+            yield out
 
     with monkeypatch.context() as m:
         m.setattr(linprog, "_solve_standard", reference)
+        for module in (linprog, relaxations):
+            m.setattr(module, "_solve_lps", counted)
         want = fn()
-    for (ncols, rows, costs, free), out in calls:
+    callers = Counter(caller for caller, *_ in calls)
+    assert set(callers) <= {"_solve_lps", "_hull_point"}, callers
+    assert callers["_solve_lps"] == len(asked), "an LP bypassed the reference"
+    for _, (ncols, rows, costs, free), out in calls:
         assert_same(out, next(linprog._solve_standard(ncols, rows, [costs], free=free)),
                     rows)
     got = fn()
@@ -366,9 +385,10 @@ FIELDS = ("status", "value", "point", "dual", "farkas", "ray")
 def shared_against_one_shot(monkeypatch, fn, rational=False):
     """fn(), recording every answer bounding_box and recession_nontrivial
     take from _solve_lps; each must equal, field by field and with every
-    coordinate a Fraction, solve_lp's own answer for its objective (its
-    own phase 1), and with `rational` also the answer of the Fraction
-    core on the rows' rational data. Returns the statuses seen."""
+    coordinate a Fraction, solve_lp's own answer for its objective over
+    an equal polyhedron no LP has seen (its own phase 1), and with
+    `rational` also the answer of the Fraction core on the rows'
+    rational data. Returns the statuses seen."""
     seen = []
     solve = linprog._solve_lps
 
@@ -386,10 +406,16 @@ def shared_against_one_shot(monkeypatch, fn, rational=False):
         except (Infeasible, UnboundedCoordinate):
             pass  # no points, or an open side
     for P, c, maximize, out in seen:
-        assert_fields(out, solve_lp(P, c, maximize=maximize))
+        assert_fields(out, solve_lp(fresh(P), c, maximize=maximize))
         if rational:
             assert_fields(out, fraction_simplex.solve_lp(P, c, maximize))
     return [out.status for *_, out in seen]
+
+
+def fresh(P):
+    """A polyhedron equal to P that no LP has seen, so its first LP runs
+    phase 1 (_solve_lps keeps the phase 1 of the last object it saw)."""
+    return HPolyhedron(P.dim, P.constraints)
 
 
 def assert_fields(got, want):
@@ -440,3 +466,84 @@ def test_shared_phase1_seeded_corpus(monkeypatch):
         statuses.update(shared_against_one_shot(monkeypatch,
                                                 lambda: recession_nontrivial(P)))
     assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 500
+
+
+# --- one phase 1 across calls over one polyhedron ----------------------------
+
+
+def _built(monkeypatch):
+    """A list that gains one entry per integer tableau built (copies are not)."""
+    built = []
+
+    class Counting(linprog._Tableau):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(linprog, "_Tableau", Counting)
+    return built
+
+
+def test_criterion_11_warm_equals_cold(monkeypatch):
+    # each LP twice on one object: the second starts from the first's phase 1
+    built = _built(monkeypatch)
+    for P, c, m in _criterion_11_cases():
+        cold = solve_lp(P, c, maximize=m)
+        assert_fields(solve_lp(P, c, maximize=m), cold)
+    assert len(built) == 1000
+
+
+def _lp_bounds_objectives(seed):
+    """perfbench lp-bounds' seeded objectives: four maximized over Rado 5,
+    then four over subtour 4, each with its sense."""
+    rng = random.Random(seed)
+    perm5 = [([rng.randint(-9, 9) for _ in range(5)], True) for _ in range(4)]
+    sub4 = []
+    for _ in range(4):
+        c = [rng.randint(-9, 9) for _ in range(6)]
+        sub4.append((c, rng.random() < 0.5))
+    return perm5, sub4
+
+
+@pytest.mark.parametrize("seed", [1, 21, 22, 23])
+def test_lp_bounds_objectives_warm_equal_cold(monkeypatch, seed):
+    built = _built(monkeypatch)
+    perm5, sub4 = _lp_bounds_objectives(seed)
+    for build, objectives in ((lambda: build_rado_permutahedron(5), perm5),
+                              (lambda: build_subtour_relaxation(4), sub4)):
+        P = build()
+        warm = [solve_lp(P, c, maximize=m) for c, m in objectives]
+        cold = [solve_lp(build(), c, maximize=m) for c, m in objectives]
+        assert [out.status for out in warm] == ["optimal"] * 4
+        for got, want in zip(warm, cold):
+            assert_fields(got, want)
+    assert len(built) == 2 * (1 + 4)  # one per object
+
+
+def test_interleaved_polyhedra_keep_their_cold_answers(monkeypatch):
+    # bounding_box(A) takes its answers lazily; a solve_lp(B) between any
+    # two of them replaces the slot, and neither sees the other's phase 1
+    A, B = build_rado_permutahedron(4), build_subtour_relaxation(4)
+    c = [3, -1, 4, -1, 5, -9]
+    want_box = bounding_box(fresh(A))
+    want_A = list(linprog._solve_lps(fresh(A), linprog._box_objectives(A.dim)))
+    want_B = solve_lp(fresh(B), c)
+    got_A, got_B = [], []
+    solve = relaxations._solve_lps
+
+    def interleaved(P, objectives):
+        for out in solve(P, objectives):
+            got_B.append(solve_lp(B, c))
+            got_A.append(out)
+            yield out
+
+    built = _built(monkeypatch)
+    monkeypatch.setattr(relaxations, "_solve_lps", interleaved)
+    assert bounding_box(A) == want_box
+    assert got_A == want_A and len(got_A) == 2 * A.dim
+    assert got_B == [want_B] * len(got_A)
+    assert len(built) == 2  # A's phase 1 and B's, once each
+    # A after B starts cold again, and answers as a fresh object does
+    d = [1, 2, 3, 4]
+    assert solve_lp(A, d) == solve_lp(fresh(A), d)
+    assert len(built) == 4
