@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+from functools import cached_property
 from itertools import chain, compress, permutations, product
 from math import comb, factorial
 
@@ -36,24 +37,31 @@ def _joined(p):
 
 
 class EdgeIndexer:
-    """Lexicographic numbering of the edges (or arcs) on nodes 1..n."""
+    """Lexicographic numbering of the edges (or arcs) on nodes 1..n.
+
+    dim is counted from n: n(n-1)/2 edges, or n(n-1) arcs. The pairs and
+    their index are built on first use, so a size guard on dim refuses
+    before the O(n^2) lists exist.
+    """
 
     def __init__(self, n, directed=False):
         if n < 1:
             raise ValueError("need at least one node")
         self.n = n
         self.directed = directed
-        if directed:
-            self.pairs = tuple((u, v) for u in range(1, n + 1)
-                               for v in range(1, n + 1) if u != v)
-        else:
-            self.pairs = tuple((u, v) for u in range(1, n + 1)
-                               for v in range(u + 1, n + 1))
-        self._index = {p: k for k, p in enumerate(self.pairs)}
+        self.dim = n * (n - 1) if directed else n * (n - 1) // 2
 
-    @property
-    def dim(self):
-        return len(self.pairs)
+    @cached_property
+    def pairs(self):
+        n = self.n
+        if self.directed:
+            return tuple((u, v) for u in range(1, n + 1)
+                         for v in range(1, n + 1) if u != v)
+        return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+
+    @cached_property
+    def _index(self):
+        return {p: k for k, p in enumerate(self.pairs)}
 
     def index(self, u, v):
         if not self.directed and u > v:
@@ -161,9 +169,14 @@ def _cap(cap):
 
 
 def _cap_check(count, cap, what):
-    """The one size guard: refuse work past the cap with one message."""
+    """The one size guard: refuse work past the cap with one message. A
+    count past int's limit on decimal digits is given as a power of 2."""
     cap = _cap(cap)
     if count > cap:
+        try:
+            count = str(count)
+        except ValueError:
+            count = f"at least 2^{count.bit_length() - 1}"
         raise TooLarge(f"{what}: {count} candidates exceed the cap of {cap}")
 
 

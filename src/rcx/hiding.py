@@ -172,16 +172,20 @@ def build_tjoin_hiding(n, terminals):
     T = tjoin_terminals(n, terminals)
     U = [v for v in range(1, n + 1) if v not in set(T)]
     k, l = len(T) // 2, len(U) // 2
+    # both parts' patterns pass the size guard before the O(n^2) matchings
+    # and edge index are built
+    even_M, odd_N = (_parity("tjoin_hiding", k, 0, None),
+                     _parity("tjoin_hiding", l, 1, None))
     T1, T2 = T[:k], T[k:]
     U1, U2 = U[:l], U[l:]
     M = [[(T1[j], T2[(j + i) % k]) for j in range(k)] for i in range(k)]
     Nm = [[(U1[j], U2[(j + i) % l]) for j in range(l)] for i in range(l)]
     idx = EdgeIndexer(n)
 
-    def part(p, groups, parity, fixed):
-        """Unions of the groups chosen with the given parity, plus fixed."""
+    def part(p, groups, patterns, fixed):
+        """Unions of the groups each pattern picks, plus fixed."""
         pts = []
-        for bits in _parity("tjoin_hiding", len(groups), parity, None):
+        for bits in patterns:
             vec = idx.vector(fixed + [e for g in compress(groups, bits) for e in g])
             if _degree_parities(n, idx, vec) != tuple(T):
                 pts.append(vec)
@@ -189,7 +193,7 @@ def build_tjoin_hiding(n, terminals):
                         family=_tag("tjoin_hiding", n=n, terminals=list(T), part=p))
 
     # H1: even unions of M's with no N; H2: odd unions of N's plus M_1
-    return part(1, M, 0, []), part(2, Nm, 1, M[0] if k else [])
+    return part(1, M, even_M, []), part(2, Nm, odd_N, M[0] if k else [])
 
 
 @dataclass(frozen=True)

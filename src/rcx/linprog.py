@@ -9,13 +9,13 @@ against the integer rows before it is returned: an optimal point with
 matching dual multipliers, an infeasibility witness, or a feasible
 improving ray. Fractions are built only for the answer itself.
 
-One polyhedron under many objectives (bounding_box, the same bounding
-LPs of a recession cone, and irredundant_count's LPs, each over P less
-some rows) shares one phase 1: each objective is priced on a copy of
-the feasible tableau, after the rows it leaves out are deleted.
-Consecutive calls over one HPolyhedron object (solve_lp after solve_lp,
-bounding_box after irredundant_count) share it too: _solve_lps keeps
-the last polyhedron's phase 1 in one slot, held by a weak reference.
+Each LP is one _solve call. Consecutive LPs over one HPolyhedron object
+share one phase 1: _solve keeps the last polyhedron's feasible tableau
+in one slot, held by a weak reference that empties the slot when the
+polyhedron dies, and each later LP over it is priced on a copy of that
+tableau, after the rows it leaves out are deleted. So the bounding LPs
+of bounding_box and recession_nontrivial, irredundant_count's LPs and
+repeated solve_lp calls over one object run phase 1 once.
 
 The hull oracles conv_membership and segment_hits_hull share one
 bounds presolve, one LP and one certificate check (_hull_point); a point
@@ -368,39 +368,33 @@ def _phase1(ncols, rows, free=0):
     return tab, None
 
 
-def _solve_standard(ncols, rows, objectives, free=0, start=None):
-    """max costs . z subject to rows as <=, z >= 0, for each costs in objectives.
+def _solve_standard(ncols, rows, costs, free=0, start=None, dropped=()):
+    """max costs . z subject to rows as <=, z >= 0.
 
     Each row is (coeffs, rhs, scale): integers over the ncols columns,
     scale times a rational row. The first `free` columns also get a
     mirror column (_Tableau), so z has ncols + free entries and costs
-    has ncols: a mirror costs minus its column. Phase 1 runs once, or
-    not at all when `start` is _phase1's answer for these rows; each
-    objective is then priced on a copy of the feasible tableau, one at a
-    time as the caller asks, so `start` is never changed. An objective
-    may come as (costs, dropped): that LP leaves the rows `dropped` out
-    (a feasible system only; the caller checks that they carry no
-    multiplier). Yields (status, x, value, duals, farkas, ray) per
-    objective: x, duals, farkas and ray are (integers, positive
-    denominator), duals and farkas are multipliers on the integer rows,
-    and value is (numerator, denominator).
+    has ncols: a mirror costs minus its column. Phase 1 runs here, or
+    not at all when `start` is _phase1's answer for these rows; the
+    objective is priced on a copy of the feasible tableau, so `start` is
+    never changed. The LP leaves the rows `dropped` out (a feasible
+    system only; the caller checks that they carry no multiplier).
+    Returns (status, x, value, duals, farkas, ray): x, duals, farkas and
+    ray are (integers, positive denominator), duals and farkas are
+    multipliers on the integer rows, and value is (numerator,
+    denominator).
     """
     tab, farkas = start or _phase1(ncols, rows, free)
     if tab is None:
-        for _ in objectives:
-            yield "infeasible", None, None, None, farkas, None
-        return
-    for costs in objectives:
-        costs, dropped = costs if isinstance(costs, tuple) else (costs, ())
-        t = tab.copy()
-        for k in dropped:
-            t.drop_row(k)
-        t.price_out(costs + [-v for v in costs[:free]])
-        status, e = t.run()
-        if status == "unbounded":
-            yield "unbounded", t.solution(), None, None, None, t.ray(e)
-        else:
-            yield "optimal", t.solution(), t.value(), t.slack_duals(), None, None
+        return "infeasible", None, None, None, farkas, None
+    tab = tab.copy()
+    for k in dropped:
+        tab.drop_row(k)
+    tab.price_out(costs + [-v for v in costs[:free]])
+    status, e = tab.run()
+    if status == "unbounded":
+        return "unbounded", tab.solution(), None, None, None, tab.ray(e)
+    return "optimal", tab.solution(), tab.value(), tab.slack_duals(), None, None
 
 
 def _tableau_rows(rows):
@@ -441,12 +435,6 @@ def _combination(P, w, what):
     return comb, total
 
 
-def _box_objectives(d):
-    """Each coordinate of R^d maximized, then minimized, in order."""
-    return [([int(j == k) for j in range(d)], maximize)
-            for k in range(d) for maximize in (True, False)]
-
-
 def solve_lp(P, objective, maximize=True):
     """Optimize an exact linear objective over an HPolyhedron.
 
@@ -461,29 +449,34 @@ def solve_lp(P, objective, maximize=True):
     """
     if len(objective) != P.dim:
         raise DimMismatch("objective dimension does not match polyhedron")
-    return next(_solve_lps(P, [([_frac(v) for v in objective], maximize)]))
+    return _solve(P, [_frac(v) for v in objective], maximize)
 
 
-# The last polyhedron _solve_lps was asked about, as (a weak reference to
-# it, its standard-form rows, their provenance, their _phase1 answer): the
-# next call over the same object starts from that phase 1. One slot,
+# The last polyhedron _solve was asked about, as (a weak reference to it,
+# its standard-form rows, their provenance, their _phase1 answer): the
+# next LP over the same object starts from that phase 1. One slot,
 # replaced as one tuple; its tableau is only ever copied.
 _last_phase1 = None
 
 
-def _solve_lps(P, objectives):
-    """solve_lp's answer for each (objective, maximize), lazily, with one
-    phase 1 for them all, and none when the previous call was over the
-    same object P (_last_phase1).
+def _forget(ref):
+    """Empty the slot when the polyhedron it holds dies (ref's callback)."""
+    global _last_phase1
+    if _last_phase1 is not None and _last_phase1[0] is ref:
+        _last_phase1 = None
 
-    An objective may come as (objective, maximize, dropped): that LP is
-    over P without the constraints whose indices are in `dropped`, after
-    the same phase 1 of P, so P must have points. Its answer is checked
-    against the constraints it kept, and a dropped one must carry no
-    multiplier. The standard form is P's _le_rows, each x with a free
-    column (its x+ and x- parts). The checks read the rows' integer form:
-    a multiplier W_i on the integer row h_i is W_i * h._scale on its
-    rational row.
+
+def _solve(P, c, maximize=True, dropped=()):
+    """solve_lp's answer for the objective c over P, with no phase 1 when
+    the previous LP was over the same object P (_last_phase1).
+
+    The LP is over P without the constraints whose indices are in
+    `dropped`, after the same phase 1 of P, so P must have points when
+    any are dropped. Its answer is checked against the constraints it
+    kept, and a dropped one must carry no multiplier. The standard form
+    is P's _le_rows, each x with a free column (its x+ and x- parts).
+    The checks read the rows' integer form: a multiplier W_i on the
+    integer row h_i is W_i * h._scale on its rational row.
     """
     global _last_phase1
     d = P.dim
@@ -498,20 +491,19 @@ def _solve_lps(P, objectives):
             rows.append((a, b, P.constraints[i]._scale))
             prov.append((i, s))
         start = _phase1(d, rows, free=d)
-        _last_phase1 = (weakref.ref(P), rows, prov, start)
-    goals = []  # the objective being answered, as the core takes it
+        _last_phase1 = (weakref.ref(P, _forget), rows, prov, start)
+    # in max form without denominators: c0 = sign * cs * c
+    ints, cs = _int_row(c)
+    sign = 1 if maximize else -1
+    c0 = [sign * v for v in ints]
+    dropped = set(dropped)
+    status, z, value, y_std, farkas_std, ray_std = _solve_standard(
+        d, rows, c0, free=d, start=start,
+        dropped=[k for k, (i, _) in enumerate(prov) if i in dropped])
+    kept = [h for i, h in enumerate(P.constraints)
+            if i not in dropped] if dropped else P.constraints
 
-    def standard(objectives):
-        for c, maximize, *dropped in objectives:
-            # in max form without denominators: c0 = sign * cs * c
-            ints, cs = _int_row(c)
-            sign = 1 if maximize else -1
-            c0 = [sign * v for v in ints]
-            dropped = set(*dropped)
-            goals.append((c0, cs, sign, dropped))
-            yield c0, [k for k, (i, _) in enumerate(prov) if i in dropped]
-
-    def fold(ys, dropped, what):
+    def fold(ys, what):
         w = [0] * len(P.constraints)
         for (i, s), yk in zip(prov, ys):
             if yk:
@@ -529,41 +521,32 @@ def _solve_lps(P, objectives):
     def multipliers(w, den):  # w / den on the integer rows, on the rational ones
         return tuple([Fraction(wk * h._scale, den) for h, wk in zip(P.constraints, w)])
 
-    # the core takes one objective before it answers it
-    for status, z, value, y_std, farkas_std, ray_std in _solve_standard(
-            d, rows, standard(objectives), free=d, start=start):
-        c0, cs, sign, dropped = goals.pop()
-        kept = [h for i, h in enumerate(P.constraints)
-                if i not in dropped] if dropped else P.constraints
-        if status == "infeasible":
-            w = fold(farkas_std[0], dropped, "farkas")
-            comb, beta = _combination(P, w, "farkas")
-            _check(not any(comb), "farkas combination is zero")
-            _check(beta < 0, "farkas value negative")
-            yield LPOutcome(status="infeasible", farkas=multipliers(w, farkas_std[1]))
-            continue
+    if status == "infeasible":
+        w = fold(farkas_std[0], "farkas")
+        comb, beta = _combination(P, w, "farkas")
+        _check(not any(comb), "farkas combination is zero")
+        _check(beta < 0, "farkas value negative")
+        return LPOutcome(status="infeasible", farkas=multipliers(w, farkas_std[1]))
 
-        x, den = split(z[0]), z[1]
-        _check(all(_holds(h, x, den) for h in kept),
-               "optimal point feasible" if status == "optimal"
-               else "unbounded: basic point feasible")
-        if status == "unbounded":
-            r, rden = split(ray_std[0]), ray_std[1]
-            _check(any(r), "ray nonzero")
-            _check(all(_holds(h, r, 0) for h in kept), "ray in the recession cone")
-            _check(vdot(c0, r) > 0, "ray improves objective")
-            yield LPOutcome(status="unbounded", point=vector(x, den),
-                            ray=vector(r, rden))
-            continue
+    x, den = split(z[0]), z[1]
+    _check(all(_holds(h, x, den) for h in kept),
+           "optimal point feasible" if status == "optimal"
+           else "unbounded: basic point feasible")
+    if status == "unbounded":
+        r, rden = split(ray_std[0]), ray_std[1]
+        _check(any(r), "ray nonzero")
+        _check(all(_holds(h, r, 0) for h in kept), "ray in the recession cone")
+        _check(vdot(c0, r) > 0, "ray improves objective")
+        return LPOutcome(status="unbounded", point=vector(x, den), ray=vector(r, rden))
 
-        # the value V / vden and the multipliers w / yden are those of c0
-        (V, vden), w, yden = value, fold(y_std[0], dropped, "dual"), y_std[1]
-        _check(vdot(c0, x) * vden == V * den, "objective value matches point")
-        comb, dual_value = _combination(P, w, "dual")
-        _check(comb == [yden * v for v in c0], "dual combination equals objective")
-        _check(dual_value * vden == V * yden, "dual value equals primal value")
-        yield LPOutcome(status="optimal", value=Fraction(sign * V, vden * cs),
-                        point=vector(x, den), dual=multipliers(w, sign * yden * cs))
+    # the value V / vden and the multipliers w / yden are those of c0
+    (V, vden), w, yden = value, fold(y_std[0], "dual"), y_std[1]
+    _check(vdot(c0, x) * vden == V * den, "objective value matches point")
+    comb, dual_value = _combination(P, w, "dual")
+    _check(comb == [yden * v for v in c0], "dual combination equals objective")
+    _check(dual_value * vden == V * yden, "dual value equals primal value")
+    return LPOutcome(status="optimal", value=Fraction(sign * V, vden * cs),
+                     point=vector(x, den), dual=multipliers(w, sign * yden * cs))
 
 
 def _hull_point(a, b, X, mismatch):
@@ -625,7 +608,7 @@ def _hull_point(a, b, X, mismatch):
     rows.append(([-1] * n + [0] * nt, -1))
     if segment:
         rows.append(([0] * n + [1], 1))
-    status, z, *_ = next(_solve_standard(n + nt, _tableau_rows(rows), [[0] * (n + nt)]))
+    status, z, *_ = _solve_standard(n + nt, _tableau_rows(rows), [0] * (n + nt))
     if status != "optimal":
         return None
     z, den = z
@@ -700,7 +683,10 @@ def recession_nontrivial(P):
     """
     d = P.dim
     cone = HPolyhedron(d, [Halfspace(h.a, h.sense, 0) for h in P.constraints])
-    for out in _solve_lps(cone, _box_objectives(d)):
-        if out.status == "unbounded":
-            return True, _unit_ray(out.ray)
+    for k in range(d):
+        e = [int(j == k) for j in range(d)]
+        for maximize in (True, False):
+            out = _solve(cone, e, maximize)
+            if out.status == "unbounded":
+                return True, _unit_ray(out.ray)
     return False, None

@@ -16,9 +16,8 @@ from .families import EdgeIndexer, PointSet, _cap, _cap_check
 from .linprog import (
     Halfspace,
     HPolyhedron,
-    _box_objectives,
     _le_rows,
-    _solve_lps,
+    _solve,
     _unit_ray,
     conv_membership,
 )
@@ -171,14 +170,14 @@ def bounding_box(P):
     raises UnboundedCoordinate with the LP's checked ray."""
     lower = []
     upper = []
-    answers = _solve_lps(P, _box_objectives(P.dim))
     for k in range(P.dim):
-        hi = next(answers)
+        e = [int(j == k) for j in range(P.dim)]
+        hi = _solve(P, e)
         if hi.status == "infeasible":
             raise Infeasible("polyhedron has no points")
         if hi.status == "unbounded":
             raise UnboundedCoordinate(k + 1, "+", hi.ray)
-        lo = next(answers)
+        lo = _solve(P, e, maximize=False)
         if lo.status == "unbounded":
             raise UnboundedCoordinate(k + 1, "-", lo.ray)
         upper.append(floor(hi.value))
@@ -354,21 +353,14 @@ def irredundant_count(P):
     and none of them is implied by the others.  Equality rows are always
     kept and are excluded from the count and the redundancy list.  All
     the LPs share one phase 1 of P, which the zero objective probes for
-    points; each LP leaves out its row and the rows dropped so far, as
-    they stand when it is priced.
+    points; each LP leaves out its row and the rows dropped so far.
     """
     tests = [(i, a, b) for i, _, a, b in _le_rows(P) if P.constraints[i].sense != "="]
-    redundant = []
-
-    def objectives():
-        yield [0] * P.dim, True
-        for i, a, _ in tests:
-            yield a, True, [i, *redundant]
-
-    answers = _solve_lps(P, objectives())
-    if next(answers).status == "infeasible":
+    if _solve(P, [0] * P.dim).status == "infeasible":
         raise Infeasible("polyhedron has no points")
-    for (i, _, b), out in zip(tests, answers):
+    redundant = []
+    for i, a, b in tests:
+        out = _solve(P, a, dropped=[i, *redundant])
         if out.status == "optimal" and out.value <= b:
             redundant.append(i)
     return len(tests) - len(redundant), redundant

@@ -3,8 +3,8 @@
 Kept verbatim as a test-only reference: every tableau entry is a
 Fraction, the pivots follow Bland's rule, and `_solve_standard` takes
 rational rows and one objective. The library's core takes integer rows
-(coeffs, rhs, scale), scale times a rational row, and a list of
-objectives, and gives each vector as (integers, denominator) with its
+(coeffs, rhs, scale), scale times a rational row, and one objective
+too, and gives each vector as (integers, denominator) with its
 multipliers on the integer rows; `to_core` and `from_core` at the end
 convert between the two forms. The differential tests require both
 cores to give identical answers.

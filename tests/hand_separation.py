@@ -38,7 +38,7 @@ def strict_separation(X, C):
         rows.append((list(x) + [-v for v in x] + [-1, 1], 0))
     for y in ptsc:
         rows.append(([-v for v in y] + list(y) + [1, -1], -1))
-    status, z, *_ = next(_solve_standard(nv, _tableau_rows(rows), [[0] * nv]))
+    status, z, *_ = _solve_standard(nv, _tableau_rows(rows), [0] * nv)
     if status != "optimal":
         return None
     z, den = z

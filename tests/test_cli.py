@@ -13,6 +13,7 @@ from rcx.cli import (_HIDING_BUILDERS, _RELAX_BUILDERS, CommandResult, _build_pa
 from rcx.families import FAMILIES, PointSet
 from rcx.linprog import Halfspace, HPolyhedron
 from rcx.separation import _REPORTS
+from test_separation import deadline
 
 
 def doc_bytes(path):
@@ -132,6 +133,35 @@ class TestSizeGuard:
         assert res == CommandResult(
             2, None,
             "too large: tsp_hiding(23): 8388608 candidates exceed the cap of 4194304")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, count", [
+        (["cube", "20000"], "at least 2^20000"),
+        (["perm", "2000"], "at least 2^19052"),
+        (["stsp", "5000"], "at least 2^54220"),
+    ], ids=["cube 20000", "perm 2000", "stsp 5000"])
+    def test_count_past_the_digit_limit_is_refused(self, tmp_path, args, count):
+        out = tmp_path / "no.json"
+        res = run(["gen", *args, "-o", str(out)])
+        assert res == CommandResult(
+            2, None,
+            f"too large: {args[0]}({args[1]}): {count} candidates exceed the cap of 4194304")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "conn", "5000"], ["gen", "forests", "5000"], ["gen", "branch", "5000"],
+        ["gen", "spt", "5000"], ["gen", "arb", "5000"], ["gen", "tjoins", "5000"],
+        ["hiding", "build", "tsp", "4000"], ["hiding", "build", "arb", "4000"],
+        ["hiding", "build", "tjoin", "5000", "1,2"],
+        ["report", "stsp", "3000"], ["report", "stsp", "8000"],
+    ], ids=" ".join)
+    def test_refused_before_the_edge_index_is_built(self, tmp_path, args):
+        # each count comes from n, so the cap refuses before the O(n^2)
+        # edge pairs or matchings exist
+        out = tmp_path / "no.json"
+        with deadline(1):
+            res = run([*args, "-o", str(out)])
+        assert res.exit_code == 2 and res.summary.startswith("too large: "), res
         assert not out.exists()
 
     def test_rationalize_refusal(self, tmp_path):

@@ -211,6 +211,20 @@ def test_spt_and_tjoins_caps_count_their_candidate_subsets():
         tjoins(8, (1, 2, 3, 4))
 
 
+@pytest.mark.parametrize("args, count", [
+    (("cube", 20000), "at least 2^20000"),      # 6,021 digits
+    (("perm", 2000), "at least 2^19052"),       # 5,736 digits
+    (("stsp", 5000), "at least 2^54220"),       # 16,322 digits
+    (("cube", 14000), str(2**14000)),           # 4,215 digits print as before
+], ids=["cube20000", "perm2000", "stsp5000", "cube14000"])
+def test_counts_past_the_digit_limit_print_as_a_power_of_2(args, count):
+    # str() refuses ints past 4,300 decimal digits; the refusal still comes
+    with pytest.raises(TooLarge) as err:
+        generate(*args)
+    assert str(err.value) == (f"{args[0]}({args[1]}): {count} candidates "
+                              f"exceed the cap of 4194304")
+
+
 def test_branch_counts():
     assert len(branch(2)) == 3
     assert len(branch(3)) == 16

@@ -1,8 +1,9 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, count, permutations, product
 
 import pytest
 
@@ -237,17 +238,18 @@ def _tamper_vector(vector, tamper):
 
 
 def _tampered(monkeypatch, part, tamper, only=None):
-    """Make _solve_standard yield its answers with one part (an index into
-    each answer tuple) passed through tamper: every answer's, or only the
-    one at index `only` among the objectives of one call."""
+    """Make _solve_standard return its answer with one part (an index into
+    the answer tuple) passed through tamper: on every call, or only on
+    call number `only`, counted from 0 from now on."""
     solve = linprog._solve_standard
+    calls = count()
 
     def tampered(*args, **kwargs):
-        for k, out in enumerate(solve(*args, **kwargs)):
-            if only in (None, k):
-                out = list(out)
-                out[part] = _tamper_vector(out[part], tamper)
-            yield tuple(out)
+        out = solve(*args, **kwargs)
+        if only in (None, next(calls)):
+            out = list(out)
+            out[part] = _tamper_vector(out[part], tamper)
+        return tuple(out)
 
     monkeypatch.setattr(linprog, "_solve_standard", tampered)
 
@@ -556,3 +558,24 @@ def test_warm_call_rejects_a_tampered_multiplier(monkeypatch):
     with pytest.raises(RuntimeError, match="internal certificate check failed: dual sign"):
         solve_lp(P, [0, 1])
     assert phase1 == []
+
+
+def test_slot_empties_when_its_polyhedron_dies():
+    # strict_separation builds its polyhedron inside the call; once that
+    # is gone, so is the slot's phase 1 (2.6 MB here while it stayed)
+    X = generate("cube", 9)
+    tracemalloc.start()
+    try:
+        assert strict_separation(X, [(2,) * 9]) is not None
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert linprog._last_phase1 is None
+    assert kept < 500_000
+    # a polyhedron that dies after the slot moved on leaves the slot alone
+    P, Q = box(1), box(2)
+    solve_lp(P, [1])
+    held = linprog._last_phase1  # keeps P's weak reference alive
+    solve_lp(Q, [1, 0])
+    del P
+    assert held[0]() is None and linprog._last_phase1[0]() is Q

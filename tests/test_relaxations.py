@@ -191,16 +191,15 @@ class TestEnumerateLattice:
 
 
 def count_lps(monkeypatch):
-    """Count LP objectives solved: bounding LPs in relaxations; recession
-    probes and solve_lp calls in linprog."""
+    """Count LPs solved: bounding LPs in relaxations; recession probes and
+    solve_lp calls in linprog."""
     counts = {"relaxations": 0, "linprog": 0}
     for module in (relaxations, linprog):
-        def counted(P, objectives, _module=module.__name__.split(".")[1],
-                    _solve=module._solve_lps):
-            for out in _solve(P, objectives):
-                counts[_module] += 1
-                yield out
-        monkeypatch.setattr(module, "_solve_lps", counted)
+        def counted(*args, _module=module.__name__.split(".")[1],
+                    _solve=module._solve, **kwargs):
+            counts[_module] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, "_solve", counted)
     return counts
 
 
@@ -605,14 +604,14 @@ class TestRowDrops:
                             Halfspace(x, "<=", 1), Halfspace(y, "=", 0),
                             Halfspace(y, "<=", 3)])
         statuses = []
-        solve = relaxations._solve_lps
+        solve = relaxations._solve
 
-        def recording(P, objectives):
-            for out in solve(P, objectives):
-                statuses.append(out.status)
-                yield out
+        def recording(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            statuses.append(out.status)
+            return out
 
-        monkeypatch.setattr(relaxations, "_solve_lps", recording)
+        monkeypatch.setattr(relaxations, "_solve", recording)
         assert irredundant_count(P) == (2, [0, 4])
         assert statuses == ["optimal", "optimal", "unbounded", "unbounded", "optimal"]
         # each LP drops its own row and x >= -1 (row 0), once that is

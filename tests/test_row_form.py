@@ -4,8 +4,10 @@
 propagated box, the lattice scan, the LP front end and
 `irredundant_count` all read it. `_lattice_box` is the one place the
 scan's box is chosen. `families._cap_check` is the one size guard.
-`linprog._solve_lps` is the one reader and writer of the slot that
-keeps the last polyhedron's phase 1.
+`linprog._solve` is the one reader and writer of the slot that keeps
+the last polyhedron's phase 1 (its weak reference's callback only
+empties it), and, with the hull oracles' `_hull_point`, the one caller
+of the simplex core, which answers one LP per call.
 `families._point_set` is the one intake of a point list,
 `rational._frac` the one float rule, `rational._int_row` the one
 denominator clearing and `families._parity` the one parity filter.
@@ -14,6 +16,7 @@ rows' rational data.
 """
 
 import ast
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -131,14 +134,14 @@ def test_each_decision_has_one_home(monkeypatch):
     for fn, want in [(lambda: _row_box(P), "_row_box"),
                      (lambda: enumerate_lattice(P, box=LatticeBox((0,) * 3, (1,) * 3)),
                       "enumerate_lattice"),
-                     (lambda: solve_lp(P, [1, 0, 0]), "_solve_lps"),
+                     (lambda: solve_lp(P, [1, 0, 0]), "_solve"),
                      (lambda: irredundant_count(P), "irredundant_count")]:
         readers.clear()
         fn()
         assert want in readers, (want, readers)
-        assert set(readers) <= {want, "_solve_lps"}, (want, readers)
+        assert set(readers) <= {want, "_solve"}, (want, readers)
     for fn in (relaxations._row_box, relaxations.enumerate_lattice,
-               linprog._solve_lps, relaxations.irredundant_count):
+               linprog._solve, relaxations.irredundant_count):
         names = set(fn.__code__.co_names)
         for const in fn.__code__.co_consts:
             if hasattr(const, "co_names"):  # a nested function
@@ -190,17 +193,30 @@ def test_size_guard_has_one_home():
 
 
 def test_phase1_slot_has_one_home():
-    # the last polyhedron's phase 1 is defined once and only _solve_lps
-    # reads or replaces it
+    # the last polyhedron's phase 1 is defined once; only _solve reads or
+    # replaces it, and only its weak reference's callback, _forget, also
+    # empties it
     def slot(node):
         return ((isinstance(node, ast.Name) and node.id == "_last_phase1")
                 or (isinstance(node, ast.Attribute) and node.attr == "_last_phase1")
                 or (isinstance(node, ast.Global) and "_last_phase1" in node.names))
 
     found = _owned(slot)
-    assert {f[:2] for f in found} == {("linprog", "<module>"), ("linprog", "_solve_lps")}
+    assert {f[:2] for f in found} == {("linprog", "<module>"), ("linprog", "_solve"),
+                                      ("linprog", "_forget")}
     assert [f for f in found if f[1] == "<module>"] == [
         ("linprog", "<module>", "_last_phase1")]
+    forget = [f[2] for f in found if f[1] == "_forget"]
+    assert forget == ["_last_phase1", "_last_phase1", "_last_phase1",
+                      "global _last_phase1"], forget
+
+
+def test_simplex_core_answers_one_lp_per_call():
+    # each LP is one call of the core: only _solve and the hull oracles'
+    # _hull_point call it, and it is a plain function, not a generator
+    assert [f[:2] for f in _owned(_calls("_solve_standard"))] == [
+        ("linprog", "_hull_point"), ("linprog", "_solve")]
+    assert not inspect.isgeneratorfunction(linprog._solve_standard)
 
 
 def test_point_set_intake_number_rule_and_parity_have_one_home():

@@ -346,11 +346,10 @@ class TestBoundReport:
         # the propagated box bounds the permutahedron and the sawtooth rows
         calls = []
         for module in (relaxations, linprog):
-            def counted(P, objectives, _solve=module._solve_lps):
-                for out in _solve(P, objectives):
-                    calls.append(out)
-                    yield out
-            monkeypatch.setattr(module, "_solve_lps", counted)
+            def counted(*args, _solve=module._solve, **kwargs):
+                calls.append(_solve(*args, **kwargs))
+                return calls[-1]
+            monkeypatch.setattr(module, "_solve", counted)
         assert bound_report(*args).upper_certified
         assert calls == []
 

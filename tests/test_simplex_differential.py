@@ -5,14 +5,14 @@ is the Fraction tableau it replaced, kept verbatim. Both follow Bland's
 rule, and rescaling rows and columns by positive factors changes no sign
 or ratio that the rule compares, so both must take the same pivots and
 return identical points, values, duals, Farkas rows and rays, and every
-caller must give identical answers. The integer core runs phase 1 once
-for all objectives over one polyhedron, and keeps it for the next call
-over the same object; the reference solves each objective from scratch,
-so each shared objective is replayed too. The
+caller must give identical answers. The integer core keeps the phase 1
+of the last polyhedron it solved an LP over for the next LP over the
+same object; the reference solves each LP from scratch, so each shared
+LP is replayed too. The
 core stores no x- and no artificial columns, so the reference writes
-them out; an objective that leaves rows out (irredundant_count's) is
-solved by the reference on the rows it keeps, and only its answer, not
-its pivots, must match.
+them out; an LP that leaves rows out (irredundant_count's) is solved
+by the reference on the rows it keeps, and only its answer, not its
+pivots, must match.
 """
 
 import random
@@ -57,56 +57,52 @@ def solve_one(ncols, rows, costs):
     """The integer core on rational rows (coeffs, rhs) and one objective,
     with the rows it was given."""
     rows = linprog._tableau_rows(rows)
-    return next(linprog._solve_standard(ncols, rows, [costs])), rows
+    return linprog._solve_standard(ncols, rows, costs), rows
 
 
 def run_both(monkeypatch, fn):
     """fn() under the reference core, then under the integer core.
 
-    Every standard-form LP of the reference run, one per objective, is
-    replayed on the integer core alone and must give the identical
-    output; then the two runs' answers must be equal. The reference
-    ignores `start`, the integer core's phase 1 that _solve_lps keeps
-    for its last polyhedron, and solves every LP from scratch; it must
-    have answered every LP _solve_lps answered, so an LP that skips the
-    seam fails here. The reference writes each mirror
-    column out as minus its column, and solves an objective that drops
-    rows from scratch on the rows it keeps (that LP is the one
-    replayed), its multipliers 0 on the dropped rows. The second run
-    starts from the phase 1 the first one left. Returns the number of
-    standard-form LPs and the answers.
+    Every standard-form LP of the reference run is replayed on the
+    integer core alone and must give the identical output; then the two
+    runs' answers must be equal. The reference ignores `start`, the
+    integer core's phase 1 that _solve keeps for its last polyhedron,
+    and solves every LP from scratch; it must have answered as many LPs
+    as _solve returned, so an LP that skips the seam fails here. The
+    reference writes each mirror column out as minus its column, and
+    solves an LP that drops rows from scratch on the rows it keeps (that
+    LP is the one replayed), its multipliers 0 on the dropped rows. The
+    second run starts from the phase 1 the first one left. Returns the
+    number of standard-form LPs and the answers.
     """
     calls = []
     asked = []
 
-    def reference(ncols, rows, objectives, free=0, start=None):
+    def reference(ncols, rows, costs, free=0, start=None, dropped=()):
         caller = sys._getframe(1).f_code.co_name  # the frame that asks
-        for costs in objectives:
-            costs, dropped = costs if isinstance(costs, tuple) else (costs, ())
-            kept = [row for k, row in enumerate(rows) if k not in dropped]
-            full = [(a + [-v for v in a[:free]], b, m) for a, b, m in kept]
-            out = fraction_simplex._solve_standard(
-                ncols + free, fraction_simplex.rational_rows(full),
-                costs + [-v for v in costs[:free]])
-            calls.append((caller, (ncols, kept, costs, free), out))
-            yield _on_all_rows(fraction_simplex.to_core(out, full), dropped, len(rows))
+        kept = [row for k, row in enumerate(rows) if k not in dropped]
+        full = [(a + [-v for v in a[:free]], b, m) for a, b, m in kept]
+        out = fraction_simplex._solve_standard(
+            ncols + free, fraction_simplex.rational_rows(full),
+            costs + [-v for v in costs[:free]])
+        calls.append((caller, (ncols, kept, costs, free), out))
+        return _on_all_rows(fraction_simplex.to_core(out, full), dropped, len(rows))
 
-    def counted(P, objectives, _solve=linprog._solve_lps):
-        for out in _solve(P, objectives):
-            asked.append(out)
-            yield out
+    def counted(*args, _solve=linprog._solve, **kwargs):
+        out = _solve(*args, **kwargs)
+        asked.append(out)
+        return out
 
     with monkeypatch.context() as m:
         m.setattr(linprog, "_solve_standard", reference)
         for module in (linprog, relaxations):
-            m.setattr(module, "_solve_lps", counted)
+            m.setattr(module, "_solve", counted)
         want = fn()
     callers = Counter(caller for caller, *_ in calls)
-    assert set(callers) <= {"_solve_lps", "_hull_point"}, callers
-    assert callers["_solve_lps"] == len(asked), "an LP bypassed the reference"
+    assert set(callers) <= {"_solve", "_hull_point"}, callers
+    assert callers["_solve"] == len(asked), "an LP bypassed the reference"
     for _, (ncols, rows, costs, free), out in calls:
-        assert_same(out, next(linprog._solve_standard(ncols, rows, [costs], free=free)),
-                    rows)
+        assert_same(out, linprog._solve_standard(ncols, rows, costs, free=free), rows)
     got = fn()
     assert got == want
     return len(calls), got
@@ -241,7 +237,7 @@ def test_seeded_standard_form_corpus():
 
 def test_no_rows():
     # the reference core cannot price out an empty tableau
-    assert list(linprog._solve_standard(2, [], [[1, 0], [0, 0]])) == [
+    assert [linprog._solve_standard(2, [], costs) for costs in ([1, 0], [0, 0])] == [
         ("unbounded", ([0, 0], 1), None, None, None, ([1, 0], 1)),
         ("optimal", ([0, 0], 1), (0, 1), ([], 1), None, None)]
 
@@ -384,23 +380,22 @@ FIELDS = ("status", "value", "point", "dual", "farkas", "ray")
 
 def shared_against_one_shot(monkeypatch, fn, rational=False):
     """fn(), recording every answer bounding_box and recession_nontrivial
-    take from _solve_lps; each must equal, field by field and with every
+    take from _solve; each must equal, field by field and with every
     coordinate a Fraction, solve_lp's own answer for its objective over
     an equal polyhedron no LP has seen (its own phase 1), and with
     `rational` also the answer of the Fraction core on the rows'
     rational data. Returns the statuses seen."""
     seen = []
-    solve = linprog._solve_lps
+    solve = linprog._solve
 
-    def recording(P, objectives):
-        objectives = list(objectives)
-        for (c, maximize), out in zip(objectives, solve(P, objectives)):
-            seen.append((P, c, maximize, out))
-            yield out
+    def recording(P, c, maximize=True):
+        out = solve(P, c, maximize)
+        seen.append((P, c, maximize, out))
+        return out
 
     with monkeypatch.context() as m:
-        m.setattr(linprog, "_solve_lps", recording)
-        m.setattr(relaxations, "_solve_lps", recording)
+        m.setattr(linprog, "_solve", recording)
+        m.setattr(relaxations, "_solve", recording)
         try:
             fn()
         except (Infeasible, UnboundedCoordinate):
@@ -414,7 +409,7 @@ def shared_against_one_shot(monkeypatch, fn, rational=False):
 
 def fresh(P):
     """A polyhedron equal to P that no LP has seen, so its first LP runs
-    phase 1 (_solve_lps keeps the phase 1 of the last object it saw)."""
+    phase 1 (_solve keeps the phase 1 of the last object it saw)."""
     return HPolyhedron(P.dim, P.constraints)
 
 
@@ -521,29 +516,31 @@ def test_lp_bounds_objectives_warm_equal_cold(monkeypatch, seed):
 
 
 def test_interleaved_polyhedra_keep_their_cold_answers(monkeypatch):
-    # bounding_box(A) takes its answers lazily; a solve_lp(B) between any
-    # two of them replaces the slot, and neither sees the other's phase 1
+    # a solve_lp(B) after each of bounding_box(A)'s LPs replaces the slot,
+    # so every LP over A and over B runs its own phase 1, and neither
+    # sees the other's
     A, B = build_rado_permutahedron(4), build_subtour_relaxation(4)
     c = [3, -1, 4, -1, 5, -9]
     want_box = bounding_box(fresh(A))
-    want_A = list(linprog._solve_lps(fresh(A), linprog._box_objectives(A.dim)))
+    want_A = [solve_lp(fresh(A), [int(j == k) for j in range(A.dim)], maximize=m)
+              for k in range(A.dim) for m in (True, False)]
     want_B = solve_lp(fresh(B), c)
     got_A, got_B = [], []
-    solve = relaxations._solve_lps
+    solve = relaxations._solve
 
-    def interleaved(P, objectives):
-        for out in solve(P, objectives):
-            got_B.append(solve_lp(B, c))
-            got_A.append(out)
-            yield out
+    def interleaved(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        got_B.append(solve_lp(B, c))
+        got_A.append(out)
+        return out
 
     built = _built(monkeypatch)
-    monkeypatch.setattr(relaxations, "_solve_lps", interleaved)
+    monkeypatch.setattr(relaxations, "_solve", interleaved)
     assert bounding_box(A) == want_box
     assert got_A == want_A and len(got_A) == 2 * A.dim
     assert got_B == [want_B] * len(got_A)
-    assert len(built) == 2  # A's phase 1 and B's, once each
+    assert len(built) == 2 * 2 * A.dim  # one phase 1 per LP over A and over B
     # A after B starts cold again, and answers as a fresh object does
     d = [1, 2, 3, 4]
     assert solve_lp(A, d) == solve_lp(fresh(A), d)
-    assert len(built) == 4
+    assert len(built) == 2 * 2 * A.dim + 2
