@@ -168,15 +168,19 @@ def _cap(cap):
     return DEFAULT_CAP if cap is None else cap
 
 
+def _decimal(n):
+    """n in decimal, or as a power of 2 past int's limit on decimal digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 def _cap_check(count, cap, what):
-    """The one size guard: refuse work past the cap with one message. A
-    count past int's limit on decimal digits is given as a power of 2."""
+    """The one size guard: refuse work past the cap with one message."""
     cap = _cap(cap)
     if count > cap:
-        try:
-            count = str(count)
-        except ValueError:
-            count = f"at least 2^{count.bit_length() - 1}"
+        count, cap = _decimal(count), _decimal(cap)
         raise TooLarge(f"{what}: {count} candidates exceed the cap of {cap}")
 
 

@@ -17,9 +17,10 @@ tableau, after the rows it leaves out are deleted. So the bounding LPs
 of bounding_box and recession_nontrivial, irredundant_count's LPs and
 repeated solve_lp calls over one object run phase 1 once.
 
-The hull oracles conv_membership and segment_hits_hull share one
-bounds presolve, one LP and one certificate check (_hull_point); a point
-is the segment [p, p]. strict_separation is a solve_lp over (a, gamma).
+One hull LP, _hull_point, answers every hull question: does conv(C)
+meet conv(X)? conv_membership asks it for C = [p], segment_hits_hull for
+C = [a, b] and strict_separation for a point set C, which it turns,
+when the hulls miss, into a row from the LP's Farkas multipliers.
 """
 
 from __future__ import annotations
@@ -397,15 +398,6 @@ def _solve_standard(ncols, rows, costs, free=0, start=None, dropped=()):
     return "optimal", tab.solution(), tab.value(), tab.slack_duals(), None, None
 
 
-def _tableau_rows(rows):
-    """Rational rows (coeffs, rhs) as the tableau's (coeffs, rhs, scale)."""
-    out = []
-    for coeffs, rhs in rows:
-        ints, scale = _int_row([*coeffs, rhs])
-        out.append((ints[:-1], ints[-1], scale))
-    return out
-
-
 def _check(cond, what):
     if not cond:
         raise RuntimeError(f"internal certificate check failed: {what}")
@@ -549,76 +541,81 @@ def _solve(P, c, maximize=True, dropped=()):
                      point=vector(x, den), dual=multipliers(w, sign * yden * cs))
 
 
-def _hull_point(a, b, X, mismatch):
-    """A point of the closed segment [a, b] in conv(X), or None.
+def _hull_point(C, X, mismatch):
+    """Does conv(C) meet conv(X)? C is a nonempty list of points.
 
-    Returns (multipliers aligned with X, the point): tuple(a) when a == b,
-    else b + t (a - b). A dimension mismatch raises DimMismatch(mismatch).
-
-    Exact presolve: where a[k] == b[k] lies outside the bounds of X,
-    nothing is hit; where it attains a bound, only points attaining that
-    bound can carry weight. The LP has one column per remaining point,
-    plus t on a proper segment, and its answer is re-checked: weights
-    >= 0 summing to 1, 0 <= t <= 1, and their combination the point.
+    C's last point is the base, and each other point c gets a weight
+    column with entries base - c. A hit is (multipliers aligned with X,
+    the point: tuple(C[0]) for one point, else base + sum w_c (c - base)),
+    re-checked: weights >= 0, X's summing to 1 and C's to at most 1, and
+    X's combination the point. Exact presolve: a coordinate on which all
+    of C agree at v is pinned unless all of X is at v there, and only the
+    points of X at v on every pin are kept (none when v is off X's
+    bounds). A miss is (None, (a, sigma, pins)), the pieces of
+    strict_separation's row: a . x <= sigma on the kept points and
+    a . y > sigma on C (a = 0 and sigma = -1 when none is kept), and a
+    pin (k, v, s) has s (x_k - v) <= 0 on X, < 0 at some pin off the
+    kept points. An empty X misses with (None, None); a dimension
+    mismatch raises DimMismatch(mismatch).
     """
     S = _point_set(X)
     pts = S.points
     if not pts:
-        return None
+        return None, None
     d = S.dim
-    if len(a) != d or len(b) != d:
-        raise DimMismatch(mismatch)
+    for c in C:
+        if len(c) != d:
+            raise DimMismatch(mismatch)
+    others, base = C[:-1], C[-1]
     lo, hi = S.bounds()
-    fixed = []
-    free = []
-    for k in range(d):
-        va, vb = a[k], b[k]
-        if va != vb:
+    free, pins = [], []
+    idx = range(len(pts))
+    for k, col in enumerate(zip(*C)):
+        v = col[-1]
+        if col.count(v) < len(col) or lo[k] < v < hi[k]:
             free.append(k)
-        elif va < lo[k] or va > hi[k]:
-            return None
-        elif lo[k] == hi[k]:
-            continue
-        elif va == lo[k] or va == hi[k]:
-            fixed.append((k, va))
-        else:
-            free.append(k)
-    idx = list(range(len(pts)))
-    for k, v in fixed:
-        idx = [i for i in idx if pts[i][k] == v]
+        elif not lo[k] == v == hi[k]:
+            pins.append((k, v, -1 if v <= lo[k] else 1))
+            idx = [i for i in idx if pts[i][k] == v]
     if not idx:
-        return None
-    segment = tuple(a) != tuple(b)
-    if not segment:
-        tup = tuple(a)
+        return None, ([0] * d, -1, pins)
+    if not others:
+        tup = tuple(base)
         for i in idx:
             if pts[i] == tup:
                 mult = [Fraction(0)] * len(pts)
                 mult[i] = Fraction(1)
                 return tuple(mult), tup
-    # columns: one multiplier per kept point, then t on a proper segment
-    n = len(idx)
-    nt = 1 if segment else 0
+    # columns: one multiplier per kept point, then one weight per other point
+    # of C; a coordinate's row is cleared of denominators once for both copies
+    n, nt = len(idx), len(others)
     rows = []
     for k in free:
-        coeffs = [pts[i][k] for i in idx] + [b[k] - a[k]] * nt
-        rows.append((coeffs, b[k]))
-        rows.append(([-v for v in coeffs], -b[k]))
-    rows.append(([1] * n + [0] * nt, 1))
-    rows.append(([-1] * n + [0] * nt, -1))
-    if segment:
-        rows.append(([0] * n + [1], 1))
-    status, z, *_ = _solve_standard(n + nt, _tableau_rows(rows), [0] * (n + nt))
-    if status != "optimal":
-        return None
+        vb = base[k]
+        coeffs, scale = _int_row([pts[i][k] for i in idx] + [vb - c[k] for c in others] + [vb])
+        rhs = coeffs.pop()
+        rows.append((coeffs, rhs, scale))
+        rows.append(([-v for v in coeffs], -rhs, scale))
+    rows.append(([1] * n + [0] * nt, 1, 1))
+    rows.append(([-1] * n + [0] * nt, -1, 1))
+    if others:
+        rows.append(([0] * n + [1] * nt, 1, 1))
+    status, z, _, _, farkas, _ = _solve_standard(n + nt, rows, [0] * (n + nt))
+    if status != "optimal":  # a is minus the coordinate rows' multipliers
+        y, a = farkas[0], [0] * d
+        for j, k in enumerate(free):
+            a[k] = (y[2 * j + 1] - y[2 * j]) * rows[2 * j][2]
+        return None, (a, y[2 * len(free)] - y[2 * len(free) + 1], pins)
     z, den = z
-    lam = z[:n]
-    if segment:
-        _check(0 <= z[n] <= den, "segment parameter in [0, 1]")
-        t = Fraction(z[n], den)
-        point = tuple(Fraction(vb) + t * (va - vb) for va, vb in zip(a, b))
-    else:
-        point = tuple(a)
+    lam, w = z[:n], z[n:]
+    point = tuple(base)
+    if others:
+        _check(min(w) >= 0 and sum(w) <= den, "weights on C")
+        point = tuple(map(Fraction, base))
+        for wc, c in zip(w, others):
+            if wc:
+                t = Fraction(wc, den)
+                point = tuple([u + t * (ck - bk) for u, ck, bk in zip(point, c, base)])
     _check(min(lam) >= 0 and sum(lam) == den, "hull multipliers")
     comb = [sum(l * pts[i][k] for i, l in zip(idx, lam) if l) for k in range(d)]
     _check(all(u == den * v for u, v in zip(comb, point)), "hull point lies in the hull")
@@ -630,41 +627,54 @@ def _hull_point(a, b, X, mismatch):
 
 def conv_membership(p, X):
     """Is p in conv(X)? Returns (bool, multipliers aligned with X or None)."""
-    hit = _hull_point(p, p, X, "point dimension does not match point set")
-    return (True, hit[0]) if hit else (False, None)
+    mult, _ = _hull_point([p], X, "point dimension does not match point set")
+    return mult is not None, mult
 
 
 def segment_hits_hull(a, b, X):
     """Does the closed segment [a, b] meet conv(X)? Returns (bool, witness)."""
-    hit = _hull_point(a, b, X, "segment endpoints do not match point set dimension")
-    return (True, hit[1]) if hit else (False, None)
+    C = [a] if tuple(a) == tuple(b) else [a, b]
+    mult, point = _hull_point(C, X, "segment endpoints do not match point set dimension")
+    return (True, point) if mult is not None else (False, None)
 
 
 def strict_separation(X, C):
     """Halfspace with a.x <= gamma on X and a.y >= gamma + 1 on C, or None.
 
     The unit gap is a normalization: any strictly separating row can be
-    scaled to it, so None really means no strict separation exists. The
-    LP over (a, gamma) is solved by solve_lp, so a "no" carries its
-    checked Farkas row: convex weights on X and on C that meet at one
-    point.
+    scaled to it, so None really means no strict separation exists. It
+    is the hull LP's checked point of conv(C) in conv(X). Otherwise the
+    row is a . x <= sigma from the LP's miss (_hull_point), lifted over
+    the pins with the least M that keeps all of X, scaled to the unit gap
+    and checked against every point of X and C.
     """
     X, C = _point_set(X), _point_set(C)
     ptsx, ptsc, d = X.points, C.points, X.dim
     if not ptsx:
         raise EmptySet("strict separation needs a nonempty valid side")
-    if ptsc and C.dim != d:
-        raise DimMismatch("point sets of different dimensions")
+    if not d:
+        raise ValueError("strict separation needs dimension at least 1, got 0")
     if not ptsc:
         m = max(p[0] for p in ptsx)
         a = (Fraction(1),) + (Fraction(0),) * (d - 1)
         return Halfspace(a, "<=", m)
-    rows = [Halfspace((*x, -1), "<=", 0) for x in ptsx]
-    rows += [Halfspace((*y, -1), ">=", 1) for y in ptsc]
-    out = solve_lp(HPolyhedron(d + 1, rows), [0] * (d + 1))
-    if out.status == "infeasible":
+    mult, miss = _hull_point(ptsc, X, "point sets of different dimensions")
+    if mult is not None:
         return None
-    return Halfspace(out.point[:d], "<=", out.point[d])
+    a, sigma, pins = miss
+    # adding M * s (x_k - v) per pin changes nothing on C
+    M = max([0] + [Fraction(vdot(a, x) - sigma, off) for x in ptsx
+                   if (off := sum(abs(x[k] - v) for k, v, _ in pins))])
+    for k, v, s in pins:
+        a[k] += s * M
+        sigma += s * M * v
+    gap = Fraction(min(vdot(a, y) for y in ptsc) - sigma)
+    _check(gap > 0, "separation gap positive")
+    h = Halfspace([u / gap for u in a], "<=", sigma / gap)
+    far = Halfspace(h.a, ">=", h.rhs + 1)
+    _check(all(_holds(h, x) for x in ptsx) and all(_holds(far, y) for y in ptsc),
+           "separation row")
+    return h
 
 
 def _unit_ray(ray):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from rcx.linprog import LPOutcome
+from rcx.rational import _int_row
 
 
 def _div(a, b):
@@ -172,6 +173,15 @@ def rational_rows(rows):
     """Integer rows (coeffs, rhs, scale) as the rational rows they scale."""
     return [([Fraction(v, m) for v in coeffs], Fraction(rhs, m))
             for coeffs, rhs, m in rows]
+
+
+def tableau_rows(rows):
+    """Rational rows (coeffs, rhs) as the core's integer rows (coeffs, rhs, scale)."""
+    out = []
+    for coeffs, rhs in rows:
+        ints, scale = _int_row([*coeffs, rhs])
+        out.append((ints[:-1], ints[-1], scale))
+    return out
 
 
 def _over_den(vec):

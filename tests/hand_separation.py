@@ -3,16 +3,17 @@
 Kept verbatim as a test-only reference: it writes the LP over (a, gamma)
 in the simplex core's standard form itself, a as u - v and gamma as
 g - h with every column nonnegative, runs phase 1 on it and checks only
-a "yes" answer (both sides of the row). `strict_separation` now states
-the same LP as an HPolyhedron and asks `solve_lp`, which also checks a
-"no" through its Farkas row. The differential tests require both to
-give the same verdicts.
+a "yes" answer (both sides of the row). `strict_separation` now asks the
+hull LP whether conv(C) meets conv(X) and reads its row from that LP's
+Farkas multipliers. The differential tests require both to give the
+same verdicts.
 """
 
 from fractions import Fraction
 
+from fraction_simplex import tableau_rows
 from rcx.errors import DimMismatch, EmptySet
-from rcx.linprog import Halfspace, _check, _point_set, _solve_standard, _tableau_rows
+from rcx.linprog import Halfspace, _check, _point_set, _solve_standard
 
 
 def strict_separation(X, C):
@@ -38,7 +39,7 @@ def strict_separation(X, C):
         rows.append((list(x) + [-v for v in x] + [-1, 1], 0))
     for y in ptsc:
         rows.append(([-v for v in y] + list(y) + [1, -1], -1))
-    status, z, *_ = _solve_standard(nv, _tableau_rows(rows), [0] * nv)
+    status, z, *_ = _solve_standard(nv, tableau_rows(rows), [0] * nv)
     if status != "optimal":
         return None
     z, den = z

@@ -225,6 +225,14 @@ def test_counts_past_the_digit_limit_print_as_a_power_of_2(args, count):
                               f"exceed the cap of 4194304")
 
 
+def test_a_cap_past_the_digit_limit_prints_as_a_power_of_2():
+    # a library caller's cap is written by the count's rule
+    with pytest.raises(TooLarge) as err:
+        cube(20000, max_candidates=10**4400)
+    assert str(err.value) == ("cube(20000): at least 2^20000 candidates "
+                              "exceed the cap of at least 2^14616")
+
+
 def test_branch_counts():
     assert len(branch(2)) == 3
     assert len(branch(3)) == 16

@@ -20,6 +20,7 @@ from rcx.linprog import (
     solve_lp,
     strict_separation,
 )
+from rcx.separation import rationalize_halfspace
 
 F = Fraction
 
@@ -276,12 +277,14 @@ def _bump_y(r):
     (lambda: solve_lp(box(1), [1], maximize=False), 3, lambda y: [2 * v for v in y],
      "dual combination equals objective"),
     (lambda: solve_lp(STRIP, [1, 0]), 5, _bump_y, "ray in the recession cone"),
-    (lambda: strict_separation([(0, 0), (1, 0)], [(0, 1), (1, 1)]), 1,
-     lambda z: z[:-2] + [z[-2] + 1000, z[-1]], "optimal point feasible"),
-    # no row parts even(2) from odd(2): the Farkas row negated has the
-    # wrong sign on every row it weighs
-    (lambda: strict_separation(generate("even", 2), generate("odd", 2)), 4,
-     lambda y: [-v for v in y], "farkas"),
+    # no row parts even(2) from odd(2): the hull LP's point of conv(odd)
+    # with a weight on (0, 1) past 1 is no point of that hull
+    (lambda: strict_separation(generate("even", 2), generate("odd", 2)), 1,
+     lambda z: z[:-1] + [z[-1] + 1], "weights on C"),
+    # the segment from (1, 1) to (2, 0) misses the triangle: its Farkas
+    # vector negated gives a row with C on the wrong side
+    (lambda: strict_separation([(0, 0), (1, 0), (0, 1)], [(1, 1), (2, 0)]), 4,
+     lambda y: [-v for v in y], "separation gap positive"),
 ], ids=["farkas-sign", "dual-sign-max", "dual-sign-min", "dual-combination-max",
         "dual-combination-min", "ray", "separation-gap", "separation-farkas"])
 def test_lp_rejects_tampered_certificates(monkeypatch, ask, part, tamper, what):
@@ -319,6 +322,30 @@ def test_separation_gap_normalized():
     assert h is not None
     assert h.a[0] * 0 + h.a[1] * 0 <= h.rhs
     assert h.a[0] + h.a[1] >= h.rhs + 1
+
+
+def test_separation_off_the_box_builds_no_tableau(monkeypatch):
+    # every coordinate of (2,)*9 lies past cube(9)'s box, so the presolve
+    # keeps no point of X and the row is the lift alone, with no LP
+    built = []
+
+    class Counting(linprog._Tableau):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(linprog, "_Tableau", Counting)
+    h = strict_separation(generate("cube", 9), [(2,) * 9])
+    assert built == []
+    assert (h.a, h.sense, h.rhs) == ((F(1, 9),) * 9, "<=", 1)
+
+
+def test_separation_refuses_dimension_0():
+    X = PointSet(0, [()])
+    for call in (lambda: strict_separation(X, []), lambda: rationalize_halfspace(X)):
+        with pytest.raises(ValueError, match="^strict separation needs dimension "
+                                             "at least 1, got 0$"):
+            call()
 
 
 def test_separation_empty_sides():
@@ -561,12 +588,12 @@ def test_warm_call_rejects_a_tampered_multiplier(monkeypatch):
 
 
 def test_slot_empties_when_its_polyhedron_dies():
-    # strict_separation builds its polyhedron inside the call; once that
-    # is gone, so is the slot's phase 1 (2.6 MB here while it stayed)
-    X = generate("cube", 9)
+    # recession_nontrivial builds its cone inside the call; once that is
+    # gone, so is the slot's phase 1 of its 512 rows (2.5 MB while it stayed)
+    P = HPolyhedron(10, [Halfspace((*x, -1), "<=", 1) for x in generate("cube", 9)])
     tracemalloc.start()
     try:
-        assert strict_separation(X, [(2,) * 9]) is not None
+        assert recession_nontrivial(P)[0]
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

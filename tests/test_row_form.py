@@ -7,7 +7,10 @@ scan's box is chosen. `families._cap_check` is the one size guard.
 `linprog._solve` is the one reader and writer of the slot that keeps
 the last polyhedron's phase 1 (its weak reference's callback only
 empties it), and, with the hull oracles' `_hull_point`, the one caller
-of the simplex core, which answers one LP per call.
+of the simplex core, which answers one LP per call. `_hull_point` is
+the one hull LP: conv_membership, segment_hits_hull and
+strict_separation each ask it, and strict_separation states no LP of
+its own.
 `families._point_set` is the one intake of a point list,
 `rational._frac` the one float rule, `rational._int_row` the one
 denominator clearing and `families._parity` the one parity filter.
@@ -217,6 +220,17 @@ def test_simplex_core_answers_one_lp_per_call():
     assert [f[:2] for f in _owned(_calls("_solve_standard"))] == [
         ("linprog", "_hull_point"), ("linprog", "_solve")]
     assert not inspect.isgeneratorfunction(linprog._solve_standard)
+
+
+def test_every_hull_question_is_one_hull_lp():
+    # a point, a segment and a point set C each ask _hull_point whether
+    # their hull meets conv(X); strict_separation builds no LP itself
+    assert [f[:2] for f in _owned(_calls("_hull_point"))] == [
+        ("linprog", "conv_membership"), ("linprog", "segment_hits_hull"),
+        ("linprog", "strict_separation")]
+    for name in ("solve_lp", "HPolyhedron", "_solve", "_solve_standard"):
+        owners = [f[:2] for f in _owned(_calls(name))]
+        assert ("linprog", "strict_separation") not in owners, name
 
 
 def test_point_set_intake_number_rule_and_parity_have_one_home():

@@ -56,7 +56,7 @@ def assert_same(want, got, rows):
 def solve_one(ncols, rows, costs):
     """The integer core on rational rows (coeffs, rhs) and one objective,
     with the rows it was given."""
-    rows = linprog._tableau_rows(rows)
+    rows = fraction_simplex.tableau_rows(rows)
     return linprog._solve_standard(ncols, rows, costs), rows
 
 
