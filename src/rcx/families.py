@@ -415,6 +415,8 @@ def branch(n, root=None, max_candidates=None):
 def tjoin_terminals(n, terminals):
     """The sorted terminal set T of a T-join on nodes 1..n, checked."""
     try:
+        if isinstance(terminals, str):
+            raise TypeError
         T = sorted(set(terminals))
     except TypeError:
         raise ValueError("tjoins terminals must be a comma list "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, compress, product
+from math import comb
 
 from .errors import DimMismatch, EmptySet
 from .families import (EdgeIndexer, PointSet, _cap_check, _parity, _tag, odd,
@@ -115,6 +116,7 @@ def build_perm_hiding(n):
     if n < 4:
         raise ValueError("need n >= 4")
     m = n // 2
+    _cap_check(comb(n, m), None, f"perm_hiding({n})")
     pts = []
     for S in combinations(range(n), m):
         x = [0] * n

@@ -293,6 +293,10 @@ def _tjoin_floor(n, terminals):
                f"({len(H1)} and {len(H2)} points)")
 
 
+def _per_point(d, points):
+    return 2 ** d - points + d + 1
+
+
 @dataclass(frozen=True)
 class _ReportFamily:
     """How bound_report bounds one family.
@@ -300,16 +304,18 @@ class _ReportFamily:
     The callables take the report's params as keywords, and the floor's
     parameter names are the report's, in order. Builders are named
     inside lambdas, so they are looked up on this module when they run
-    and a patched builder is the one called. Past its limit on
-    params["n"] a bound carries its count only, marked unverified.
+    and a patched builder is the one called. A ceiling is a row count in
+    closed form, its system built and verified only up to its limit on
+    params["n"]; past its limit a bound carries its count only, unverified.
     """
 
     parse: object         # raw parameters -> the report's params dict
     floor: object         # -> (hiding set, lower_source)
     limits: tuple         # largest n certified for the floor, the ceiling
-    relaxation: tuple = ()    # (name, builder) of an explicit ceiling system;
-    count: object = None      # else the point count for one row per excluded
-                              # 0/1 point plus the cube rows
+    rows: object          # -> the ceiling's row count
+    upper_source: str = ("one row per excluded 0/1 point plus the cube rows "
+                         "({upper} rows in dimension {d})")
+    build: object = None  # -> the ceiling system; None: build_binary_relaxation
 
 
 # arb's ceiling limit of 3 is below every valid n: its 12-dimensional
@@ -318,40 +324,42 @@ _REPORTS = {
     "stsp": _ReportFamily(
         _graph_params,
         lambda n: _pattern_floor(build_tsp_hiding, n, False, "cycle-pair"), (8, 6),
-        relaxation=("subtour relaxation",
-                    lambda n: build_subtour_relaxation(n, directed=False))),
+        lambda n: n * n + 2 ** (n - 1) - 1, "subtour relaxation with {upper} rows",
+        lambda n: build_subtour_relaxation(n, directed=False)),
     "atsp": _ReportFamily(
         _graph_params,
         lambda n: _pattern_floor(build_tsp_hiding, n, True, "cycle-pair"), (8, 5),
-        relaxation=("subtour relaxation",
-                    lambda n: build_subtour_relaxation(n, directed=True))),
+        lambda n: 2 * n * n + 2 ** n - 2, "subtour relaxation with {upper} rows",
+        lambda n: build_subtour_relaxation(n, directed=True)),
     "conn": _ReportFamily(
         _graph_params,
         lambda n: _pattern_floor(build_tsp_hiding, n, False, "cycle-pair"), (6, 4),
-        relaxation=("cut relaxation", lambda n: build_conn_cut_relaxation(n))),
+        lambda n: n * (n - 1) + 2 ** (n - 1) - 1, "cut relaxation with {upper} rows",
+        lambda n: build_conn_cut_relaxation(n)),
     "spt": _ReportFamily(
         _graph_params,
         lambda n: _pattern_floor(build_arb_hiding, n, False, "dropped-arc path"),
-        (6, 4), count=lambda n: n ** (n - 2)),
+        (6, 4), lambda n: _per_point(n * (n - 1) // 2, n ** (n - 2))),
     "arb": _ReportFamily(
         _graph_params,
         lambda n: _pattern_floor(build_arb_hiding, n, True, "dropped-arc path"),
-        (5, 3), count=lambda n: n ** (n - 1)),
+        (5, 3), lambda n: _per_point(n * (n - 1), n ** (n - 1))),
     "diff": _ReportFamily(
         _diff_params,
         lambda m, n: _counted(build_diff_hiding(n), "duplicated-block points"),
-        (4, 3), count=lambda m, n: 2 ** n * (2 ** n - 1)),
+        (4, 3), lambda m, n: _per_point(m * n, 2 ** n * (2 ** n - 1))),
     "perm": _ReportFamily(
         lambda n: {"n": int(n)},
         lambda n: _counted(build_perm_hiding(n), "sorted-block swap points"), (6, 4),
-        relaxation=("permutahedron description",
-                    lambda n: build_rado_permutahedron(n))),
+        lambda n: 2 ** n + n - 1, "permutahedron description with {upper} rows",
+        lambda n: build_rado_permutahedron(n)),
     "even": _ReportFamily(
         lambda n: {"n": int(n)}, _parity_floor, (6, 6),
-        count=lambda n: 2 ** (n - 1)),
+        lambda n: _per_point(n, 2 ** (n - 1))),
     "tjoins": _ReportFamily(
         _tjoin_params, _tjoin_floor, (6, 4),
-        count=lambda n, terminals: 2 ** (n * (n - 1) // 2 - n + 1)),
+        lambda n, terminals: _per_point(n * (n - 1) // 2,
+                                        2 ** ((n - 1) * (n - 2) // 2))),
 }
 # perfbench/workloads.py reads the limits under these names
 _LOWER_CERT_MAX = {f: r.limits[0] for f, r in _REPORTS.items()}
@@ -362,12 +370,13 @@ def bound_report(family, *params, box=None):
     """Two-sided size report: hiding-set floor, explicit-system ceiling.
 
     Floors come from the family's hiding construction (certified by full
-    verification at small sizes), ceilings from the matching explicit
-    outer description: subtour rows for tours, cut rows for connected
-    subgraphs, the permutahedron rows for permutations, and one row per
-    excluded cube point for the 0/1 families. An optional integer box
-    additionally searches for a larger hiding set when the family is
-    small enough to enumerate.
+    verification at small sizes). A ceiling is the row count, in closed
+    form, of the matching explicit outer description: subtour rows for
+    tours, cut rows for connected subgraphs, the permutahedron rows for
+    permutations, and one row per excluded cube point for the 0/1
+    families; the system is built and verified only up to the family's
+    ceiling limit. An optional integer box additionally searches for a
+    larger hiding set when the family is small enough to enumerate.
     """
     try:
         spec = _REPORTS[family]
@@ -376,16 +385,8 @@ def bound_report(family, *params, box=None):
     pdict = spec.parse(*_arity(family, spec.floor, params))
     H, lower_src = spec.floor(**pdict)
     lower, d = len(H), H.dim
-    if spec.relaxation:
-        name, build = spec.relaxation
-        P = build(**pdict)
-        upper = len(P.constraints)
-        upper_src = f"{name} with {upper} rows"
-    else:
-        P = None
-        upper = 2 ** d - spec.count(**pdict) + d + 1
-        upper_src = (f"one row per excluded 0/1 point plus the cube rows "
-                     f"({upper} rows in dimension {d})")
+    upper = spec.rows(**pdict)
+    upper_src = spec.upper_source.format(upper=upper, d=d)
 
     notes = []
     lower_cert = upper_cert = False
@@ -400,13 +401,12 @@ def bound_report(family, *params, box=None):
             notes.append(f"{family}: hiding verification failed ({cert.failure[0]})")
     if n <= upper_max:
         X = X if X is not None else generate(family, *pdict.values())
-        if P is None:
-            P = build_binary_relaxation(X)
-        rep = verify_relaxation(P, X)
-        upper_cert = rep.status == "verified"
-        if upper_cert and upper != len(P.constraints):
+        P = spec.build(**pdict) if spec.build else build_binary_relaxation(X)
+        if upper != len(P.constraints):
             raise RuntimeError(f"certified ceiling {upper} is not the "
                                f"{len(P.constraints)} rows verified")
+        rep = verify_relaxation(P, X)
+        upper_cert = rep.status == "verified"
         if not upper_cert:
             notes.append(f"{family}: relaxation verification failed ({rep.reason})")
     if n > lower_max:

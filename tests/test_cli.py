@@ -135,6 +135,18 @@ class TestSizeGuard:
             "too large: tsp_hiding(23): 8388608 candidates exceed the cap of 4194304")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["hiding", "build", "perm"], ["report", "perm"]],
+                             ids=" ".join)
+    def test_perm_hiding_refusal(self, tmp_path, command):
+        # the C(28, 14) points are counted before any is built
+        out = tmp_path / "no.json"
+        with deadline(1):
+            res = run([*command, "28", "-o", str(out)])
+        assert res == CommandResult(
+            2, None,
+            "too large: perm_hiding(28): 40116600 candidates exceed the cap of 4194304")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, count", [
         (["cube", "20000"], "at least 2^20000"),
         (["perm", "2000"], "at least 2^19052"),

@@ -25,9 +25,11 @@ from rcx.families import (
     simplex,
     spt,
     stsp,
+    tjoin_terminals,
     tjoins,
 )
 from rcx.families import _spanning_connected
+from rcx.separation import bound_report
 from test_fileio import FAMILY_SIZES
 
 
@@ -293,6 +295,18 @@ def test_tjoin_odd_terminals_rejected():
     with pytest.raises(ValueError):
         tjoins(4, (0, 5))
 
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tjoin_terminals(4, "1,2"),
+    lambda: tjoin_terminals(4, "2"),
+    lambda: bound_report("tjoins", 4, "1,2"),
+], ids=["tjoin_terminals 1,2", "tjoin_terminals 2", "bound_report tjoins 1,2"])
+def test_tjoin_terminals_refuse_a_string(call):
+    # a string iterates as its characters, which are no node numbers
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == "tjoins terminals must be a comma list such as 1,2,3,4"
 
 def test_caps():
     with pytest.raises(TooLarge):

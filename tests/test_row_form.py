@@ -15,7 +15,8 @@ its own.
 `rational._frac` the one float rule, `rational._int_row` the one
 denominator clearing and `families._parity` the one parity filter.
 `irredundant_count` is checked against a sense-by-sense loop over the
-rows' rational data.
+rows' rational data. `bound_report` counts every ceiling in closed form
+and builds a ceiling system only up to the family's ceiling limit.
 """
 
 import ast
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from rcx import linprog, relaxations
+from rcx import linprog, relaxations, separation
 from rcx.errors import Infeasible
 from rcx.families import PointSet, cube
 from rcx.linprog import Halfspace, HPolyhedron, _le_rows, solve_lp
@@ -256,3 +257,31 @@ def test_point_set_intake_number_rule_and_parity_have_one_home():
              "sum % 2": (sum_mod_2, ("families", "_parity"))}
     for what, (match, home) in homes.items():
         assert [found[:2] for found in _owned(match)] == [home], what
+
+
+# the smallest valid size past each family's ceiling limit
+PAST_THE_CEILING = {"stsp": (8,), "atsp": (6,), "conn": (6,), "spt": (6,),
+                    "arb": (4,), "diff": (2, 4), "perm": (5,), "even": (7,),
+                    "tjoins": (6, (1, 2))}
+
+
+@pytest.mark.parametrize("family", list(PAST_THE_CEILING))
+def test_no_ceiling_system_is_built_past_its_limit(monkeypatch, family):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ceiling system was built past its limit")
+
+    builders = {"build_binary_relaxation", "build_subtour_relaxation",
+                "build_conn_cut_relaxation", "build_rado_permutahedron"}
+    for name in builders:
+        monkeypatch.setattr(separation, name, refuse)
+    # each family's builder calls only patched names
+    for name, spec in separation._REPORTS.items():
+        if spec.build is not None:
+            assert set(spec.build.__code__.co_names) <= builders, name
+    assert set(PAST_THE_CEILING) == set(separation._REPORTS)
+    spec, args = separation._REPORTS[family], PAST_THE_CEILING[family]
+    n = spec.parse(*args)["n"]
+    assert spec.limits[1] < n <= spec.limits[1] + 2
+    r = separation.bound_report(family, *args)
+    assert r.upper_bound == spec.rows(**r.params) and not r.upper_certified
+    assert "ceiling carries the row count only at this size" in r.notes

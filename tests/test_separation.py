@@ -341,16 +341,45 @@ class TestBoundReport:
             bound_report("diff", 3, 2)
 
     @pytest.mark.parametrize("args", [("even", 3), ("spt", 4), ("diff", 2, 2),
-                                      ("tjoins", 4, (1, 2))])
+                                      ("tjoins", 4, (1, 2)), ("stsp", 6)])
     def test_certified_ceiling_is_the_verified_row_count(self, monkeypatch, args):
-        # a hand-written count that disagrees with the verified system is refused
+        # a closed-form count that disagrees with the built system is refused
         spec = separation._REPORTS[args[0]]
-        count = spec.count
+        rows = spec.rows
         monkeypatch.setitem(separation._REPORTS, args[0], dataclasses.replace(
-            spec, count=lambda *a, **k: count(*a, **k) + 1))
+            spec, rows=lambda *a, **k: rows(*a, **k) + 1))
         with pytest.raises(RuntimeError,
                            match="^certified ceiling .* rows verified$"):
             bound_report(*args)
+
+    @pytest.mark.parametrize("family", ["stsp", "atsp", "conn", "perm"])
+    def test_closed_form_rows_are_the_built_rows(self, family):
+        spec = separation._REPORTS[family]
+        for n in range(4, 13):
+            assert spec.rows(n=n) == len(spec.build(n=n).constraints), n
+
+    @pytest.mark.parametrize("args", [
+        *[("spt", 4), ("arb", 4)],
+        *[("diff", 2, n) for n in (1, 2, 3)],
+        *[("even", n) for n in range(2, 7)],
+        *[("tjoins", 4, T) for T in ((), (1, 2), (1, 2, 3, 4))],
+    ], ids=str)
+    def test_closed_form_rows_are_the_per_point_rows(self, args):
+        # every certified size, and arb 4, whose system is built but too
+        # large to verify by default
+        spec = separation._REPORTS[args[0]]
+        pdict = spec.parse(*args[1:])
+        assert spec.build is None
+        P = build_binary_relaxation(generate(*args))
+        assert spec.rows(**pdict) == len(P.constraints)
+
+    @pytest.mark.parametrize("family, rows", [
+        ("stsp", 524687), ("atsp", 1049374), ("conn", 524667)])
+    def test_ceiling_past_its_limit_is_counted_not_built(self, family, rows):
+        with deadline(1):
+            r = bound_report(family, 20)
+        assert r.upper_bound == rows and not r.upper_certified
+        assert "ceiling carries the row count only at this size" in r.notes
 
     @pytest.mark.parametrize("args", [("perm", 4), ("even", 5), ("diff", 2, 3)])
     def test_ceiling_certified_without_lp(self, monkeypatch, args):
@@ -418,13 +447,20 @@ class TestBoundReport:
         assert r.notes[-1] == "box search skipped: family too large to enumerate here"
 
     def test_failed_ceiling_is_noted(self, monkeypatch):
-        # without node 1's degree equality (row 30), the subtour rows of
-        # stsp 6 admit an extra lattice point
+        # with node 1's degree equality (row 30) weakened to x(delta(1)) >= 2,
+        # the 67 subtour rows of stsp 6 admit an extra lattice point: two
+        # cycles through node 1
+        def weakened(n, directed):
+            P = build(n, directed)
+            rows = list(P.constraints)
+            assert (rows[30].sense, rows[30].rhs) == ("=", 2)
+            rows[30] = Halfspace(rows[30].a, ">=", 2)
+            return linprog.HPolyhedron(P.dim, rows)
+
         build = separation.build_subtour_relaxation
-        monkeypatch.setattr(separation, "build_subtour_relaxation",
-                            lambda n, directed: build(n, directed).without_row(30))
+        monkeypatch.setattr(separation, "build_subtour_relaxation", weakened)
         r = bound_report("stsp", 6)
-        assert r.upper_bound == 66 and not r.upper_certified
+        assert r.upper_bound == 67 and not r.upper_certified
         assert r.lower_certified
         failed = [s for s in r.notes if "relaxation verification failed" in s]
         assert len(failed) == 1
