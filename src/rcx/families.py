@@ -242,25 +242,6 @@ def diff(m, n, max_candidates=None):
     return PointSet(m * n, pts, family=_tag("diff", m=m, n=n), validate=False)
 
 
-def _spanning_connected(n, edges):
-    """True when the edges connect nodes 1..n: a flood fill from node 1 over
-    per-node neighbour bitmasks (bit v stands for node v)."""
-    nbr = [0] * (n + 1)
-    for u, v in edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    seen = frontier = 1 << 1
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= nbr[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << (n + 1)) - 2
-
-
 def _tours(name, n, directed, max_candidates):
     """Hamiltonian cycles on 1..n, one per node order (1, *tail); undirected,
     only orders with tail[0] < tail[-1] are kept, as each cycle comes once
@@ -304,9 +285,29 @@ def _edge_subsets(name, n, directed, max_candidates, keep, **params):
 
 
 def conn(n, max_candidates=None):
-    """Characteristic vectors of connected spanning edge subsets."""
-    return _edge_subsets("conn", n, False, max_candidates,
-                         lambda edges: _spanning_connected(n, edges))
+    """Characteristic vectors of connected spanning edge subsets.
+
+    A cut sieve: an edge set is disconnected exactly when it misses a cut
+    δ(S) with 1 in S ⊊ V, that is when it is a submask of the cut's
+    complement, so every such submask is cleared. Edge k is bit m - 1 - k,
+    so the masks count up in the order of product((0, 1), repeat=m).
+    """
+    idx = EdgeIndexer(n)
+    m = idx.dim
+    _cap_check(2**m, max_candidates, f"conn({n})")
+    connected = bytearray(b"\1") * 2**m
+    edges = [(1 << (m - 1 - k), u - 1, v - 1) for k, (u, v) in enumerate(idx.pairs)]
+    for S in range(1, 2**n - 1, 2):  # bit v - 1: node v is in S
+        comp = sum(bit for bit, u, v in edges if not (S >> u ^ S >> v) & 1)
+        s = comp
+        while True:
+            connected[s] = 0
+            if not s:
+                break
+            s = (s - 1) & comp
+    pts = list(compress(product((0, 1), repeat=m), connected))
+    return PointSet(m, pts, family=_tag("conn", n=n), legend=idx.legend(),
+                    validate=False)
 
 
 def _trees(n):
@@ -384,12 +385,13 @@ def arb(n, root=None, max_candidates=None):
     idx = EdgeIndexer(n, directed=True)
     picks = (n - 1) ** (n - 1) * (n if root is None else 1)
     _cap_check(picks, max_candidates, f"arb({n})")
+    trees = list(_trees(n))
     pts = []
     for r in range(1, n + 1) if root is None else (root,):
         label = list(range(n + 1))
         label[r], label[n] = n, r
         pts += [idx.vector([(label[p], label[c]) for c, p in tree])
-                for tree in _trees(n)]
+                for tree in trees]
     pts.sort()
     hi = tuple([int(v != root) for _, v in idx.pairs])
     bounds = (pts[0], pts[0]) if len(pts) == 1 else ((0,) * idx.dim, hi)

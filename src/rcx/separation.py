@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from math import comb
 
 from .errors import EmptySet, InvalidSystem, TooLarge
-from .families import (PointSet, _arity, _cap_check, _point_set, generate,
-                       tjoin_terminals)
+from .families import (EdgeIndexer, PointSet, _arity, _cap_check, _point_set,
+                       generate, tjoin_terminals)
 from .hiding import (_conflict_graph, _max_clique, build_arb_hiding,
                      build_diff_hiding, build_parity_hiding, build_perm_hiding,
                      build_tjoin_hiding, build_tsp_hiding, max_hiding_in_box,
@@ -269,28 +270,42 @@ def _tjoin_params(n, terminals):
     return params
 
 
-def _counted(H, what):
-    return H, f"{len(H)} {what}"
+def _sized(points, d, candidates, what, source):
+    """A floor of points in dimension d, its source formatted with the
+    count, once the candidates its builder would scan pass the size guard,
+    so a count past the cap is refused as the build would be."""
+    _cap_check(candidates, None, what)
+    return points, d, source.format(points)
 
 
-def _pattern_floor(build, n, directed, what):
+def _pattern_floor(name, n, directed, what):
+    # the 2^(N-1) even patterns of N = n/2 - 1 bits, as _cycle_pairs scans them
     N = n // 2 - 1
-    return _counted(build(N, directed=directed),
-                    f"even-pattern {what} points (N = {N})")
+    return _sized(2 ** (N - 1), EdgeIndexer(n, directed).dim, 2**N,
+                  f"{name}({N})", f"{{}} even-pattern {what} points (N = {N})")
 
 
 def _parity_floor(n):
-    H = build_parity_hiding(n)
     if n == 2:
-        return H, "the 2 diagonal points (-1,-1) and (2,2) flanking even(2)"
-    return H, f"the {len(H)} odd-weight cube points"
+        return 2, 2, "the 2 diagonal points (-1,-1) and (2,2) flanking even(2)"
+    return _sized(2 ** (n - 1), n, 2**n, f"odd({n})",
+                  "the {} odd-weight cube points")
 
 
 def _tjoin_floor(n, terminals):
+    # the even M-unions and the odd N-unions over k and l matchings; with
+    # no terminals the one even union, the empty set, is itself a T-join
+    k, l = len(terminals) // 2, (n - len(terminals)) // 2
+    _cap_check(2**k, None, f"tjoin_hiding({k})")
+    _cap_check(2**l, None, f"tjoin_hiding({l})")
+    h1, h2 = 2**k // 2, 2**l // 2
+    return (max(h1, h2), n * (n - 1) // 2,
+            f"larger of two matching-union families ({h1} and {h2} points)")
+
+
+def _tjoin_hiding(n, terminals):
     H1, H2 = build_tjoin_hiding(n, terminals)
-    H = H1 if len(H1) >= len(H2) else H2
-    return H, (f"larger of two matching-union families "
-               f"({len(H1)} and {len(H2)} points)")
+    return H1 if len(H1) >= len(H2) else H2
 
 
 def _per_point(d, points):
@@ -304,13 +319,15 @@ class _ReportFamily:
     The callables take the report's params as keywords, and the floor's
     parameter names are the report's, in order. Builders are named
     inside lambdas, so they are looked up on this module when they run
-    and a patched builder is the one called. A ceiling is a row count in
-    closed form, its system built and verified only up to its limit on
-    params["n"]; past its limit a bound carries its count only, unverified.
+    and a patched builder is the one called. A floor and a ceiling are
+    counts in closed form, the hiding set built and verified only up to
+    the floor's limit on params["n"] and the system only up to the
+    ceiling's; past its limit a bound carries its count only, unverified.
     """
 
     parse: object         # raw parameters -> the report's params dict
-    floor: object         # -> (hiding set, lower_source)
+    floor: object         # -> (the floor's point count, dimension, lower_source)
+    hiding: object        # -> the floor's hiding set
     limits: tuple         # largest n certified for the floor, the ceiling
     rows: object          # -> the ceiling's row count
     upper_source: str = ("one row per excluded 0/1 point plus the cube rows "
@@ -322,42 +339,48 @@ class _ReportFamily:
 # per-point system at n = 4 is past the default certification budget
 _REPORTS = {
     "stsp": _ReportFamily(
-        _graph_params,
-        lambda n: _pattern_floor(build_tsp_hiding, n, False, "cycle-pair"), (8, 6),
+        _graph_params, lambda n: _pattern_floor("tsp_hiding", n, False, "cycle-pair"),
+        lambda n: build_tsp_hiding(n // 2 - 1, directed=False), (8, 6),
         lambda n: n * n + 2 ** (n - 1) - 1, "subtour relaxation with {upper} rows",
         lambda n: build_subtour_relaxation(n, directed=False)),
     "atsp": _ReportFamily(
-        _graph_params,
-        lambda n: _pattern_floor(build_tsp_hiding, n, True, "cycle-pair"), (8, 5),
+        _graph_params, lambda n: _pattern_floor("tsp_hiding", n, True, "cycle-pair"),
+        lambda n: build_tsp_hiding(n // 2 - 1, directed=True), (8, 5),
         lambda n: 2 * n * n + 2 ** n - 2, "subtour relaxation with {upper} rows",
         lambda n: build_subtour_relaxation(n, directed=True)),
     "conn": _ReportFamily(
-        _graph_params,
-        lambda n: _pattern_floor(build_tsp_hiding, n, False, "cycle-pair"), (6, 4),
+        _graph_params, lambda n: _pattern_floor("tsp_hiding", n, False, "cycle-pair"),
+        lambda n: build_tsp_hiding(n // 2 - 1, directed=False), (6, 4),
         lambda n: n * (n - 1) + 2 ** (n - 1) - 1, "cut relaxation with {upper} rows",
         lambda n: build_conn_cut_relaxation(n)),
     "spt": _ReportFamily(
         _graph_params,
-        lambda n: _pattern_floor(build_arb_hiding, n, False, "dropped-arc path"),
+        lambda n: _pattern_floor("arb_hiding", n, False, "dropped-arc path"),
+        lambda n: build_arb_hiding(n // 2 - 1, directed=False),
         (6, 4), lambda n: _per_point(n * (n - 1) // 2, n ** (n - 2))),
     "arb": _ReportFamily(
         _graph_params,
-        lambda n: _pattern_floor(build_arb_hiding, n, True, "dropped-arc path"),
+        lambda n: _pattern_floor("arb_hiding", n, True, "dropped-arc path"),
+        lambda n: build_arb_hiding(n // 2 - 1, directed=True),
         (5, 3), lambda n: _per_point(n * (n - 1), n ** (n - 1))),
     "diff": _ReportFamily(
         _diff_params,
-        lambda m, n: _counted(build_diff_hiding(n), "duplicated-block points"),
+        lambda m, n: _sized(2**n, m * n, 2**n, f"diff_hiding({n})",
+                            "{} duplicated-block points"),
+        lambda m, n: build_diff_hiding(n),
         (4, 3), lambda m, n: _per_point(m * n, 2 ** n * (2 ** n - 1))),
     "perm": _ReportFamily(
         lambda n: {"n": int(n)},
-        lambda n: _counted(build_perm_hiding(n), "sorted-block swap points"), (6, 4),
+        lambda n: _sized(comb(n, n // 2), n, comb(n, n // 2), f"perm_hiding({n})",
+                         "{} sorted-block swap points"),
+        lambda n: build_perm_hiding(n), (6, 4),
         lambda n: 2 ** n + n - 1, "permutahedron description with {upper} rows",
         lambda n: build_rado_permutahedron(n)),
     "even": _ReportFamily(
-        lambda n: {"n": int(n)}, _parity_floor, (6, 6),
-        lambda n: _per_point(n, 2 ** (n - 1))),
+        lambda n: {"n": int(n)}, _parity_floor, lambda n: build_parity_hiding(n),
+        (6, 6), lambda n: _per_point(n, 2 ** (n - 1))),
     "tjoins": _ReportFamily(
-        _tjoin_params, _tjoin_floor, (6, 4),
+        _tjoin_params, _tjoin_floor, _tjoin_hiding, (6, 4),
         lambda n, terminals: _per_point(n * (n - 1) // 2,
                                         2 ** ((n - 1) * (n - 2) // 2))),
 }
@@ -369,13 +392,14 @@ _UPPER_CERT_MAX = {f: r.limits[1] for f, r in _REPORTS.items()}
 def bound_report(family, *params, box=None):
     """Two-sided size report: hiding-set floor, explicit-system ceiling.
 
-    Floors come from the family's hiding construction (certified by full
-    verification at small sizes). A ceiling is the row count, in closed
-    form, of the matching explicit outer description: subtour rows for
-    tours, cut rows for connected subgraphs, the permutahedron rows for
-    permutations, and one row per excluded cube point for the 0/1
-    families; the system is built and verified only up to the family's
-    ceiling limit. An optional integer box additionally searches for a
+    A floor is the point count, in closed form, of the family's hiding
+    construction; the hiding set is built and certified by full
+    verification only up to the family's floor limit. A ceiling is the
+    row count, in closed form, of the matching explicit outer
+    description: subtour rows for tours, cut rows for connected
+    subgraphs, the permutahedron rows for permutations, and one row per
+    excluded cube point for the 0/1 families; the system is built and
+    verified only up to the family's ceiling limit. An optional integer box additionally searches for a
     larger hiding set when the family is small enough to enumerate.
     """
     try:
@@ -383,17 +407,21 @@ def bound_report(family, *params, box=None):
     except KeyError:
         raise ValueError(f"unknown family {family!r} (no hiding construction)") from None
     pdict = spec.parse(*_arity(family, spec.floor, params))
-    H, lower_src = spec.floor(**pdict)
-    lower, d = len(H), H.dim
+    n = pdict["n"]
+    lower_max, upper_max = spec.limits
+    # the builder first: its own checks refuse a size the count cannot take
+    H = spec.hiding(**pdict) if n <= lower_max else None
+    lower, d, lower_src = spec.floor(**pdict)
+    if H is not None and (lower, d) != (len(H), H.dim):
+        raise RuntimeError(f"certified floor {lower} in dimension {d} is not the "
+                           f"{len(H)} points in dimension {H.dim} verified")
     upper = spec.rows(**pdict)
     upper_src = spec.upper_source.format(upper=upper, d=d)
 
     notes = []
     lower_cert = upper_cert = False
     X = None
-    n = pdict["n"]
-    lower_max, upper_max = spec.limits
-    if n <= lower_max:
+    if H is not None:
         X = generate(family, *pdict.values())
         cert = verify_hiding(H, X)
         lower_cert = cert.valid

@@ -1,18 +1,44 @@
-"""The spanning-tree, arborescence and T-join generators that filter
-candidates, kept as a test-only reference for the generators in
-rcx.families that build each point from its structure (Prüfer sequences,
-one cycle-space coset).
+"""The connected-subgraph, spanning-tree, arborescence and T-join
+generators that filter candidates, kept as a test-only reference for the
+generators in rcx.families that build each point from its structure (a
+cut sieve, Prüfer sequences, one cycle-space coset).
 
-spt scans the C(m, n-1) edge subsets of size n - 1 with a flood fill,
-arb scans every parent pick with _reaches, and tjoins is a depth-first
-sweep over the edges with degree-parity pruning.
+conn scans all 2^m edge subsets and spt the C(m, n-1) edge subsets of
+size n - 1, each with a flood fill; arb scans every parent pick with
+_reaches, and tjoins is a depth-first sweep over the edges with
+degree-parity pruning.
 """
 
 from itertools import combinations, product
 from math import comb
 
-from rcx.families import (EdgeIndexer, PointSet, _cap_check, _spanning_connected,
-                          _tag, tjoin_terminals)
+from rcx.families import (EdgeIndexer, PointSet, _cap_check, _edge_subsets, _tag,
+                          tjoin_terminals)
+
+
+def _spanning_connected(n, edges):
+    """True when the edges connect nodes 1..n: a flood fill from node 1 over
+    per-node neighbour bitmasks (bit v stands for node v)."""
+    nbr = [0] * (n + 1)
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    seen = frontier = 1 << 1
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << (n + 1)) - 2
+
+
+def conn(n, max_candidates=None):
+    """Characteristic vectors of connected spanning edge subsets."""
+    return _edge_subsets("conn", n, False, max_candidates,
+                         lambda edges: _spanning_connected(n, edges))
 
 
 def spt(n, max_candidates=None):

@@ -28,8 +28,8 @@ from rcx.families import (
     tjoin_terminals,
     tjoins,
 )
-from rcx.families import _spanning_connected
 from rcx.separation import bound_report
+from filter_families import _spanning_connected
 from test_fileio import FAMILY_SIZES
 
 

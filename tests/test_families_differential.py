@@ -1,10 +1,10 @@
 """The structural generators against the filters they replaced.
 
-spt and arb decode Prüfer sequences and tjoins walks one cycle-space
-coset; tests/filter_families.py keeps the candidate filters. Both must
-give the same points in the same order, the same tag, legend, digest and
-bounds() hint. The spt and arb hints are closed forms, so they are also
-checked against the bounds read off their points.
+conn sieves its cuts, spt and arb decode Prüfer sequences and tjoins
+walks one cycle-space coset; tests/filter_families.py keeps the candidate
+filters. Both must give the same points in the same order, the same tag,
+legend, digest and bounds() hint. The spt and arb hints are closed forms,
+so they are also checked against the bounds read off their points.
 """
 
 import pytest
@@ -21,6 +21,19 @@ def same(got, want):
     assert (got.dim, got.family, got.legend) == (want.dim, want.family, want.legend)
     assert got.digest() == want.digest()
     assert got.bounds() == want.bounds()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conn(n):
+    X = families.conn(n)
+    same(X, ref.conn(n))
+    assert len(X) == [1, 1, 4, 38, 728, 26_704][n - 1]  # connected labelled graphs
+
+
+def test_conn_refusal():
+    with pytest.raises(TooLarge) as got:
+        families.conn(6, max_candidates=2**14)
+    assert str(got.value) == "conn(6): 32768 candidates exceed the cap of 16384"
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -66,6 +79,7 @@ def test_tjoins(n):
     ("arb", (5,), 5 * 4**4),
     ("arb", (5, 3), 4**4),
     ("tjoins", (5, (1, 2)), 2**10),
+    ("conn", (5,), 2**10),
 ])
 def test_same_caps(name, args, cap):
     # each cap still counts what the filter scanned: fits at it, refused below

@@ -15,8 +15,10 @@ its own.
 `rational._frac` the one float rule, `rational._int_row` the one
 denominator clearing and `families._parity` the one parity filter.
 `irredundant_count` is checked against a sense-by-sense loop over the
-rows' rational data. `bound_report` counts every ceiling in closed form
-and builds a ceiling system only up to the family's ceiling limit.
+rows' rational data. `bound_report` counts every floor and ceiling in
+closed form and builds a hiding set or a ceiling system only up to the
+family's floor or ceiling limit. `families.conn` is a cut sieve, with
+no connectivity filter left in rcx.
 """
 
 import ast
@@ -257,6 +259,41 @@ def test_point_set_intake_number_rule_and_parity_have_one_home():
              "sum % 2": (sum_mod_2, ("families", "_parity"))}
     for what, (match, home) in homes.items():
         assert [found[:2] for found in _owned(match)] == [home], what
+
+
+def test_conn_is_a_cut_sieve():
+    # conn clears the edge sets that miss a cut; rcx keeps no connectivity
+    # filter, and _edge_subsets scans for forests and branch alone
+    def defines_flood_fill(node):
+        return isinstance(node, ast.FunctionDef) and node.name == "_spanning_connected"
+
+    assert _owned(defines_flood_fill) == []
+    assert [f[:2] for f in _owned(_calls("_edge_subsets"))] == [
+        ("families", "branch"), ("families", "forests")]
+
+
+# the smallest valid size past each family's floor limit
+PAST_THE_FLOOR = {"stsp": (10,), "atsp": (10,), "conn": (8,), "spt": (8,),
+                  "arb": (6,), "diff": (2, 5), "perm": (7,), "even": (7,),
+                  "tjoins": (8, (1, 2))}
+
+
+@pytest.mark.parametrize("family", list(PAST_THE_FLOOR))
+def test_no_hiding_set_is_built_past_its_limit(monkeypatch, family):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hiding set was built past its limit")
+
+    builders = {"build_tsp_hiding", "build_arb_hiding", "build_diff_hiding",
+                "build_perm_hiding", "build_parity_hiding", "build_tjoin_hiding"}
+    for name in builders:
+        monkeypatch.setattr(separation, name, refuse)
+    assert set(PAST_THE_FLOOR) == set(separation._REPORTS)
+    spec, args = separation._REPORTS[family], PAST_THE_FLOOR[family]
+    n = spec.parse(*args)["n"]
+    assert spec.limits[0] < n <= spec.limits[0] + 2
+    r = separation.bound_report(family, *args)
+    assert r.lower_bound == spec.floor(**r.params)[0] and not r.lower_certified
+    assert "floor carries the construction count only at this size" in r.notes
 
 
 # the smallest valid size past each family's ceiling limit

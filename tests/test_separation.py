@@ -5,7 +5,7 @@ import hashlib
 import random
 import signal
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, wraps
 from itertools import combinations, product
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from rcx.errors import EmptySet, InvalidSystem, TooLarge
 from rcx.families import PointSet, cube, even, generate, odd
 from rcx import linprog, relaxations, separation
-from rcx.hiding import _conflict_graph, max_hiding_in_box
+from rcx.hiding import _conflict_graph, build_tjoin_hiding, max_hiding_in_box
 from rcx.linprog import Halfspace, strict_separation
 from rcx.rational import vdot
 from rcx.relaxations import build_cube_relaxation, verify_relaxation
@@ -310,6 +310,22 @@ class TestRationalizeHalfspace:
             rationalize_halfspace(PointSet(2, []))
 
 
+# every valid report size up to two past each family's floor limit
+FLOOR_SIZES = {
+    "stsp": [(n,) for n in (4, 6, 8, 10)],
+    "atsp": [(n,) for n in (4, 6, 8, 10)],
+    "conn": [(n,) for n in (4, 6, 8)],
+    "spt": [(n,) for n in (4, 6, 8)],
+    "arb": [(n,) for n in (4, 6)],
+    "diff": [(2, n) for n in range(1, 7)],
+    "perm": [(n,) for n in range(4, 9)],
+    "even": [(n,) for n in range(2, 9)],
+    "tjoins": [(n, T) for n in (2, 4, 6, 8)
+               for T in ((), (1, 2), (2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6))
+               if max(T, default=0) <= n],
+}
+
+
 class TestBoundReport:
     def test_tour_families(self):
         r = bound_report("stsp", 8)
@@ -381,6 +397,54 @@ class TestBoundReport:
         assert r.upper_bound == rows and not r.upper_certified
         assert "ceiling carries the row count only at this size" in r.notes
 
+    @pytest.mark.parametrize("args", [("even", 3), ("spt", 4), ("diff", 2, 2),
+                                      ("tjoins", 4, (1, 2)), ("stsp", 6), ("perm", 4)])
+    def test_certified_floor_is_the_verified_point_count(self, monkeypatch, args):
+        # a closed-form count that disagrees with the built hiding set is refused
+        spec = separation._REPORTS[args[0]]
+        floor = spec.floor
+
+        @wraps(floor)  # the arity check reads floor's signature
+        def more(**params):
+            points, d, source = floor(**params)
+            return points + 1, d, source
+
+        monkeypatch.setitem(separation._REPORTS, args[0],
+                            dataclasses.replace(spec, floor=more))
+        with pytest.raises(RuntimeError,
+                           match="^certified floor .* points in dimension .* verified$"):
+            bound_report(*args)
+
+    @pytest.mark.parametrize("family", list(FLOOR_SIZES))
+    def test_closed_form_floor_is_the_built_hiding_set(self, family):
+        # every valid size up to two past the floor limit
+        assert set(FLOOR_SIZES) == set(separation._REPORTS)
+        spec = separation._REPORTS[family]
+        for args in FLOOR_SIZES[family]:
+            pdict = spec.parse(*args)
+            H = spec.hiding(**pdict)
+            assert spec.floor(**pdict)[:2] == (len(H), H.dim), args
+        assert pdict["n"] in (spec.limits[0] + 1, spec.limits[0] + 2)
+
+    @pytest.mark.parametrize("args", FLOOR_SIZES["tjoins"], ids=str)
+    def test_tjoin_floor_names_both_part_sizes(self, args):
+        H1, H2 = build_tjoin_hiding(*args)
+        _, _, source = separation._REPORTS["tjoins"].floor(*args)
+        assert source == (f"larger of two matching-union families "
+                          f"({len(H1)} and {len(H2)} points)")
+
+    def test_floor_past_its_limit_is_counted_not_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hiding set was built past its limit")
+
+        monkeypatch.setattr(separation, "build_tsp_hiding", refuse)
+        with deadline(1):
+            r = bound_report("stsp", 40)
+        assert (r.lower_bound, r.upper_bound) == (2**18, 1600 + 2**39 - 1)
+        assert r.lower_source == "262144 even-pattern cycle-pair points (N = 19)"
+        assert not r.lower_certified
+        assert "floor carries the construction count only at this size" in r.notes
+
     @pytest.mark.parametrize("args", [("perm", 4), ("even", 5), ("diff", 2, 3)])
     def test_ceiling_certified_without_lp(self, monkeypatch, args):
         # the propagated box bounds the permutahedron and the sawtooth rows
@@ -436,6 +500,10 @@ class TestBoundReport:
         # box search finds all four and certifies them
         monkeypatch.setattr(separation, "build_parity_hiding",
                             lambda n: PointSet(3, [(1, 0, 0), (0, 1, 0)]))
+        # the floor count is checked against the built set, so it says 2 too
+        spec = separation._REPORTS["even"]
+        monkeypatch.setitem(separation._REPORTS, "even", dataclasses.replace(
+            spec, floor=lambda n: (2, 3, "the 2 odd-weight points")))
         r = bound_report("even", 3, box=((0, 0, 0), (1, 1, 1)))
         assert r.lower_bound == 4 and r.lower_certified
         assert r.lower_source == "box search clique of 4 points"
