@@ -17,10 +17,6 @@ class OddNodeSet(ValueError):
     """T-joins need an even number of odd-degree terminals."""
 
 
-class InvalidSystem(ValueError):
-    """A separating system fails validation against its point set."""
-
-
 class Infeasible(ValueError):
     """The polyhedron has no points at all."""
 

@@ -89,8 +89,7 @@ class EdgeIndexer:
 class PointSet:
     """A finite set of integer points in a fixed dimension."""
 
-    def __init__(self, dim, points, family=None, legend=None,
-                 validate=True, bounds=None):
+    def __init__(self, dim, points, family=None, legend=None, validate=True):
         self.dim = dim
         self.family = family
         self.legend = tuple(legend) if legend is not None else None
@@ -111,7 +110,7 @@ class PointSet:
             self.points = pts
         else:
             self.points = list(points)
-        self._bounds = bounds
+        self._bounds = None
         self._digest = None
 
     def __len__(self):
@@ -129,7 +128,7 @@ class PointSet:
         return f"PointSet({tag}, dim={self.dim}, n={len(self.points)})"
 
     def bounds(self):
-        """Per-coordinate (lows, highs) over the set."""
+        """Per-coordinate (lows, highs), read off the points once and kept."""
         if self._bounds is None:
             if not self.points:
                 raise ValueError("empty point set has no bounds")
@@ -192,8 +191,7 @@ def cube(d, max_candidates=None):
     """All 0/1 vectors of length d."""
     _cap_check(2**d, max_candidates, f"cube({d})")
     pts = [tuple(p) for p in product((0, 1), repeat=d)]
-    return PointSet(d, pts, family=_tag("cube", d=d), validate=False,
-                    bounds=(((0,) * d), ((1,) * d)) if d else ((), ()))
+    return PointSet(d, pts, family=_tag("cube", d=d), validate=False)
 
 
 def simplex(d):
@@ -331,19 +329,13 @@ def _trees(n):
 
 def spt(n, max_candidates=None):
     """Characteristic vectors of spanning trees, decoded from Prüfer
-    sequences; the cap counts the C(m, n-1) edge subsets of size n - 1.
-
-    From n = 3 on every coordinate takes both values: an edge is in the
-    star at one of its ends and not in the star at the third node; below
-    that there is one point.
-    """
+    sequences; the cap counts the C(m, n-1) edge subsets of size n - 1."""
     idx = EdgeIndexer(n)
     m = idx.dim
     _cap_check(comb(m, n - 1), max_candidates, f"spt({n})")
     pts = sorted(map(idx.vector, _trees(n)))
-    bounds = (pts[0], pts[0]) if n < 3 else ((0,) * m, (1,) * m)
     return PointSet(m, pts, family=_tag("spt", n=n), legend=idx.legend(),
-                    validate=False, bounds=bounds)
+                    validate=False)
 
 
 def _acyclic(n, edges):
@@ -373,12 +365,6 @@ def arb(n, root=None, max_candidates=None):
     every one comes once. The cap counts the parent picks (every node but
     the root picks a parent): n·(n-1)^(n-1), or (n-1)^(n-1) with a fixed
     root.
-
-    An arc into a fixed root is always 0. With two or more points every
-    other arc (u, v) takes both values: from n = 3 on, v's parent is u in
-    one arborescence and another node in the next; for n = 2 with no
-    fixed root, each arc is the one arc of the arborescence at its tail.
-    Otherwise (n = 1, or n = 2 with a root) there is one point.
     """
     if root is not None and not 1 <= root <= n:
         raise ValueError("root out of range")
@@ -393,10 +379,8 @@ def arb(n, root=None, max_candidates=None):
         pts += [idx.vector([(label[p], label[c]) for c, p in tree])
                 for tree in trees]
     pts.sort()
-    hi = tuple([int(v != root) for _, v in idx.pairs])
-    bounds = (pts[0], pts[0]) if len(pts) == 1 else ((0,) * idx.dim, hi)
     return PointSet(idx.dim, pts, family=_tag("arb", n=n, root=root),
-                    legend=idx.legend(), validate=False, bounds=bounds)
+                    legend=idx.legend(), validate=False)
 
 
 def branch(n, root=None, max_candidates=None):
@@ -437,9 +421,7 @@ def tjoins(n, terminals=(), max_candidates=None):
     The T-joins are one coset of the cycle space: each subset of the edges
     off node 1 takes the edge {1, v} for every node v whose parity is
     still wrong, and node 1's parity follows, as |T| is even. The cap
-    counts all 2^m edge subsets. From n = 3 on every coordinate takes both
-    values: an edge off node 1 is chosen freely, and {1, v} flips with any
-    edge at v off node 1; below that there is one point.
+    counts all 2^m edge subsets.
     """
     T = tjoin_terminals(n, terminals)
     idx = EdgeIndexer(n)
@@ -455,9 +437,8 @@ def tjoins(n, terminals=(), max_candidates=None):
             wrong ^= mask
         pts.append(tuple([wrong >> v & 1 for v in range(2, n + 1)]) + bits)
     pts.sort()
-    bounds = (pts[0], pts[0]) if n < 3 else ((0,) * m, (1,) * m)
     return PointSet(m, pts, family=_tag("tjoins", n=n, terminals=list(T)),
-                    legend=idx.legend(), validate=False, bounds=bounds)
+                    legend=idx.legend(), validate=False)
 
 
 FAMILIES = {

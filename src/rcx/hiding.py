@@ -149,16 +149,6 @@ def build_parity_hiding(n):
     return odd(n)
 
 
-def _degree_parities(n, idx, vec):
-    deg = [0] * (n + 1)
-    for k, v in enumerate(vec):
-        if v % 2:
-            u, w = idx.pairs[k]
-            deg[u] ^= 1
-            deg[w] ^= 1
-    return tuple(v for v in range(1, n + 1) if deg[v])
-
-
 def build_tjoin_hiding(n, terminals):
     """Two matching-union families hiding the T-join family.
 
@@ -166,8 +156,9 @@ def build_tjoin_hiding(n, terminals):
     round-robin matchings M_1..M_k and N_1..N_l. Unions of an even
     number of M's (with a fixed even N-part) and of an odd number of N's
     (with a fixed odd M-part) have the wrong parity pattern, yet pairs
-    average into the hull. Points that happen to be T-joins themselves
-    (only possible when T is empty) are dropped. Returns (H1, H2).
+    average into the hull. No union is a T-join: an H1 point has no odd
+    node and an H2 point has every node of U odd, so only the empty union
+    is one, when T is empty; H1 then takes no pattern. Returns (H1, H2).
     """
     if n < 2 or n % 2 == 1:
         raise ValueError("need an even number of nodes, n >= 2")
@@ -186,16 +177,14 @@ def build_tjoin_hiding(n, terminals):
 
     def part(p, groups, patterns, fixed):
         """Unions of the groups each pattern picks, plus fixed."""
-        pts = []
-        for bits in patterns:
-            vec = idx.vector(fixed + [e for g in compress(groups, bits) for e in g])
-            if _degree_parities(n, idx, vec) != tuple(T):
-                pts.append(vec)
+        pts = [idx.vector(fixed + [e for g in compress(groups, bits) for e in g])
+               for bits in patterns]
         return PointSet(idx.dim, sorted(pts), legend=idx.legend(), validate=False,
                         family=_tag("tjoin_hiding", n=n, terminals=list(T), part=p))
 
     # H1: even unions of M's with no N; H2: odd unions of N's plus M_1
-    return part(1, M, even_M, []), part(2, Nm, odd_N, M[0] if k else [])
+    return (part(1, M, even_M if k else [], []),
+            part(2, Nm, odd_N, M[0] if k else []))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import product
 from math import comb
 
-from .errors import EmptySet, InvalidSystem, TooLarge
+from .errors import EmptySet, TooLarge
 from .families import (EdgeIndexer, PointSet, _arity, _cap_check, _point_set,
                        generate, tjoin_terminals)
 from .hiding import (_conflict_graph, _max_clique, build_arb_hiding,
@@ -63,16 +63,16 @@ def _complement(xset, d):
     return [y for y in product((0, 1), repeat=d) if y not in xset]
 
 
-def _validate_system(rows, pts, ypts, d, err=InvalidSystem):
+def _validate_system(rows, pts, ypts, d):
     for i, h in enumerate(rows):
         if len(h.a) != d:
-            raise err(f"row {i} has dimension {len(h.a)}, expected {d}")
+            raise RuntimeError(f"row {i} has dimension {len(h.a)}, expected {d}")
         for x in pts:
             if not h.satisfied_by(x):
-                raise err(f"row {i} cuts off the kept point {x}")
+                raise RuntimeError(f"row {i} cuts off the kept point {x}")
     for y in ypts:
         if all(h.satisfied_by(y) for h in rows):
-            raise err(f"excluded point {y} satisfies every row")
+            raise RuntimeError(f"excluded point {y} satisfies every row")
 
 
 def _kept_and_excluded(X, budget, what, limit=None):
@@ -183,29 +183,22 @@ def jeroslow_index(X, limit=4, max_complement=16):
     k = len(rows)
     if not base_clique <= k <= m:
         raise RuntimeError("cover size escaped its certified bounds")
-    _validate_system(rows, pts, ypts, d, err=RuntimeError)
+    _validate_system(rows, pts, ypts, d)
     return k, SeparationSystem(rows, target)
 
 
-def build_binary_relaxation(X, system=None):
+def build_binary_relaxation(X):
     """Cube polytope rows plus one cut per excluded 0/1 point.
 
-    Each default row says the 0/1 distance to its excluded point is at
-    least one, so exactly that vertex is cut off and no other. A caller
-    system (for instance from jeroslow_index) is validated first and
-    used in place of the per-point rows.
+    Each row says the 0/1 distance to its excluded point is at least one,
+    so exactly that vertex is cut off and no other.
     """
     pts, d, xset = _cube_points(X)
     if not pts:
         raise EmptySet("need at least one point to relax")
     _cap_check(2 ** d, None, f"cube({d})")
-    ypts = _complement(xset, d)
-    if system is not None:
-        _validate_system(system.halfspaces, pts, ypts, d)
-        head = list(system.halfspaces)
-    else:
-        head = [Halfspace(tuple(1 - 2 * v for v in y), ">=", 1 - sum(y))
-                for y in ypts]
+    head = [Halfspace(tuple(1 - 2 * v for v in y), ">=", 1 - sum(y))
+            for y in _complement(xset, d)]
     return HPolyhedron(d, head + list(build_cube_relaxation(d).constraints))
 
 
@@ -223,7 +216,7 @@ def rationalize_halfspace(X):
     ypts = _complement(xset, d)
     h = strict_separation(pts, ypts)
     if h is not None:
-        _validate_system([h], pts, ypts, d, err=RuntimeError)
+        _validate_system([h], pts, ypts, d)
     return h
 
 

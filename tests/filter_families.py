@@ -122,16 +122,12 @@ def tjoins(n, terminals=(), max_candidates=None):
         if last[v] >= 0:
             finish[last[v]].append(v - 1)
     out = []
-    and_bits = (1 << m) - 1
-    or_bits = 0
     # stack frames: (next edge index, parity bitmask, chosen-edge bitmask)
     stack = [(0, 0, 0)]
     while stack:
         k, par, bits = stack.pop()
         if k == m:
             out.append(tuple((bits >> j) & 1 for j in range(m)))
-            and_bits &= bits
-            or_bits |= bits
             continue
         for b in (1, 0):  # pushed 1 first so the 0-branch is explored first
             np = par ^ edge_mask[k] if b else par
@@ -142,7 +138,4 @@ def tjoins(n, terminals=(), max_candidates=None):
                     break
             if ok:
                 stack.append((k + 1, np, bits | (b << k)))
-    bounds = (tuple((and_bits >> j) & 1 for j in range(m)),
-              tuple((or_bits >> j) & 1 for j in range(m))) if out else None
-    return PointSet(m, out, family=family, legend=idx.legend(),
-                    validate=False, bounds=bounds)
+    return PointSet(m, out, family=family, legend=idx.legend(), validate=False)

@@ -3,8 +3,7 @@
 conn sieves its cuts, spt and arb decode Prüfer sequences and tjoins
 walks one cycle-space coset; tests/filter_families.py keeps the candidate
 filters. Both must give the same points in the same order, the same tag,
-legend, digest and bounds() hint. The spt and arb hints are closed forms,
-so they are also checked against the bounds read off their points.
+legend, digest and bounds(), which every PointSet reads off its points.
 """
 
 import pytest
@@ -45,26 +44,6 @@ def test_spt(n):
 def test_arb_every_root_and_none(n):
     for root in (None, *range(1, n + 1)):
         same(families.arb(n, root), ref.arb(n, root))
-
-
-def transposed_bounds(X):
-    """X's (lows, highs), read off its points with no hint."""
-    return families.PointSet(X.dim, X.points, validate=False).bounds()
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_spt_bounds_hint(n):
-    X = families.spt(n)
-    assert X._bounds is not None  # a hint, not a scan
-    assert X.bounds() == transposed_bounds(X)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_arb_bounds_hint_every_root_and_none(n):
-    for root in (None, *range(1, n + 1)):
-        X = families.arb(n, root)
-        assert X._bounds is not None
-        assert X.bounds() == transposed_bounds(X), root
 
 
 @pytest.mark.parametrize("n", range(1, 8))

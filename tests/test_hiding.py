@@ -200,7 +200,7 @@ class TestTjoinHiding:
 
     def test_empty_terminals_drops_joins(self):
         H1, H2 = build_tjoin_hiding(4, ())
-        # the all-zero union is itself an empty-set join, so H1 loses it
+        # the all-zero union is itself an empty-set join, so H1 takes no pattern
         assert len(H1) == 0
         assert len(H2) == 2
         cert = verify_hiding(H2, tjoins(4, ()))
@@ -214,6 +214,22 @@ class TestTjoinHiding:
         assert c1.valid and c1.bound == 2
         c2 = verify_hiding(H2, X)
         assert c2.valid and c2.bound == 1
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_no_point_is_a_tjoin(self, n):
+        # read off each point's edges: the nodes of odd degree are never T
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+
+        def odd_nodes(vec):
+            degree = Counter(w for e, x in zip(pairs, vec) if x % 2 for w in e)
+            return tuple(sorted(w for w, c in degree.items() if c % 2))
+
+        for size in range(0, n + 1, 2):
+            for T in combinations(range(1, n + 1), size):
+                H1, H2 = build_tjoin_hiding(n, T)
+                k, l = size // 2, (n - size) // 2
+                assert (len(H1), len(H2)) == (2**k // 2, 2**l // 2), T
+                assert all(odd_nodes(p) != T for p in H1.points + H2.points), T
 
     def test_parity_errors(self):
         with pytest.raises(Exception):

@@ -18,7 +18,8 @@ denominator clearing and `families._parity` the one parity filter.
 rows' rational data. `bound_report` counts every floor and ceiling in
 closed form and builds a hiding set or a ceiling system only up to the
 family's floor or ceiling limit. `families.conn` is a cut sieve, with
-no connectivity filter left in rcx.
+no connectivity filter left in rcx. Every `PointSet` reads its bounds
+off its points, and no option that only tests passed is left.
 """
 
 import ast
@@ -270,6 +271,28 @@ def test_conn_is_a_cut_sieve():
     assert _owned(defines_flood_fill) == []
     assert [f[:2] for f in _owned(_calls("_edge_subsets"))] == [
         ("families", "branch"), ("families", "forests")]
+
+
+def test_bounds_are_read_off_points_and_no_test_only_option_is_left():
+    # no generator hands PointSet its bounds; build_binary_relaxation takes
+    # no caller system, so its check, _degree_parities and InvalidSystem
+    # are gone, and _validate_system raises one error type
+    def passes_bounds(node):
+        return _calls("PointSet")(node) and any(k.arg == "bounds" for k in node.keywords)
+
+    def names_gone(node):
+        name = getattr(node, "name", getattr(node, "id", getattr(node, "attr", None)))
+        if isinstance(node, ast.Constant):
+            name = node.value
+        return name in {"_degree_parities", "InvalidSystem"}
+
+    assert _owned(passes_bounds) == []
+    assert _owned(names_gone) == []
+    assert list(inspect.signature(PointSet).parameters) == [
+        "dim", "points", "family", "legend", "validate"]
+    assert list(inspect.signature(separation.build_binary_relaxation).parameters) == ["X"]
+    assert list(inspect.signature(separation._validate_system).parameters) == [
+        "rows", "pts", "ypts", "d"]
 
 
 # the smallest valid size past each family's floor limit

@@ -10,16 +10,16 @@ from itertools import combinations, product
 
 import pytest
 
-from rcx.errors import EmptySet, InvalidSystem, TooLarge
+from rcx.errors import EmptySet, TooLarge
 from rcx.families import PointSet, cube, even, generate, odd
 from rcx import linprog, relaxations, separation
 from rcx.hiding import _conflict_graph, build_tjoin_hiding, max_hiding_in_box
-from rcx.linprog import Halfspace, strict_separation
+from rcx.linprog import Halfspace, HPolyhedron, strict_separation
 from rcx.rational import vdot
 from rcx.relaxations import build_cube_relaxation, verify_relaxation
-from rcx.separation import (RcBoundReport, SeparationSystem, bound_report,
-                            build_binary_relaxation, conflict_clique_bound,
-                            jeroslow_index, rationalize_halfspace)
+from rcx.separation import (RcBoundReport, bound_report, build_binary_relaxation,
+                            conflict_clique_bound, jeroslow_index,
+                            rationalize_halfspace)
 
 TRI = PointSet(2, [(0, 0), (1, 0), (0, 1)])
 CUBE3 = list(product((0, 1), repeat=3))
@@ -246,7 +246,7 @@ class TestBuildBinaryRelaxation:
     def test_with_computed_system(self):
         X = even(3)
         _, system = jeroslow_index(X)
-        P = build_binary_relaxation(X, system=system)
+        P = HPolyhedron(3, system.halfspaces + build_cube_relaxation(3).constraints)
         assert len(P.constraints) == 8
         assert verify_relaxation(P, X).status == "verified"
 
@@ -260,16 +260,15 @@ class TestBuildBinaryRelaxation:
             assert verify_relaxation(build_binary_relaxation(X), X).status == "verified"
 
     def test_rejects_bad_systems(self):
-        X = even(2)
-        cutting = SeparationSystem((Halfspace((1, 0), "<=", -1),), X.digest())
-        with pytest.raises(InvalidSystem):
-            build_binary_relaxation(X, system=cutting)
-        toothless = SeparationSystem((Halfspace((1, 0), "<=", 2),), X.digest())
-        with pytest.raises(InvalidSystem):
-            build_binary_relaxation(X, system=toothless)
-        skewed = SeparationSystem((Halfspace((1, 0, 0), "<=", 0),), X.digest())
-        with pytest.raises(InvalidSystem):
-            build_binary_relaxation(X, system=skewed)
+        # the re-check jeroslow_index and rationalize_halfspace run on their rows
+        pts, ypts = even(2).points, [(0, 1), (1, 0)]
+        for row, message in [
+                (Halfspace((1, 0), "<=", -1), "row 0 cuts off the kept point (0, 0)"),
+                (Halfspace((1, 0), "<=", 2), "excluded point (0, 1) satisfies every row"),
+                (Halfspace((1, 0, 0), "<=", 0), "row 0 has dimension 3, expected 2")]:
+            with pytest.raises(RuntimeError) as got:
+                separation._validate_system([row], pts, ypts, 2)
+            assert str(got.value) == message
 
     def test_empty(self):
         with pytest.raises(EmptySet):
