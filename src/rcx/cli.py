@@ -97,8 +97,8 @@ def _cmd_hiding_build(ns):
 
 
 def _cmd_hiding_verify(ns):
-    H = fileio.parse_pointset(fileio.read_doc(ns.hiding))
-    X = fileio.parse_pointset(fileio.read_doc(ns.points))
+    H = fileio.read_pointset(ns.hiding)
+    X = fileio.read_pointset(ns.points)
     cert = verify_hiding(H, X)
     status = "valid" if cert.valid else "invalid"
     wit = {"hiding_digest": cert.h_digest, "target_digest": cert.x_digest}
@@ -112,7 +112,7 @@ def _cmd_hiding_verify(ns):
 
 
 def _cmd_hiding_max(ns):
-    X = fileio.parse_pointset(fileio.read_doc(ns.points))
+    X = fileio.read_pointset(ns.points)
     box = _parse_box(ns.box)
     size, witness = max_hiding_in_box(X, box, max_candidates=ns.max_lattice)
     doc = fileio.report_doc(
@@ -141,7 +141,7 @@ def _cmd_relax_build(ns):
 
 def _cmd_relax_verify(ns):
     P = fileio.parse_polyhedron(fileio.read_doc(ns.polyhedron))
-    X = fileio.parse_pointset(fileio.read_doc(ns.points))
+    X = fileio.read_pointset(ns.points)
     rep = verify_relaxation(P, X, max_points=ns.max_lattice)
     doc = fileio.report_doc(
         "relax verify", rep.status,
@@ -161,7 +161,7 @@ def _cmd_relax_irredundant(ns):
 
 
 def _cmd_index(ns):
-    X = fileio.parse_pointset(fileio.read_doc(ns.points))
+    X = fileio.read_pointset(ns.points)
     k, system = jeroslow_index(X, limit=ns.limit, max_complement=ns.max_subsets)
     doc = fileio.report_doc(
         "index", "ok", bound=k,
@@ -171,7 +171,7 @@ def _cmd_index(ns):
 
 
 def _cmd_rationalize(ns):
-    X = fileio.parse_pointset(fileio.read_doc(ns.points))
+    X = fileio.read_pointset(ns.points)
     h = rationalize_halfspace(X)
     if h is None:
         doc = fileio.report_doc("rationalize", "not_separable", witnesses=None)

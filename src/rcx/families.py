@@ -16,6 +16,10 @@ from math import comb, factorial
 from .errors import DimMismatch, OddNodeSet, TooLarge
 
 DEFAULT_CAP = 2**22
+# the hiding builders' cap on points x coordinates, sized on memory: the
+# largest builds it admits (hiding build tsp 15, tsp or arb 16 --undirected)
+# peak at about 310 MB resident, where tjoin 46 1,2 reached 7.4 GB
+_COORDINATE_CAP = 2**25
 _INT = frozenset({int})
 _TUPLE = frozenset({tuple})
 
@@ -34,6 +38,88 @@ def _int_rows(rows, kinds):
 
 def _joined(p):
     return ",".join(map(str, p)) + "\n"
+
+
+# the values 0..9 and their ASCII digits, each way
+_DIGITS = bytes(range(10))
+_ASCII = bytes.maketrans(_DIGITS, b"0123456789")
+_VALUES = bytes.maketrans(b"0123456789", _DIGITS)
+_PIECE_BYTES = 1 << 16
+
+
+def _as_digits(rows):
+    """Rows of exact ints (as _int_rows finds them) as one row-major buffer
+    of their values, one byte each, when every value is in 0..9; None
+    otherwise."""
+    try:
+        digits = bytes(chain.from_iterable(rows))
+    except ValueError:  # a value outside 0..255
+        return None
+    return None if digits.translate(None, _DIGITS) else digits
+
+
+class _DigitRows:
+    """The one text layout of integer rows: each row is head, its d values
+    joined by gap, then tail (`template` formats one row), and rows are
+    joined by sep.
+
+    Single digits give every row the same width, so the text of a digit
+    buffer is a repeated row template into which each coordinate column is
+    copied by one strided slice assignment, and read back by one strided
+    slice. The width is counted, not built: a reader's d comes from the
+    file, and only a width the file's rows fit builds anything of size d.
+    """
+
+    def __init__(self, d, head, gap, tail, sep=""):
+        self.d, self.head, self.gap, self.tail, self.sep = d, head, gap, tail, sep
+        self.width = len(head) + d + (d - 1) * len(gap) + len(tail) + len(sep)
+        self.slots = range(len(head), len(head) + d * (len(gap) + 1), len(gap) + 1)
+
+    @cached_property
+    def template(self):
+        return self.head + self.gap.join(["%d"] * self.d) + self.tail
+
+    @cached_property
+    def row(self):
+        return (self.head + self.gap.join("0" * self.d) + self.tail + self.sep).encode()
+
+    def pieces(self, digits, rows=None):
+        """The text of the buffer's rows, in pieces of that many rows, or
+        of about 64 KB; the caller holds the only reference to each."""
+        step = rows or max(1, _PIECE_BYTES // self.width)
+        return (self.text(digits, i, i + step)
+                for i in range(0, len(digits) // self.d, step))
+
+    def text(self, digits, start, stop):
+        """The text of the buffer's rows start..stop - 1 (sep after the last
+        only when rows follow)."""
+        d, width = self.d, self.width
+        block = digits[start * d:stop * d].translate(_ASCII)
+        out = bytearray(self.row) * (len(block) // d)
+        for k, s in enumerate(self.slots):
+            out[s::width] = block[k::d]
+        if stop * d >= len(digits) and self.sep:
+            del out[-len(self.sep):]
+        return out
+
+    def read(self, raw, start, end):
+        """The digit buffer whose text is raw[start:end] exactly, else None."""
+        d, width = self.d, self.width
+        n, extra = divmod(end - start + len(self.sep), width)
+        if extra or not n:
+            return None
+        text = bytearray(n * d)
+        for k, s in enumerate(self.slots):
+            text[k::d] = raw[start + s:end:width]
+        if text.translate(None, b"0123456789"):
+            return None
+        digits = text.translate(_VALUES)
+        del text
+        for piece in self.pieces(digits):
+            if not raw.startswith(piece, start):
+                return None
+            start += len(piece)
+        return digits
 
 
 class EdgeIndexer:
@@ -112,6 +198,17 @@ class PointSet:
             self.points = list(points)
         self._bounds = None
         self._digest = None
+        self._digits = None  # the points' digit buffer, once read or built
+
+    @classmethod
+    def _from_digits(cls, dim, digits, family=None, legend=None):
+        """The set whose points are the rows of a digit buffer, in the
+        buffer's order and unchecked, keeping the buffer for digest() and
+        bounds()."""
+        pts = zip(*[iter(digits)] * dim)
+        X = cls(dim, pts, family=family, legend=legend, validate=False)
+        X._digits = digits
+        return X
 
     def __len__(self):
         return len(self.points)
@@ -128,28 +225,40 @@ class PointSet:
         return f"PointSet({tag}, dim={self.dim}, n={len(self.points)})"
 
     def bounds(self):
-        """Per-coordinate (lows, highs), read off the points once and kept."""
+        """Per-coordinate (lows, highs), read off the points once and kept;
+        off the digit buffer's columns when the set has one already."""
         if self._bounds is None:
             if not self.points:
                 raise ValueError("empty point set has no bounds")
-            self._bounds = (tuple(map(min, zip(*self.points))),
-                            tuple(map(max, zip(*self.points))))
+            if self._digits:
+                cols = [self._digits[k::self.dim] for k in range(self.dim)]
+                self._bounds = (tuple(map(min, cols)), tuple(map(max, cols)))
+            else:
+                self._bounds = (tuple(map(min, zip(*self.points))),
+                                tuple(map(max, zip(*self.points))))
         return self._bounds
 
     def digest(self):
         """Content hash of (dim, points); stable across runs. Each point is
-        hashed as its coordinates joined by commas plus a newline; integer
-        tuples are formatted through one row template."""
+        hashed as its coordinates joined by commas plus a newline: single
+        digits through the digit buffer's text (built here if the set has
+        none yet, and kept), other integer tuples through one row template."""
         if self._digest is None:
-            pts = self.points
+            pts, digits = self.points, self._digits
             h = hashlib.sha256()
             h.update(f"dim={self.dim};n={len(pts)};".encode())
-            if _int_rows(pts, _TUPLE) == self.dim:
-                text = (",".join(["%d"] * self.dim) + "\n").__mod__
+            form = _DigitRows(self.dim, "", ",", "\n")
+            rows = digits or self.dim and _int_rows(pts, _TUPLE) == self.dim
+            if rows and digits is None:
+                digits = self._digits = _as_digits(pts)
+            if digits:
+                pieces = form.pieces(digits)
             else:
-                text = _joined
-            for i in range(0, len(pts), 4096):
-                h.update("".join(map(text, pts[i:i + 4096])).encode())
+                text = form.template.__mod__ if rows else _joined
+                pieces = ("".join(map(text, pts[i:i + 4096])).encode()
+                          for i in range(0, len(pts), 4096))
+            for piece in pieces:
+                h.update(piece)
             self._digest = h.hexdigest()
         return self._digest
 
@@ -201,9 +310,15 @@ def simplex(d):
     return PointSet(d, pts, family=_tag("simplex", d=d), validate=False)
 
 
-def _parity(name, d, r, max_candidates):
-    """0/1 vectors of length d whose number of ones is r modulo 2."""
+def _parity(name, d, r, max_candidates, width=0):
+    """0/1 vectors of length d whose number of ones is r modulo 2; with a
+    width, the points of that many coordinates they become pass the
+    coordinate cap too, before any is built."""
     _cap_check(2**d, max_candidates, f"{name}({d})")
+    if width:
+        count = 2**d // 2 if d else 1 - r
+        _cap_check(count * width, _COORDINATE_CAP,
+                   f"{name}({d}) points x {width} coordinates")
     pts = [p for p in product((0, 1), repeat=d) if sum(p) % 2 == r]
     return PointSet(d, pts, family=_tag(name, d=d), validate=False)
 

@@ -8,14 +8,14 @@ bytes and every generated file re-parses to an identical object.
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import lt
-from pathlib import Path
 
-from .families import _INT, PointSet, _int_rows
+from .families import _INT, PointSet, _as_digits, _DigitRows, _int_rows
 from .linprog import SENSES, Halfspace, HPolyhedron
 from .rational import format_rational, parse_rational
 
@@ -40,21 +40,27 @@ def _rational_field(v, field):
 
 
 _ROWS_PER_PIECE = 4096
+_INDENT = "  "
+# a top-level field's line, and the items of a list in one, as _encode
+# indents them
+_FIELD = "\n" + _INDENT
+_ITEMS = _FIELD + _INDENT
 
 
 def dumps(doc):
     """The bytes of json.dumps(doc, indent=2, sort_keys=True) plus a newline,
     written without the standard library's pure-Python indenting encoder."""
-    return "".join(_encode(doc, "\n")) + "\n"
+    return "".join(p if type(p) is str else p.decode() for p in _encode(doc, "\n")) + "\n"
 
 
 def _encode(v, newline):
-    """The text of v, in pieces; `newline` is a line break plus the
-    indentation of v's own line."""
+    """The ASCII text of v, in pieces: strings, and bytearrays for rows of
+    single digits; `newline` is a line break plus the indentation of v's
+    own line."""
     if isinstance(v, str):
         yield encode_basestring_ascii(v)
         return
-    inner = newline + "  "
+    inner = newline + _INDENT
     sep = "," + inner
     if isinstance(v, (list, tuple)) and v:
         yield "[" + inner
@@ -63,13 +69,16 @@ def _encode(v, newline):
         elif _STR.issuperset(map(type, v)):
             yield sep.join(map(encode_basestring_ascii, v))
         elif d := _int_rows(v, _ROW):
-            # integer rows of one length: one template formats each row,
-            # a batch of rows to a piece
-            deeper = inner + "  "
-            row = "[" + deeper + ("," + deeper).join(["%d"] * d) + inner + "]"
-            for k in range(0, len(v), _ROWS_PER_PIECE):
-                yield (sep if k else "") + sep.join(
-                    map(row.__mod__, map(tuple, v[k:k + _ROWS_PER_PIECE])))
+            # integer rows of one length: single digits through the digit
+            # buffer's text, others through one template per row, a batch
+            # of rows to a piece
+            form = _point_rows(d, inner)
+            if digits := _as_digits(v):
+                yield from form.pieces(digits, _ROWS_PER_PIECE)
+            else:
+                for k in range(0, len(v), _ROWS_PER_PIECE):
+                    yield (sep if k else "") + sep.join(
+                        map(form.template.__mod__, map(tuple, v[k:k + _ROWS_PER_PIECE])))
         else:
             for k, u in enumerate(v):
                 if k:
@@ -86,21 +95,46 @@ def _encode(v, newline):
         yield json.dumps(v, indent=2, sort_keys=True).replace("\n", newline)
 
 
+def _point_rows(d, inner):
+    """The layout of a list of d-integer rows whose items are indented as
+    `inner`, as _encode writes it."""
+    deeper = inner + _INDENT
+    return _DigitRows(d, "[" + deeper, "," + deeper, inner + "]", "," + inner)
+
+
 def write_doc(path, doc):
-    """dumps(doc) written to path as it is encoded, piece by piece."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_encode(doc, "\n"))
-        fh.write("\n")
+    """dumps(doc) written to path as it is encoded, piece by piece; a row
+    piece goes out as the bytes it was built as."""
+    with open(path, "wb") as fh:
+        fh.writelines(p.encode() if type(p) is str else p for p in _encode(doc, "\n"))
+        fh.write(b"\n")
 
 
 def read_doc(path):
+    return _loads(path, _decode(path, _read(path)))
+
+
+def _read(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+
+
+def _decode(path, raw):
+    """The file's text, as Path.read_text gives it (newlines translated)."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc})") from None
+
+
+def _loads(path, text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError is nesting deeper than the decoder can follow
         raise ValueError(f"{path}: malformed JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be an object")
@@ -150,6 +184,55 @@ def parse_pointset(doc):
     if not all(map(lt, pts, islice(pts, 1, None))):
         pts = sorted(set(pts))
     return PointSet(dim, pts, family=family, legend=legend, validate=False)
+
+
+# the top-level "points" key as write_doc writes a nonempty list of rows,
+# and the end of the file after it
+_POINTS = (_FIELD + '"points": [' + _ITEMS).encode()
+_END = (_FIELD + "]\n}\n").encode()
+
+
+def read_pointset(path):
+    """parse_pointset(read_doc(path)), read straight off the bytes of a
+    file as write_doc writes a set of single-digit rows.
+
+    That is: the first "points" in the file opens the rows that end it;
+    the fields before it parse, through json.loads with an empty list in
+    place of the rows; and the digits, taken out of the rows by strided
+    slices, re-encode to the rows' bytes exactly and increase. Any other
+    file, and every error, takes parse_pointset of the bytes read, parsed
+    as read_doc parses them.
+    """
+    raw = _read(path)
+    X = _digit_pointset(raw)
+    if X is not None:
+        return X
+    text = _decode(path, raw)
+    del raw  # only the text and its document are held while it parses
+    return parse_pointset(_loads(path, text))
+
+
+def _digit_pointset(raw):
+    """The point set of the file bytes raw, when its rows are increasing
+    single-digit rows as write_doc writes them; None otherwise."""
+    i = raw.find(_POINTS)
+    if i < 1 or not raw.endswith(_END) or raw.find(b'"points"') != i + len(_FIELD):
+        return None
+    try:
+        meta = json.loads(raw[:i].decode("utf-8") + _FIELD + '"points": []\n}\n')
+        dim = meta.get("dim")
+        if type(dim) is not int or dim < 1:
+            return None
+        digits = _point_rows(dim, _ITEMS).read(raw, i + len(_POINTS), len(raw) - len(_END))
+        if digits is None:
+            return None
+        X = PointSet._from_digits(dim, digits,
+                                  family=_field(meta, "family", dict, required=False),
+                                  legend=_field(meta, "legend", list, required=False))
+    except (ValueError, RecursionError):
+        return None
+    pts = X.points
+    return X if all(map(lt, pts, islice(pts, 1, None))) else None
 
 
 def row_doc(h):

@@ -67,7 +67,7 @@ def _cycle_pairs(name, N, directed, drop_return_arc):
         raise ValueError("need N >= 1")
     idx = EdgeIndexer(2 * (N + 1), directed=directed)
     pts = sorted(idx.vector(cycle_pair_arcs(N, b, drop_return_arc))
-                 for b in _parity(name, N, 0, None))
+                 for b in _parity(name, N, 0, None, width=idx.dim))
     return PointSet(idx.dim, pts, family=_tag(name, N=N, directed=directed),
                     legend=idx.legend(), validate=False)
 
@@ -165,15 +165,15 @@ def build_tjoin_hiding(n, terminals):
     T = tjoin_terminals(n, terminals)
     U = [v for v in range(1, n + 1) if v not in set(T)]
     k, l = len(T) // 2, len(U) // 2
-    # both parts' patterns pass the size guard before the O(n^2) matchings
-    # and edge index are built
-    even_M, odd_N = (_parity("tjoin_hiding", k, 0, None),
-                     _parity("tjoin_hiding", l, 1, None))
+    # both parts' patterns, and the points they become, pass the size guard
+    # before the O(n^2) matchings and edge index are built
+    idx = EdgeIndexer(n)
+    even_M, odd_N = (_parity("tjoin_hiding", k, 0, None, width=idx.dim),
+                     _parity("tjoin_hiding", l, 1, None, width=idx.dim))
     T1, T2 = T[:k], T[k:]
     U1, U2 = U[:l], U[l:]
     M = [[(T1[j], T2[(j + i) % k]) for j in range(k)] for i in range(k)]
     Nm = [[(U1[j], U2[(j + i) % l]) for j in range(l)] for i in range(l)]
-    idx = EdgeIndexer(n)
 
     def part(p, groups, patterns, fixed):
         """Unions of the groups each pattern picks, plus fixed."""
@@ -229,7 +229,7 @@ def verify_hiding(H, X):
     if not all(integral):
         bad = H.points[integral.index(False)]
         return done(False, integral, [], [], [], ("not_integral", bad))
-    hull = affine_hull(X.points)
+    hull = affine_hull(X)
     in_aff = [in_affine_hull(h, hull) for h in H.points]
     if not all(in_aff):
         bad = H.points[in_aff.index(False)]
@@ -309,7 +309,7 @@ def max_hiding_in_box(X, box, max_candidates=None):
     box = LatticeBox(*box)
     if box.dim != X.dim:
         raise DimMismatch("box dimension does not match point set")
-    hull = affine_hull(X.points)
+    hull = affine_hull(X)
     P = HPolyhedron(X.dim, [Halfspace(a, "=", b) for a, b in hull.equations])
     cands = [p for p in enumerate_lattice(P, box, max_candidates)
              if not conv_membership(p, X)[0]]

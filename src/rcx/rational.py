@@ -14,6 +14,7 @@ from math import gcd
 from operator import mul
 
 from .errors import DimMismatch, EmptySet
+from .families import _point_set
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
@@ -195,7 +196,8 @@ def affine_hull(points):
     direction space, which is unique, so the answer does not depend on
     which points were probed.
     """
-    pts = list(points)
+    X = _point_set(points)
+    pts = X.points
     if not pts:
         raise EmptySet("affine hull of no points")
     d = len(pts[0])
@@ -213,7 +215,8 @@ def affine_hull(points):
     ech.back_substitute()
     equations = _nullspace_equations(ech, d, base)
     if equations:
-        reach = max(max(map(max, pts)), -min(map(min, pts)))
+        lows, highs = X.bounds()
+        reach = max(max(highs), -min(lows))
         w, t = _packed(equations, reach)
         for p in pts:
             if sum(map(mul, w, p)) != t:

@@ -10,7 +10,7 @@ import pytest
 from rcx import fileio
 from rcx.cli import (_HIDING_BUILDERS, _RELAX_BUILDERS, CommandResult, _build_parser,
                      main, run)
-from rcx.families import FAMILIES, PointSet
+from rcx.families import _COORDINATE_CAP, FAMILIES, PointSet, _parity
 from rcx.linprog import Halfspace, HPolyhedron
 from rcx.separation import _REPORTS
 from test_separation import deadline
@@ -134,6 +134,44 @@ class TestSizeGuard:
             2, None,
             "too large: tsp_hiding(23): 8388608 candidates exceed the cap of 4194304")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, what, count", [
+        (["tjoin", "46", "1,2"], "tjoin_hiding(22) points x 1035 coordinates", 2170552320),
+        (["tsp", "21", "--undirected"], "tsp_hiding(21) points x 946 coordinates", 991952896),
+        (["tsp", "16"], "tsp_hiding(16) points x 1122 coordinates", 36765696),
+        (["arb", "17", "--undirected"], "arb_hiding(17) points x 630 coordinates",
+         41287680),
+        (["tjoin", "36", "1,2"], "tjoin_hiding(17) points x 630 coordinates", 41287680),
+    ], ids=["tjoin 46 1,2", "tsp 21 --undirected", "tsp 16", "arb 17 --undirected",
+            "tjoin 36 1,2"])
+    def test_hiding_build_counts_coordinates(self, tmp_path, args, what, count):
+        # points x coordinates pass the coordinate cap before any pattern
+        # or vector is built; the counted report floors do not move
+        out = tmp_path / "no.json"
+        with deadline(1):
+            res = run(["hiding", "build", *args, "-o", str(out)])
+        assert res == CommandResult(
+            2, None, f"too large: {what}: {count} candidates exceed the cap of 33554432")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, patterns, r, width", [
+        ("tsp_hiding", 15, 0, 992), ("arb_hiding", 16, 0, 561), ("tjoin_hiding", 16, 1, 561),
+    ], ids=["tsp 15", "arb 16 --undirected", "tjoin 34 1,2"])
+    def test_largest_hiding_builds_pass_the_coordinate_cap(self, name, patterns, r, width):
+        # the next size of each is refused above; these build in about
+        # 300 MB at most
+        P = _parity(name, patterns, r, None, width=width)
+        assert len(P) == 2**(patterns - 1) and len(P) * width <= _COORDINATE_CAP
+
+    @pytest.mark.parametrize("args, floor", [
+        (["tjoins", "46", "1,2"], 2097152), (["stsp", "44"], 1048576),
+        (["arb", "44"], 1048576),
+    ], ids=["tjoins 46 1,2", "stsp 44", "arb 44"])
+    def test_report_counts_the_floor_past_the_build_guard(self, tmp_path, args, floor):
+        with deadline(1):
+            res = run(["report", *args, "-o", str(tmp_path / "r.json")])
+        assert res.exit_code == 0
+        assert res.summary.startswith(f"{args[0]}: floor {floor} (uncertified), ceiling ")
 
     @pytest.mark.parametrize("command", [["hiding", "build", "perm"], ["report", "perm"]],
                              ids=" ".join)
@@ -746,6 +784,35 @@ class TestDiagnostics:
         res = run(["index", str(bad)])
         assert res.exit_code == 2
         assert "bad.json" in res.summary
+
+    def test_nesting_too_deep_is_malformed_json(self, tmp_path):
+        # the decoder's RecursionError does not escape run
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"dim": 1, "points": ' + "[" * 100000 + "]" * 100000 + "}")
+        res = run(["hiding", "max", str(deep), "--box", "0:1"])
+        assert res.exit_code == 2
+        assert res.summary.startswith(f"error: {deep}: malformed JSON (maximum recursion")
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"dim": 1, "legend": ["\u00e9"], "points": [[0]]}'.encode("latin-1"))
+        res = run(["index", str(bad)])
+        assert res.exit_code == 2
+        assert res.summary.startswith(f"error: {bad}: not UTF-8 ("), res.summary
+
+    @pytest.mark.parametrize("command", [
+        ["index", "F"], ["rationalize", "F"], ["hiding", "max", "F", "--box", "0:1"],
+        ["hiding", "verify", "F", "F"],
+    ], ids=lambda c: " ".join(c[:2]))
+    def test_huge_dim_is_refused_before_any_row_layout(self, tmp_path, command):
+        # a dim far past what the file's rows can hold, in write_doc's
+        # layout: the rows are measured against it before anything of
+        # size dim is built
+        big = tmp_path / "big.json"
+        big.write_text(fileio.dumps({"dim": 10**9, "points": [[0]]}))
+        with deadline(1):
+            res = run([str(big) if a == "F" else a for a in command])
+        assert res == CommandResult(2, None, "error: field 'points'[0]: need 1000000000 integers")
 
     def test_wrong_field_type_is_named(self, tmp_path):
         bad = tmp_path / "bad.json"

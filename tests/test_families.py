@@ -392,8 +392,11 @@ def _past_the_chunk(k):
     PointSet(2, [(0, 1), [1, 0]], validate=False),
     PointSet(2, [(0, True), (1, 0)], validate=False),
     PointSet(2, [(0, 1), (Fraction(1, 2), 0)], validate=False),
+    PointSet(2, [(9, 10), (10, 9), (9, 9)]), PointSet(1, [(0,), (9,), (4,)]),
+    _past_the_chunk(2520), _past_the_chunk(2521),
 ], ids=["empty1", "empty3", "dim1", "wide", "4095", "4096", "4097",
-        "lists", "mixed", "bool", "fraction"])
+        "lists", "mixed", "bool", "fraction", "nine and ten", "digits dim1",
+        "one 64 KB piece", "past one 64 KB piece"])
 def test_digest_edge_sets_match_the_joined_text(X):
     assert X.digest() == _joined_digest(X)
 

@@ -1,17 +1,20 @@
 """Byte-stable JSON round trips for point sets, polyhedra, and reports."""
 
+import hashlib
 import json
 from enum import IntEnum
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from rcx import cli, fileio
-from rcx.families import FAMILIES, PointSet, generate
+from rcx.families import FAMILIES, PointSet, _DigitRows, generate
+from rcx.hiding import build_diff_hiding
 from rcx.linprog import Halfspace, HPolyhedron
 from rcx.relaxations import (build_conn_cut_relaxation, build_cube_relaxation,
                              build_rado_permutahedron, build_subtour_relaxation)
-from test_cli import REPORT_DIGESTS
+from test_cli import BUILD_DIGESTS, REPORT_DIGESTS
 
 
 class TestDumps:
@@ -65,6 +68,10 @@ EDGE_DOCS = [
     [[1, Colour.RED], [0, 0]], [[Colour.RED]],
     [[1, 2], [3, 4.5]], [[1, "2"], [3, 4]], [[1, None]],
     ["{1,2}", "(2,1)"], ["a", 1], ["a", ["b"]], [1, "a"],
+    # single digits take the digit buffer, a 10 anywhere the row template
+    [[9, 10], [10, 9]], [[9], [0], [5]], [(9,), (0,)], [[0, 9], (9, 0)],
+    *([[i % 10, i // 10 % 10, i // 100 % 10] for i in range(k)]
+      for k in (4095, 4096, 4097)),
 ]
 
 
@@ -219,6 +226,164 @@ class TestPointSetDocs:
         raw = path.read_bytes()
         assert raw.endswith(b"}\n")
         assert fileio.parse_pointset(fileio.read_doc(str(path))).points == X.points
+
+
+def _text_digest(X):
+    """The digest of X's points written out as text, one row at a time."""
+    text = "".join(",".join(map(str, p)) + "\n" for p in X.points)
+    return hashlib.sha256(f"dim={X.dim};n={len(X.points)};{text}".encode()).hexdigest()
+
+
+@pytest.fixture
+def general_reads(monkeypatch):
+    """The paths whose text the general reader parses: read_doc's, which
+    read_pointset takes for every file it does not read off its bytes."""
+    paths, real = [], fileio._loads
+
+    def counted(path, text):
+        paths.append(path)
+        return real(path, text)
+
+    monkeypatch.setattr(fileio, "_loads", counted)
+    return paths
+
+
+def _outcome(read, path):
+    """read(path), or the type and message of its error."""
+    try:
+        return read(path)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_set(X, Y):
+    assert (X.dim, X.points, X.family, X.legend) == (Y.dim, Y.points, Y.family, Y.legend)
+    assert {type(v) for p in X.points for v in p} <= {int}
+    assert X.digest() == Y.digest() == _text_digest(Y)
+    if Y.points:
+        columns = list(zip(*Y.points))
+        assert X.bounds() == Y.bounds() == (tuple(map(min, columns)),
+                                             tuple(map(max, columns)))
+
+
+POINT_BUILDS = [args for args in BUILD_DIGESTS if args[0] != "relax"]
+# sets past the writer's 4,096-row pieces and the reader's 64 KB ones, a
+# single coordinate, and values that are not single digits
+EXTRA_SETS = {
+    "4095 rows": PointSet(13, list(product((0, 1), repeat=13))[:4095]),
+    "4096 rows": PointSet(13, list(product((0, 1), repeat=13))[:4096]),
+    "4097 rows": PointSet(13, list(product((0, 1), repeat=13))[:4097]),
+    "dim 1": PointSet(1, [(0,), (9,), (4,)]),
+    "nine and ten": PointSet(2, [(9, 10), (10, 9), (9, 9)]),
+    "negative": build_diff_hiding(1),
+    "legend": PointSet(2, [(0, 1), (1, 0)], legend=("\u00e9", '"q"'),
+                       family={"name": "x", "params": {"k": [1, 2]}}),
+}
+
+
+class TestReadPointset:
+    """read_pointset gives what parse_pointset(read_doc(path)) gives, and
+    reads the single-digit files write_doc writes off their bytes."""
+
+    @pytest.mark.parametrize("args", POINT_BUILDS, ids=" ".join)
+    def test_pinned_build_files(self, tmp_path, general_reads, args):
+        out = tmp_path / "x.json"
+        assert cli.run([*args, "-o", str(out)]).exit_code == 0
+        X = fileio.read_pointset(out)
+        Y = fileio.parse_pointset(json.loads(out.read_text()))
+        _same_set(X, Y)
+        digits = all(0 <= v <= 9 for p in Y.points for v in p)
+        assert general_reads == ([] if digits else [out])
+
+    @pytest.mark.parametrize("name, params", READABLE_SIZES,
+                             ids=[f"{n}{p}".replace(" ", "") for n, p in READABLE_SIZES])
+    def test_generated_files(self, tmp_path, general_reads, name, params):
+        out = tmp_path / "x.json"
+        fileio.write_doc(out, fileio.pointset_doc(generate(name, *params)))
+        X = fileio.read_pointset(out)
+        _same_set(X, fileio.parse_pointset(json.loads(out.read_text())))
+        assert general_reads == []
+
+    @pytest.mark.parametrize("name", list(EXTRA_SETS))
+    def test_edge_sets(self, tmp_path, general_reads, name):
+        out = tmp_path / "x.json"
+        fileio.write_doc(out, fileio.pointset_doc(EXTRA_SETS[name]))
+        X = fileio.read_pointset(out)
+        _same_set(X, EXTRA_SETS[name])
+        digits = name not in ("nine and ten", "negative")
+        assert general_reads == ([] if digits else [out])
+
+    def test_reencoding_is_checked_in_64_kb_pieces(self, tmp_path, monkeypatch):
+        # conn(6) is about 3.9 MB of rows; no piece of the check holds more
+        # than 64 KB of them
+        out = tmp_path / "conn6.json"
+        fileio.write_doc(out, fileio.pointset_doc(generate("conn", 6)))
+        sizes, pieces = [], _DigitRows.pieces
+
+        def counted(self, digits, rows=None):
+            for piece in pieces(self, digits, rows):
+                sizes.append(len(piece))
+                yield piece
+
+        monkeypatch.setattr(_DigitRows, "pieces", counted)
+        X = fileio.read_pointset(out)
+        assert len(X) == 26704 and X._digits
+        raw = out.read_bytes()
+        rows = raw.index(b'"points": [\n    ') + len(b'"points": [\n    ')
+        assert len(sizes) > 50 and max(sizes) <= 1 << 16
+        assert sum(sizes) == len(raw) - rows - len(b"\n  ]\n}\n")
+
+
+# even(3)'s first row, as write_doc writes it
+FIRST_ROW = '"points": [\n    [\n      0,\n      0,\n      0\n    ],'
+
+
+def _in_first_row(old, new):
+    return lambda text, doc: text.replace(FIRST_ROW, FIRST_ROW.replace(old, new, 1), 1)
+
+
+# ways to change a canonical even(3) point file: (text, parsed doc) -> text
+TAMPERS = {
+    "ten": _in_first_row("0\n    ]", "10\n    ]"),
+    "minus one": _in_first_row("0\n    ]", "-1\n    ]"),
+    "true": _in_first_row("0\n    ]", "true\n    ]"),
+    "float": _in_first_row("0\n    ]", "1.0\n    ]"),
+    "letter": _in_first_row("0\n    ]", "x\n    ]"),
+    "comma to space": _in_first_row("0,", "0 "),
+    "ragged": _in_first_row(",\n      0\n    ]", "\n    ]"),
+    "re-indented": lambda text, doc: json.dumps(doc, indent=4, sort_keys=True) + "\n",
+    "unsorted": lambda text, doc: fileio.dumps({**doc, "points": doc["points"][::-1]}),
+    "duplicate points": lambda text, doc: text.replace(
+        '{\n  "dim"', '{\n  "points": [[1, 1, 1]],\n  "dim"', 1),
+    "points in family": lambda text, doc: fileio.dumps(
+        {**doc, "family": {**doc["family"], "points": [[1, 1, 1]]}}),
+    "empty": lambda text, doc: fileio.dumps({**doc, "points": []}),
+    "truncated": lambda text, doc: text[:-12],
+    "crlf": lambda text, doc: text.replace("\n", "\r\n"),
+    "family type": lambda text, doc: fileio.dumps({**doc, "family": [1]}),
+    "dim type": lambda text, doc: fileio.dumps({**doc, "dim": "3"}),
+    "legend length": lambda text, doc: fileio.dumps({**doc, "legend": ["a"]}),
+    "bom": lambda text, doc: "\ufeff" + text,
+}
+
+
+@pytest.mark.parametrize("how", list(TAMPERS))
+def test_tampered_files_take_the_general_reader(tmp_path, general_reads, how):
+    path = tmp_path / "even3.json"
+    fileio.write_doc(path, fileio.pointset_doc(generate("even", 3)))
+    text = path.read_text()
+    assert fileio.read_pointset(path)._digits and general_reads == []
+    changed = TAMPERS[how](text, json.loads(text))
+    assert changed != text
+    path.write_bytes(changed.encode())
+    want = _outcome(lambda p: fileio.parse_pointset(fileio.read_doc(p)), path)
+    general_reads.clear()
+    got = _outcome(fileio.read_pointset, path)
+    assert general_reads == [path]
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _same_set(got, want)
 
 
 class TestPolyhedronDocs:

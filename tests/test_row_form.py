@@ -19,7 +19,11 @@ rows' rational data. `bound_report` counts every floor and ceiling in
 closed form and builds a hiding set or a ceiling system only up to the
 family's floor or ceiling limit. `families.conn` is a cut sieve, with
 no connectivity filter left in rcx. Every `PointSet` reads its bounds
-off its points, and no option that only tests passed is left.
+off its points, and no option that only tests passed is left. Every
+point file the CLI reads goes through `fileio.read_pointset`, and
+`families._DigitRows` is the one layout of single-digit rows that the
+writer, the reader and the digest share; only `families` touches a
+set's digit buffer.
 """
 
 import ast
@@ -293,6 +297,32 @@ def test_bounds_are_read_off_points_and_no_test_only_option_is_left():
     assert list(inspect.signature(separation.build_binary_relaxation).parameters) == ["X"]
     assert list(inspect.signature(separation._validate_system).parameters) == [
         "rows", "pts", "ypts", "d"]
+
+
+def test_point_files_are_read_and_digit_rows_laid_out_in_one_place():
+    # every point file the CLI reads goes through fileio.read_pointset, and
+    # _DigitRows is the one strided row layout: the writer, the reader and
+    # the digest build it, and only it assigns to strided slices
+    def strided_store(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.slice, ast.Slice) and node.slice.step is not None)
+
+    assert [f[:2] for f in _owned(_calls("read_pointset"))] == [
+        ("cli", "_cmd_hiding_max"), ("cli", "_cmd_hiding_verify"),
+        ("cli", "_cmd_hiding_verify"), ("cli", "_cmd_index"),
+        ("cli", "_cmd_rationalize"), ("cli", "_cmd_relax_verify")]
+    assert [f[:2] for f in _owned(_calls("parse_pointset"))] == [
+        ("fileio", "read_pointset")]
+    assert [f[:2] for f in _owned(_calls("_DigitRows"))] == [
+        ("families", "digest"), ("fileio", "_point_rows")]
+    assert [f[:2] for f in _owned(_calls("_point_rows"))] == [
+        ("fileio", "_digit_pointset"), ("fileio", "_encode")]
+    assert [f[:2] for f in _owned(strided_store)] == [
+        ("families", "read"), ("families", "text")]
+    # the buffer is PointSet's private cache: nothing outside families
+    # reads or sets it
+    assert {f[0] for f in _owned(lambda node: getattr(node, "attr", None) == "_digits")} == {
+        "families"}
 
 
 # the smallest valid size past each family's floor limit
