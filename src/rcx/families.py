@@ -36,10 +36,6 @@ def _int_rows(rows, kinds):
     return lengths.pop()
 
 
-def _joined(p):
-    return ",".join(map(str, p)) + "\n"
-
-
 # the values 0..9 and their ASCII digits, each way
 _DIGITS = bytes(range(10))
 _ASCII = bytes.maketrans(_DIGITS, b"0123456789")
@@ -59,12 +55,12 @@ def _as_digits(rows):
 
 
 class _DigitRows:
-    """The one text layout of integer rows: each row is head, its d values
-    joined by gap, then tail (`template` formats one row), and rows are
-    joined by sep.
+    """The one text layout of point rows: each row is head, its d values
+    joined by gap, then tail, and rows are joined by sep; `pieces` is
+    the one formatter of that text.
 
     Single digits give every row the same width, so the text of a digit
-    buffer is a repeated row template into which each coordinate column is
+    buffer is a repeated zero row into which each coordinate column is
     copied by one strided slice assignment, and read back by one strided
     slice. The width is counted, not built: a reader's d comes from the
     file, and only a width the file's rows fit builds anything of size d.
@@ -72,23 +68,28 @@ class _DigitRows:
 
     def __init__(self, d, head, gap, tail, sep=""):
         self.d, self.head, self.gap, self.tail, self.sep = d, head, gap, tail, sep
-        self.width = len(head) + d + (d - 1) * len(gap) + len(tail) + len(sep)
+        # a row of dimension 0 (tjoins(1)'s one point) has no gap
+        self.width = len(head) + d + max(d - 1, 0) * len(gap) + len(tail) + len(sep)
         self.slots = range(len(head), len(head) + d * (len(gap) + 1), len(gap) + 1)
-
-    @cached_property
-    def template(self):
-        return self.head + self.gap.join(["%d"] * self.d) + self.tail
 
     @cached_property
     def row(self):
         return (self.head + self.gap.join("0" * self.d) + self.tail + self.sep).encode()
 
-    def pieces(self, digits, rows=None):
-        """The text of the buffer's rows, in pieces of that many rows, or
-        of about 64 KB; the caller holds the only reference to each."""
-        step = rows or max(1, _PIECE_BYTES // self.width)
-        return (self.text(digits, i, i + step)
-                for i in range(0, len(digits) // self.d, step))
+    def pieces(self, rows, digits=None):
+        """The text of rows, in pieces of as many rows as fill about 64 KB
+        at one digit a value; the caller holds the only reference to each.
+        The rows are copied out of their digit buffer when one is given
+        (rows may then be None), else each value is written by str."""
+        step = max(1, _PIECE_BYTES // self.width)
+        n = len(digits) // self.d if digits else len(rows)
+        head, gap, tail, sep = self.head, self.gap, self.tail, self.sep
+        for i in range(0, n, step):
+            if digits:
+                yield self.text(digits, i, i + step)
+            else:
+                yield ((sep if i else "") + sep.join(
+                    [head + gap.join(map(str, p)) + tail for p in rows[i:i + step]])).encode()
 
     def text(self, digits, start, stop):
         """The text of the buffer's rows start..stop - 1 (sep after the last
@@ -115,7 +116,7 @@ class _DigitRows:
             return None
         digits = text.translate(_VALUES)
         del text
-        for piece in self.pieces(digits):
+        for piece in self.pieces(None, digits):
             if not raw.startswith(piece, start):
                 return None
             start += len(piece)
@@ -240,24 +241,16 @@ class PointSet:
 
     def digest(self):
         """Content hash of (dim, points); stable across runs. Each point is
-        hashed as its coordinates joined by commas plus a newline: single
-        digits through the digit buffer's text (built here if the set has
-        none yet, and kept), other integer tuples through one row template."""
+        hashed as its coordinates joined by commas plus a newline, written
+        by _DigitRows: single digits off the digit buffer (built here if
+        the set has none yet, and kept)."""
         if self._digest is None:
-            pts, digits = self.points, self._digits
+            pts = self.points
+            if self._digits is None and self.dim and _int_rows(pts, _TUPLE) == self.dim:
+                self._digits = _as_digits(pts)
             h = hashlib.sha256()
             h.update(f"dim={self.dim};n={len(pts)};".encode())
-            form = _DigitRows(self.dim, "", ",", "\n")
-            rows = digits or self.dim and _int_rows(pts, _TUPLE) == self.dim
-            if rows and digits is None:
-                digits = self._digits = _as_digits(pts)
-            if digits:
-                pieces = form.pieces(digits)
-            else:
-                text = form.template.__mod__ if rows else _joined
-                pieces = ("".join(map(text, pts[i:i + 4096])).encode()
-                          for i in range(0, len(pts), 4096))
-            for piece in pieces:
+            for piece in _DigitRows(self.dim, "", ",", "\n").pieces(pts, self._digits):
                 h.update(piece)
             self._digest = h.hexdigest()
         return self._digest

@@ -39,7 +39,6 @@ def _rational_field(v, field):
     raise ValueError(f"field {field!r}: not an exact rational: {v!r}")
 
 
-_ROWS_PER_PIECE = 4096
 _INDENT = "  "
 # a top-level field's line, and the items of a list in one, as _encode
 # indents them
@@ -54,9 +53,8 @@ def dumps(doc):
 
 
 def _encode(v, newline):
-    """The ASCII text of v, in pieces: strings, and bytearrays for rows of
-    single digits; `newline` is a line break plus the indentation of v's
-    own line."""
+    """The ASCII text of v, in pieces: strings, and bytes for integer
+    rows; `newline` is a line break plus the indentation of v's own line."""
     if isinstance(v, str):
         yield encode_basestring_ascii(v)
         return
@@ -69,16 +67,8 @@ def _encode(v, newline):
         elif _STR.issuperset(map(type, v)):
             yield sep.join(map(encode_basestring_ascii, v))
         elif d := _int_rows(v, _ROW):
-            # integer rows of one length: single digits through the digit
-            # buffer's text, others through one template per row, a batch
-            # of rows to a piece
-            form = _point_rows(d, inner)
-            if digits := _as_digits(v):
-                yield from form.pieces(digits, _ROWS_PER_PIECE)
-            else:
-                for k in range(0, len(v), _ROWS_PER_PIECE):
-                    yield (sep if k else "") + sep.join(
-                        map(form.template.__mod__, map(tuple, v[k:k + _ROWS_PER_PIECE])))
+            # integer rows of one length, in pieces of about 64 KB
+            yield from _point_rows(d, inner).pieces(v, _as_digits(v))
         else:
             for k, u in enumerate(v):
                 if k:
@@ -90,9 +80,13 @@ def _encode(v, newline):
             yield ("{" + inner if n == 0 else sep) + encode_basestring_ascii(k) + ": "
             yield from _encode(v[k], inner)
         yield newline + "}"
-    else:
-        # scalars, empty containers, other keys: the library's own text, indented
+    elif isinstance(v, dict) and v:
+        # other keys: the library's own text, indented
         yield json.dumps(v, indent=2, sort_keys=True).replace("\n", newline)
+    else:
+        # scalars and empty containers: the same text with or without indent,
+        # from the library's C encoder
+        yield json.dumps(v)
 
 
 def _point_rows(d, inner):

@@ -63,6 +63,16 @@ def _complement(xset, d):
     return [y for y in product((0, 1), repeat=d) if y not in xset]
 
 
+def _whole_cube(X, verb):
+    """(points, dim, excluded cube points) of a nonempty subset of {0,1}^d
+    whose cube is enumerated whole; `verb` names the refused operation."""
+    pts, d, xset = _cube_points(X)
+    if not pts:
+        raise EmptySet(f"need at least one point to {verb}")
+    _cap_check(2 ** d, None, f"cube({d})")
+    return pts, d, _complement(xset, d)
+
+
 def _validate_system(rows, pts, ypts, d):
     for i, h in enumerate(rows):
         if len(h.a) != d:
@@ -193,12 +203,8 @@ def build_binary_relaxation(X):
     Each row says the 0/1 distance to its excluded point is at least one,
     so exactly that vertex is cut off and no other.
     """
-    pts, d, xset = _cube_points(X)
-    if not pts:
-        raise EmptySet("need at least one point to relax")
-    _cap_check(2 ** d, None, f"cube({d})")
-    head = [Halfspace(tuple(1 - 2 * v for v in y), ">=", 1 - sum(y))
-            for y in _complement(xset, d)]
+    _, d, ypts = _whole_cube(X, "relax")
+    head = [Halfspace(tuple(1 - 2 * v for v in y), ">=", 1 - sum(y)) for y in ypts]
     return HPolyhedron(d, head + list(build_cube_relaxation(d).constraints))
 
 
@@ -209,11 +215,7 @@ def rationalize_halfspace(X):
     stay polynomially bounded in d; the classification is re-checked
     over all 2^d cube points before it is returned.
     """
-    pts, d, xset = _cube_points(X)
-    if not pts:
-        raise EmptySet("need at least one point to separate")
-    _cap_check(2 ** d, None, f"cube({d})")
-    ypts = _complement(xset, d)
+    pts, d, ypts = _whole_cube(X, "separate")
     h = strict_separation(pts, ypts)
     if h is not None:
         _validate_system([h], pts, ypts, d)

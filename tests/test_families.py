@@ -356,7 +356,7 @@ def test_all_families_sorted():
 
 
 def _joined_digest(X):
-    """The chunked-join digest that the row-template digest replaced."""
+    """The chunked-join text that every digest hashes, written out by hand."""
     h = hashlib.sha256()
     h.update(f"dim={X.dim};n={len(X.points)};".encode())
     buf = []

@@ -1,5 +1,6 @@
 """Byte-stable JSON round trips for point sets, polyhedra, and reports."""
 
+import gc
 import hashlib
 import json
 from enum import IntEnum
@@ -58,7 +59,7 @@ EDGE_DOCS = [
     {"t": (1, (2, 3)), "nested": [[[[[-5]]]]]},
     "plain", 7, None, False,
     # integer rows: only lists and tuples of exact ints of one nonzero
-    # length take the row template, everything else the general path
+    # length take _DigitRows, everything else the general path
     [[0, 1], [1, True]], {"points": [[True], [False]]},
     [[1, 2], [3]], [[1], [2, 3]], [[]], [[], []], [[1, 2], []],
     [[1, 2], (3, 4)], ((1, 2), [3, 4]), [(5, 6), (7, 8)],
@@ -68,10 +69,12 @@ EDGE_DOCS = [
     [[1, Colour.RED], [0, 0]], [[Colour.RED]],
     [[1, 2], [3, 4.5]], [[1, "2"], [3, 4]], [[1, None]],
     ["{1,2}", "(2,1)"], ["a", 1], ["a", ["b"]], [1, "a"],
-    # single digits take the digit buffer, a 10 anywhere the row template
+    # single digits take the digit buffer, a 10 anywhere str
     [[9, 10], [10, 9]], [[9], [0], [5]], [(9,), (0,)], [[0, 9], (9, 0)],
     *([[i % 10, i // 10 % 10, i // 100 % 10] for i in range(k)]
       for k in (4095, 4096, 4097)),
+    # a nested dict with int keys: the library's indenting encoder
+    {"a": {1: [2], 3: {}}},
 ]
 
 
@@ -128,14 +131,45 @@ class TestWriterMatchesTheLibrary:
         assert len(calls) < 20
 
     def test_write_doc_streams_point_rows_in_batches(self, tmp_path):
-        # the points list comes in pieces of 4,096 rows, between its
-        # brackets, and write_doc writes them as they come: dumps' bytes
+        # the points list comes in pieces of at most 64 KB of rows, between
+        # its brackets, and write_doc writes them as they come: dumps' bytes
         doc = fileio.pointset_doc(generate("conn", 6))
         pieces = list(fileio._encode(doc["points"], "\n  "))
-        assert len(pieces) == 1 + 7 + 1  # 26,704 rows in 7 batches
         assert pieces[0] == "[\n    " and pieces[-1] == "\n  ]"
+        rows = pieces[1:-1]
+        assert len(rows) == 61  # 26,704 rows, 445 to a piece
+        assert max(map(len, rows)) <= 1 << 16
         fileio.write_doc(tmp_path / "conn6.json", doc)
         assert (tmp_path / "conn6.json").read_bytes() == library_bytes(doc).encode()
+
+    def test_wide_rows_come_in_small_pieces(self):
+        # 4,097 rows of 120 digits: a row is about 1 KB of text, and no
+        # piece holds more than 64 KB of rows plus one row
+        doc = {"points": [[(i + k) * k % 10 for k in range(120)] for i in range(4097)]}
+        row = len(fileio.dumps(doc["points"][:2])) // 2
+        pieces = list(fileio._encode(doc["points"], "\n  "))
+        assert row > 120 * 6 and len(pieces) > 60
+        assert max(map(len, pieces[1:-1])) <= (1 << 16) + row
+        assert fileio.dumps(doc) == library_bytes(doc)
+
+    def test_dumps_leaves_no_cyclic_garbage(self, monkeypatch, tmp_path):
+        # scalars go through the library's C encoder, not the pure-Python
+        # indenting one, whose closures form reference cycles
+        docs = []
+        monkeypatch.setattr(fileio, "write_doc", lambda path, doc: docs.append(doc))
+        assert cli.run(["report", "even", "4", "-o", str(tmp_path / "r.json")]).exit_code == 0
+        docs.append(fileio.pointset_doc(generate("stsp", 6)))
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for doc in docs:
+                fileio.dumps(doc)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == 0
 
 
 class TestPointSetDocs:
@@ -267,8 +301,8 @@ def _same_set(X, Y):
 
 
 POINT_BUILDS = [args for args in BUILD_DIGESTS if args[0] != "relax"]
-# sets past the writer's 4,096-row pieces and the reader's 64 KB ones, a
-# single coordinate, and values that are not single digits
+# sets around 4,096 rows and past one 64 KB piece, a single coordinate,
+# and values that are not single digits
 EXTRA_SETS = {
     "4095 rows": PointSet(13, list(product((0, 1), repeat=13))[:4095]),
     "4096 rows": PointSet(13, list(product((0, 1), repeat=13))[:4096]),
@@ -320,8 +354,8 @@ class TestReadPointset:
         fileio.write_doc(out, fileio.pointset_doc(generate("conn", 6)))
         sizes, pieces = [], _DigitRows.pieces
 
-        def counted(self, digits, rows=None):
-            for piece in pieces(self, digits, rows):
+        def counted(self, rows, digits=None):
+            for piece in pieces(self, rows, digits):
                 sizes.append(len(piece))
                 yield piece
 

@@ -21,9 +21,10 @@ family's floor or ceiling limit. `families.conn` is a cut sieve, with
 no connectivity filter left in rcx. Every `PointSet` reads its bounds
 off its points, and no option that only tests passed is left. Every
 point file the CLI reads goes through `fileio.read_pointset`, and
-`families._DigitRows` is the one layout of single-digit rows that the
-writer, the reader and the digest share; only `families` touches a
-set's digit buffer.
+`families._DigitRows` is the one layout of point rows that the writer,
+the reader and the digest share, and its `pieces` the one formatter of
+their text, in pieces of about 64 KB; only `families` touches a set's
+digit buffer.
 """
 
 import ast
@@ -37,7 +38,7 @@ import pytest
 
 from rcx import linprog, relaxations, separation
 from rcx.errors import Infeasible
-from rcx.families import PointSet, cube
+from rcx.families import PointSet, _DigitRows, cube
 from rcx.linprog import Halfspace, HPolyhedron, _le_rows, solve_lp
 from rcx.relaxations import (
     LatticeBox,
@@ -323,6 +324,24 @@ def test_point_files_are_read_and_digit_rows_laid_out_in_one_place():
     # reads or sets it
     assert {f[0] for f in _owned(lambda node: getattr(node, "attr", None) == "_digits")} == {
         "families"}
+
+
+def test_point_row_text_has_one_formatter():
+    # _DigitRows.pieces writes the text of every point row, in pieces of
+    # about 64 KB: the writer, the digest and the reader's re-encoding
+    # check call it, and no "%d" row template, _joined or row count per
+    # writer piece is left
+    def gone(node):
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, str) and "%d" in node.value
+        name = getattr(node, "name", getattr(node, "id", getattr(node, "attr", None)))
+        return name in {"_joined", "_ROWS_PER_PIECE", "template"}
+
+    assert _owned(gone) == []
+    assert [f[:2] for f in _owned(_calls("pieces"))] == [
+        ("families", "digest"), ("families", "read"), ("fileio", "_encode")]
+    assert list(inspect.signature(_DigitRows.pieces).parameters) == [
+        "self", "rows", "digits"]
 
 
 # the smallest valid size past each family's floor limit

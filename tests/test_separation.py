@@ -562,7 +562,15 @@ class TestBoundReport:
     (lambda: jeroslow_index(even(2), max_complement=21),
      "complement budget must be between 1 and 20"),
     (lambda: separation._diff_params(2, 0), "need n >= 1"),
-], ids=["empty-list", "point-length", "budget0", "budget21", "diff-n0"])
+    # the whole-cube intake: no points is refused before the cube's cap
+    (lambda: build_binary_relaxation(PointSet(23, [])), "need at least one point to relax"),
+    (lambda: rationalize_halfspace(PointSet(23, [])), "need at least one point to separate"),
+    (lambda: build_binary_relaxation(PointSet(23, [(0,) * 23])),
+     "cube(23): 8388608 candidates exceed the cap of 4194304"),
+    (lambda: rationalize_halfspace(PointSet(23, [(0,) * 23])),
+     "cube(23): 8388608 candidates exceed the cap of 4194304"),
+], ids=["empty-list", "point-length", "budget0", "budget21", "diff-n0",
+        "relax-empty", "separate-empty", "relax-cube-cap", "separate-cube-cap"])
 def test_input_guards(call, message):
     with pytest.raises(ValueError) as got:
         call()
