@@ -199,13 +199,13 @@ class PointSet:
             self.points = list(points)
         self._bounds = None
         self._digest = None
-        self._digits = None  # the points' digit buffer, once read or built
+        self._digits = None  # the points' digit buffer (b"" for none), once read or built
 
     @classmethod
     def _from_digits(cls, dim, digits, family=None, legend=None):
         """The set whose points are the rows of a digit buffer, in the
-        buffer's order and unchecked, keeping the buffer for digest() and
-        bounds()."""
+        buffer's order and unchecked, keeping the buffer for digest(),
+        bounds() and _columns()."""
         pts = zip(*[iter(digits)] * dim)
         X = cls(dim, pts, family=family, legend=legend, validate=False)
         X._digits = digits
@@ -226,31 +226,47 @@ class PointSet:
         return f"PointSet({tag}, dim={self.dim}, n={len(self.points)})"
 
     def bounds(self):
-        """Per-coordinate (lows, highs), read off the points once and kept;
-        off the digit buffer's columns when the set has one already."""
+        """Per-coordinate (lows, highs), read off the points once and kept:
+        single digits by byte search in the digit buffer's columns (each
+        low is the least value found, searching up from 0, and each high
+        the greatest, searching down from 9); other sets off zip(*points)."""
         if self._bounds is None:
             if not self.points:
                 raise ValueError("empty point set has no bounds")
-            if self._digits:
-                cols = [self._digits[k::self.dim] for k in range(self.dim)]
-                self._bounds = (tuple(map(min, cols)), tuple(map(max, cols)))
+            cols = self._columns()
+            if cols:
+                self._bounds = tuple(
+                    tuple(next(v for v in order if _DIGITS[v:v + 1] in c) for c in cols)
+                    for order in (range(10), range(9, -1, -1)))
             else:
                 self._bounds = (tuple(map(min, zip(*self.points))),
                                 tuple(map(max, zip(*self.points))))
         return self._bounds
 
+    def _buffer(self):
+        """The points' digit buffer, empty when some value is not a single
+        digit; built on first use when the set has none yet, and kept."""
+        if self._digits is None:
+            pts = self.points
+            exact = self.dim and _int_rows(pts, _TUPLE) == self.dim
+            self._digits = exact and _as_digits(pts) or b""
+        return self._digits
+
+    def _columns(self):
+        """The digit buffer's coordinate columns, one bytes object each,
+        sliced anew on every call and not kept; None without a buffer."""
+        digits = self._buffer()
+        return [digits[k::self.dim] for k in range(self.dim)] if digits else None
+
     def digest(self):
         """Content hash of (dim, points); stable across runs. Each point is
         hashed as its coordinates joined by commas plus a newline, written
-        by _DigitRows: single digits off the digit buffer (built here if
-        the set has none yet, and kept)."""
+        by _DigitRows: single digits off the digit buffer."""
         if self._digest is None:
             pts = self.points
-            if self._digits is None and self.dim and _int_rows(pts, _TUPLE) == self.dim:
-                self._digits = _as_digits(pts)
             h = hashlib.sha256()
             h.update(f"dim={self.dim};n={len(pts)};".encode())
-            for piece in _DigitRows(self.dim, "", ",", "\n").pieces(pts, self._digits):
+            for piece in _DigitRows(self.dim, "", ",", "\n").pieces(pts, self._buffer()):
                 h.update(piece)
             self._digest = h.hexdigest()
         return self._digest

@@ -189,12 +189,20 @@ def affine_hull(points):
     """Affine hull of a finite point collection (exact, deterministic).
 
     The base point is the lexicographically smallest input point, so the
-    result is invariant under reordering of the input. About 4·d seeded
-    probes find the rank of most families; while it is short, every point
-    is checked once against the current equations, and a point that breaks
-    one enlarges the basis. The basis is the reduced echelon form of the
-    direction space, which is unique, so the answer does not depend on
-    which points were probed.
+    result is invariant under reordering of the input. The basis is the
+    reduced echelon form of the direction space, which is unique, so the
+    answer does not depend on which points were reduced.
+
+    A set of at most 4·d points is reduced whole. A larger one is reduced
+    through 4·d seeded probes only until the first probe that does not
+    enlarge the rank (the stall); the equations are built then, each later
+    probe and then every point of X is checked against them, and a point
+    that breaks one is added and the equations rebuilt (`_widen`). Probes,
+    and the points of a set whose rows are not all single digits, are
+    checked one by one against a packed row (`_packed`). Single digits
+    are checked equation by equation on sums of the digit buffer's
+    columns, each row a lane of L bytes with 2^(8L) > 2 (sum |a_k| reach
+    + |b|) + 1, so that no carry crosses a row (`_check`).
     """
     X = _point_set(points)
     pts = X.points
@@ -204,30 +212,94 @@ def affine_hull(points):
     base = min(pts)
     if len(set(map(len, pts))) > 1:
         raise DimMismatch("points of mixed dimension")
-    probes = pts
-    if len(pts) > 4 * d:
-        probes = [pts[i] for i in random.Random(0).sample(range(len(pts)), 4 * d)]
     ech = _Echelon(d)
+    sampled = len(pts) > 4 * d
+    probes = iter(pts)
+    if sampled:
+        probes = iter([pts[i] for i in random.Random(0).sample(range(len(pts)), 4 * d)])
     for p in probes:
-        if ech.rank == d:
+        if ech.rank == d or (not ech.add([a - b for a, b in zip(p, base)]) and sampled):
             break
-        ech.add([a - b for a, b in zip(p, base)])
     ech.back_substitute()
     equations = _nullspace_equations(ech, d, base)
-    if equations:
+    if sampled and equations:
         lows, highs = X.bounds()
         reach = max(max(highs), -min(lows))
+        equations = _scan(probes, ech, equations, base, reach)
+        equations = _check(X, ech, equations, base, reach)
+    return AffineHull(tuple(base), tuple(tuple(r) for r in ech.rows), equations)
+
+
+def _widen(ech, p, base):
+    """Add p's direction to the basis; the equations of the wider hull."""
+    ech.add([a - b for a, b in zip(p, base)])
+    ech.back_substitute()
+    return _nullspace_equations(ech, len(base), base)
+
+
+def _scan(rows, ech, equations, base, reach):
+    """The equations after each row in turn is checked against their
+    packed row, a row that breaks it widening the basis."""
+    if equations:
         w, t = _packed(equations, reach)
-        for p in pts:
+        for p in rows:
             if sum(map(mul, w, p)) != t:
-                ech.add([a - b for a, b in zip(p, base)])
-                ech.back_substitute()
-                equations = _nullspace_equations(ech, d, base)
+                equations = _widen(ech, p, base)
                 if not equations:
                     break
                 w, t = _packed(equations, reach)
-    basis = tuple(tuple(r) for r in ech.rows)
-    return AffineHull(tuple(base), basis, equations)
+    return equations
+
+
+def _check(X, ech, equations, base, reach):
+    """The equations after every point of X is checked against them.
+
+    Single digits are checked equation by equation on column sums. For
+    a . x = b, P = sum of a_k C_k over a_k > 0 and N = sum of |a_k| C_k
+    over a_k < 0 plus b ONES (b moves to P when negative), where C_k is
+    column k as one int with a lane of L bytes per row and ONES has a 1
+    in every lane. L is the least power-of-two byte count with
+    2^(8L) > 2 (sum |a_k| reach + |b|) + 1, so every lane of P and N is
+    nonnegative and below 2^(8L), no carry crosses a lane, and P == N
+    exactly when every row meets the equation. Else the lowest set bit
+    of P ^ N names the equation's first failing row. The first row that
+    fails any equation is added, the equations rebuilt, and the check
+    goes on from the next row: earlier rows met the old equations, which
+    imply the new ones. Other sets take the packed per-point scan.
+    """
+    cols = X._columns() if equations else None
+    if cols is None:
+        return _scan(X.points, ech, equations, base, reach)
+    done = 0
+    while equations and cols[0]:
+        rows = first = len(cols[0])
+        for a, b in equations:
+            width = (2 * (sum(map(abs, a)) * reach + abs(b)) + 1).bit_length()
+            L = 1 << ((width + 7) // 8 - 1).bit_length()
+            sides = [0, 0]
+            for ak, col in zip(a, cols):
+                if ak:
+                    sides[ak < 0] += abs(ak) * _lanes(col, L)
+            if b:
+                sides[b > 0] += abs(b) * _lanes(b"\1" * rows, L)
+            diff = sides[0] ^ sides[1]
+            if diff:
+                first = min(first, ((diff & -diff).bit_length() - 1) // (8 * L))
+        if first == rows:
+            break
+        done += first + 1
+        equations = _widen(ech, X.points[done - 1], base)
+        cols = [c[first + 1:] for c in cols]
+    return equations
+
+
+def _lanes(col, L):
+    """A bytes column as one int, row i in bytes iL .. iL + L - 1."""
+    if L > 1:
+        wide = bytearray(len(col) * L)
+        wide[::L] = col
+        col = wide
+    return int.from_bytes(col, "little")
 
 
 def _packed(equations, reach):

@@ -2,8 +2,9 @@
 
 `ordered_hull.affine_hull` is the old scan, kept verbatim. Both must give
 identical base points, bases and equations: on the generated families,
-on seeded random integer sets, and on sets built so that the seeded
-probes miss the one point that leaves a hyperplane.
+again as sets with a digit buffer (checked on column sums), on seeded
+random integer sets, and on sets built so that the seeded probes miss
+the points that leave a flat.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 import ordered_hull
 from rcx.errors import DimMismatch, EmptySet
 from rcx import rational
-from rcx.families import generate
+from rcx.families import PointSet, _as_digits, generate
 from rcx.rational import affine_hull
 
 FAMILIES = [
@@ -36,16 +37,81 @@ FAMILIES = [
 ]
 
 
+# the families of dimension 0, whose one point has no digit buffer
+DIM_0 = [("conn", (1,)), ("spt", (1,)), ("forests", (1,)), ("arb", (1,)),
+         ("branch", (1,)), ("tjoins", (1,))]
+DIGIT_FAMILIES = [f for f in FAMILIES if f not in DIM_0]
+
+
 def _same(pts):
     got = affine_hull(pts)
     assert got == ordered_hull.affine_hull(pts)
     return got
 
 
+def _digit_set(pts):
+    """The points as a set that reads them off its digit buffer."""
+    return PointSet._from_digits(len(pts[0]), _as_digits(pts))
+
+
+def _sample(n, d):
+    """The rows affine_hull probes in a set of n > 4·d points."""
+    return set(random.Random(0).sample(range(n), 4 * d))
+
+
+def _count_check_builds(monkeypatch):
+    """A list that gets one entry per equation build made inside the
+    every-point check, not counting the probe phase's."""
+    builds, checking = [], []
+    real_build, real_check = rational._nullspace_equations, rational._check
+
+    def build(*a):
+        if checking:
+            builds.append(1)
+        return real_build(*a)
+
+    def check(*a):
+        checking.append(1)
+        try:
+            return real_check(*a)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(rational, "_nullspace_equations", build)
+    monkeypatch.setattr(rational, "_check", check)
+    return builds
+
+
 @pytest.mark.parametrize("name, params", FAMILIES,
                          ids=[f"{n}{p}".replace(" ", "") for n, p in FAMILIES])
 def test_family_hulls_match_the_ordered_scan(name, params):
     _same(generate(name, *params).points)
+
+
+@pytest.mark.parametrize("name, params", DIGIT_FAMILIES,
+                         ids=[f"{n}{p}".replace(" ", "") for n, p in DIGIT_FAMILIES])
+def test_digit_buffer_hulls_match_the_ordered_scan(name, params):
+    X = _digit_set(generate(name, *params).points)
+    assert X._columns() is not None
+    _same(X)
+
+
+# _Echelon.add calls of affine_hull on each set read off its digit buffer:
+# 4·d probes up to the stall, then one add per point the checks find
+ECHELON_ADDS = {("atsp", 8): 42, ("arb", 6): 30, ("stsp", 8): 21, ("spt", 6): 15}
+
+
+@pytest.mark.parametrize("family", list(ECHELON_ADDS),
+                         ids=[f"{n}{k}" for n, k in ECHELON_ADDS])
+def test_echelon_adds_are_pinned(monkeypatch, family):
+    X = _digit_set(generate(*family).points)
+    adds = []
+    real = rational._Echelon.add
+    monkeypatch.setattr(rational._Echelon, "add",
+                        lambda self, row: adds.append(1) or real(self, row))
+    h = affine_hull(X)
+    assert len(adds) == ECHELON_ADDS[family]
+    assert h == ordered_hull.affine_hull(X)
 
 
 def test_seeded_random_sets_match():
@@ -86,11 +152,9 @@ def test_single_points_and_one_dimension():
 def test_one_point_off_a_hyperplane(monkeypatch):
     # 200 points on x1 + ... + x4 = 0 and one point off it, at a seeded
     # place: the 16 probes see it under 8% of the time, so mostly only the
-    # scan finds it; each point it adds rebuilds the equations once more
-    builds = []
-    real = rational._nullspace_equations
-    monkeypatch.setattr(rational, "_nullspace_equations",
-                        lambda *a: builds.append(1) or real(*a))
+    # every-point check finds it; each point the check adds rebuilds the
+    # equations once more (the probe phase's builds are not counted)
+    builds = _count_check_builds(monkeypatch)
     found_by_scan = 0
     for seed in range(10):
         rng = random.Random(seed)
@@ -104,11 +168,82 @@ def test_one_point_off_a_hyperplane(monkeypatch):
         pts.insert(rng.randrange(len(pts)), tuple(off))
         builds.clear()
         h = _same(pts)
-        found_by_scan += len(builds) > 1
+        found_by_scan += len(builds) > 0
         assert h.dim == d and h.equations == ()
         without = [p for p in pts if p != tuple(off)]
         assert _same(without).equations == (((1,) * d, 0),)
     assert found_by_scan >= 5
+
+
+def test_digit_points_off_a_flat_are_found_in_order(monkeypatch):
+    # 300 digit points on x1 + x2 = 9 and x3 + x4 + x5 = 12, with points
+    # planted late and missed by the 20 probes: one off the first plane
+    # only, one off the second only, after it; the column check finds the
+    # first, rebuilds and goes on from the next row to find the second
+    builds = _count_check_builds(monkeypatch)
+    d, n = 5, 300
+    probed = _sample(n, d)
+    late = [i for i in range(n // 2, n) if i not in probed]
+    for seed in range(6):
+        rng = random.Random(seed)
+        pts = []
+        while len(pts) < n:
+            a, b, c = rng.randint(0, 9), rng.randint(3, 9), rng.randint(0, 9)
+            if 0 <= 12 - b - c <= 9:
+                pts.append((a, 9 - a, b, c, 12 - b - c))
+        i, j = sorted(rng.sample(late, 2))
+        if seed == 0:
+            j = late[-1]  # the last row
+        first = list(pts[i])
+        first[1] += 1 - 2 * (first[1] == 9)     # off the first plane only
+        second = list(pts[j])
+        second[4] += 1 - 2 * (second[4] == 9)   # off the second only
+        for planted, expect in ([(i, first)], 1), ([(j, second)], 1), (
+                [(i, first), (j, second)], 2):
+            rows = list(pts)
+            for at, p in planted:
+                rows[at] = tuple(p)
+            X = _digit_set(rows)
+            builds.clear()
+            h = _same(X)
+            assert len(builds) == expect
+            assert h.dim == 3 + expect
+            assert len(h.equations) == 2 - expect
+        assert len(_same(_digit_set(pts)).equations) == 2
+
+
+def test_digit_equations_with_lanes_wider_than_a_byte(monkeypatch):
+    # 300 digit points on x1 + ... + x60 = 270, so a row's sum takes two
+    # bytes (2 (60·9 + 270) + 1 = 1621); two adjacent planted rows, missed
+    # by the 240 probes, have residuals +256 and -1, which cancel when a
+    # row's lane is one byte wide
+    builds = _count_check_builds(monkeypatch)
+    d, n = 60, 300
+    probed = _sample(n, d)
+    rng = random.Random(11)
+    pts = []
+    while len(pts) < n:
+        x = [4] * 30 + [5] * 30
+        for _ in range(400):
+            k, m = rng.randrange(d), rng.randrange(d)
+            t = rng.randint(0, min(9 - x[k], x[m]))
+            x[k] += t
+            x[m] -= t
+        pts.append(tuple(x))
+    on = _same(_digit_set(pts))
+    assert on.dim == d - 1 and on.equations == (((1,) * d, 270),)
+    high = [9] * d
+    for k in rng.sample(range(d), 14):
+        high[k] -= 1            # sum 526 = 270 + 256
+    at = next(i for i in range(n // 2, n - 1) if i not in probed and i + 1 not in probed)
+    low = list(pts[at + 1])
+    low[low.index(max(low))] -= 1   # sum 269
+    rows = list(pts)
+    rows[at], rows[at + 1] = tuple(high), tuple(low)
+    builds.clear()
+    h = _same(_digit_set(rows))
+    assert h.dim == d and h.equations == ()
+    assert len(builds) == 1
 
 
 def test_one_point_off_a_line():

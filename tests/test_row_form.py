@@ -24,7 +24,8 @@ point file the CLI reads goes through `fileio.read_pointset`, and
 `families._DigitRows` is the one layout of point rows that the writer,
 the reader and the digest share, and its `pieces` the one formatter of
 their text, in pieces of about 64 KB; only `families` touches a set's
-digit buffer.
+digit buffer. A set with one reads its bounds, and affine_hull checks
+its points, through the buffer's columns.
 """
 
 import ast
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from rcx import linprog, relaxations, separation
+from rcx import families, fileio, linprog, rational, relaxations, separation
 from rcx.errors import Infeasible
 from rcx.families import PointSet, _DigitRows, cube
 from rcx.linprog import Halfspace, HPolyhedron, _le_rows, solve_lp
@@ -303,7 +304,9 @@ def test_bounds_are_read_off_points_and_no_test_only_option_is_left():
 def test_point_files_are_read_and_digit_rows_laid_out_in_one_place():
     # every point file the CLI reads goes through fileio.read_pointset, and
     # _DigitRows is the one strided row layout: the writer, the reader and
-    # the digest build it, and only it assigns to strided slices
+    # the digest build it, and only it assigns to strided slices, besides
+    # affine_hull's check, which widens a digit column into lanes of a
+    # column sum (rational._lanes)
     def strided_store(node):
         return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
                 and isinstance(node.slice, ast.Slice) and node.slice.step is not None)
@@ -319,7 +322,7 @@ def test_point_files_are_read_and_digit_rows_laid_out_in_one_place():
     assert [f[:2] for f in _owned(_calls("_point_rows"))] == [
         ("fileio", "_digit_pointset"), ("fileio", "_encode")]
     assert [f[:2] for f in _owned(strided_store)] == [
-        ("families", "read"), ("families", "text")]
+        ("families", "read"), ("families", "text"), ("rational", "_lanes")]
     # the buffer is PointSet's private cache: nothing outside families
     # reads or sets it
     assert {f[0] for f in _owned(lambda node: getattr(node, "attr", None) == "_digits")} == {
@@ -342,6 +345,46 @@ def test_point_row_text_has_one_formatter():
         ("families", "digest"), ("families", "read"), ("fileio", "_encode")]
     assert list(inspect.signature(_DigitRows.pieces).parameters) == [
         "self", "rows", "digits"]
+
+
+def test_digit_sets_are_read_through_their_columns(monkeypatch, tmp_path):
+    # bounds() of a set with a digit buffer, one that bounds() builds or one
+    # read from a file, searches the buffer's columns and makes no
+    # zip(*points) pass; affine_hull's every-point check sums the columns
+    # and runs no per-point sum(map(mul, ...))
+    X = families.generate("stsp", 8)
+    fileio.write_doc(tmp_path / "x.json", fileio.pointset_doc(X))
+    read = fileio.read_pointset(tmp_path / "x.json")
+    expect = (tuple(map(min, zip(*X.points))), tuple(map(max, zip(*X.points))))
+
+    def no_zip(*args):
+        raise AssertionError("bounds() zipped the points")
+
+    monkeypatch.setattr(families, "zip", no_zip, raising=False)
+    assert X.bounds() == expect and read.bounds() == expect
+    monkeypatch.delattr(families, "zip")
+
+    checks, products = [], []
+    real_mul, real_check = rational.mul, rational._check
+
+    def mul(a, b):
+        if checks and checks[-1]:
+            products.append((a, b))
+        return real_mul(a, b)
+
+    def check(*args):
+        checks.append(True)
+        try:
+            return real_check(*args)
+        finally:
+            checks.append(False)
+
+    monkeypatch.setattr(rational, "mul", mul)
+    monkeypatch.setattr(rational, "_check", check)
+    for Y in (X, read):
+        checks.clear()
+        assert len(rational.affine_hull(Y).equations) == 8
+        assert checks == [True, False] and products == []
 
 
 # the smallest valid size past each family's floor limit
