@@ -117,7 +117,7 @@ def _cmd_hiding_max(ns):
     size, witness = max_hiding_in_box(X, box, max_candidates=ns.max_lattice)
     doc = fileio.report_doc(
         "hiding max", "ok", bound=size,
-        witnesses={"points": [list(p) for p in witness.points]})
+        witnesses={"points": witness.points})
     return 0, doc, f"largest hiding set in the box: {size} points"
 
 

@@ -152,13 +152,14 @@ def _check_dim(dim):
 
 
 def pointset_doc(X):
-    # list rows, as JSON gives them, so parse_pointset takes the doc back
+    """X's document for writing: it shares X's rows, tuples as stored, so a
+    round trip parses its bytes, parse_pointset(json.loads(dumps(doc)))."""
     _check_dim(X.dim)
     return {
         "dim": X.dim,
         "family": dict(X.family) if X.family else None,
         "legend": list(X.legend) if X.legend is not None else None,
-        "points": list(map(list, X.points)),
+        "points": X.points,
     }
 
 
@@ -191,11 +192,11 @@ def read_pointset(path):
     file as write_doc writes a set of single-digit rows.
 
     That is: the first "points" in the file opens the rows that end it;
-    the fields before it parse, through json.loads with an empty list in
-    place of the rows; and the digits, taken out of the rows by strided
-    slices, re-encode to the rows' bytes exactly and increase. Any other
-    file, and every error, takes parse_pointset of the bytes read, parsed
-    as read_doc parses them.
+    the fields before it parse, through json.loads and parse_pointset
+    with an empty list in place of the rows; and the digits, taken out of
+    the rows by strided slices, re-encode to the rows' bytes exactly and
+    increase. Any other file, and every error, takes parse_pointset of the
+    bytes read, parsed as read_doc parses them.
     """
     raw = _read(path)
     X = _digit_pointset(raw)
@@ -213,16 +214,11 @@ def _digit_pointset(raw):
     if i < 1 or not raw.endswith(_END) or raw.find(b'"points"') != i + len(_FIELD):
         return None
     try:
-        meta = json.loads(raw[:i].decode("utf-8") + _FIELD + '"points": []\n}\n')
-        dim = meta.get("dim")
-        if type(dim) is not int or dim < 1:
-            return None
-        digits = _point_rows(dim, _ITEMS).read(raw, i + len(_POINTS), len(raw) - len(_END))
+        E = parse_pointset(json.loads(raw[:i].decode() + _FIELD + '"points": []\n}\n'))
+        digits = _point_rows(E.dim, _ITEMS).read(raw, i + len(_POINTS), len(raw) - len(_END))
         if digits is None:
             return None
-        X = PointSet._from_digits(dim, digits,
-                                  family=_field(meta, "family", dict, required=False),
-                                  legend=_field(meta, "legend", list, required=False))
+        X = PointSet._from_digits(E.dim, digits, family=E.family, legend=E.legend)
     except (ValueError, RecursionError):
         return None
     pts = X.points

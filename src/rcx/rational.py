@@ -45,8 +45,9 @@ def is_zero_vector(v):
     return all(a == 0 for a in v)
 
 
-def _den_lcm(vals, m=1):
-    """Least common multiple of m and the denominators of ints and Fractions."""
+def _den_lcm(vals):
+    """Least common multiple of the denominators of ints and Fractions."""
+    m = 1
     for v in vals:
         d = v.denominator
         if m % d:

@@ -821,6 +821,28 @@ class TestDiagnostics:
         assert res.exit_code == 2
         assert "dim" in res.summary
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dim", lambda doc: True, "field 'dim' has the wrong type"),
+        ("legend", lambda doc: doc["legend"][:-1], "legend length does not match dimension"),
+        ("family", lambda doc: [], "field 'family' has the wrong type"),
+    ], ids=["dim true", "legend short", "family list"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["hiding set", "family"])
+    def test_bad_header_over_digit_rows_is_named(self, tmp_path, field, value, message,
+                                                 which):
+        # stsp(5)'s single-digit rows as write_doc writes them, under a
+        # header the reader refuses, whichever file of the pair it is
+        good, bad = tmp_path / "stsp5.json", tmp_path / "bad.json"
+        assert run(["gen", "stsp", "5", "-o", str(good)]).exit_code == 0
+        text = good.read_text()
+        doc = json.loads(text)
+        changed = fileio.dumps({**doc, field: value(doc)})
+        assert changed.endswith(text[text.index('"points"'):]) and changed != text
+        bad.write_text(changed)
+        files = [str(good), str(good)]
+        files[which] = str(bad)
+        res = run(["hiding", "verify", *files])
+        assert res == CommandResult(2, None, "error: " + message)
+
     def test_pointset_fed_to_polyhedron_parser(self, tmp_path):
         pts = tmp_path / "pts.json"
         run(["gen", "cube", "2", "-o", str(pts)])

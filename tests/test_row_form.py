@@ -266,6 +266,7 @@ def test_point_set_intake_number_rule_and_parity_have_one_home():
              "sum % 2": (sum_mod_2, ("families", "_parity"))}
     for what, (match, home) in homes.items():
         assert [found[:2] for found in _owned(match)] == [home], what
+    assert list(inspect.signature(rational._den_lcm).parameters) == ["vals"]
 
 
 def test_conn_is_a_cut_sieve():
@@ -302,8 +303,9 @@ def test_bounds_are_read_off_points_and_no_test_only_option_is_left():
 
 
 def test_point_files_are_read_and_digit_rows_laid_out_in_one_place():
-    # every point file the CLI reads goes through fileio.read_pointset, and
-    # _DigitRows is the one strided row layout: the writer, the reader and
+    # every point file the CLI reads goes through fileio.read_pointset,
+    # whose two paths parse the header with parse_pointset and no _field
+    # call of their own, and _DigitRows is the one strided row layout: the writer, the reader and
     # the digest build it, and only it assigns to strided slices, besides
     # affine_hull's check, which widens a digit column into lanes of a
     # column sum (rational._lanes)
@@ -316,7 +318,9 @@ def test_point_files_are_read_and_digit_rows_laid_out_in_one_place():
         ("cli", "_cmd_hiding_verify"), ("cli", "_cmd_index"),
         ("cli", "_cmd_rationalize"), ("cli", "_cmd_relax_verify")]
     assert [f[:2] for f in _owned(_calls("parse_pointset"))] == [
-        ("fileio", "read_pointset")]
+        ("fileio", "_digit_pointset"), ("fileio", "read_pointset")]
+    assert {f[1] for f in _owned(_calls("_field"))} == {"parse_pointset", "parse_polyhedron",
+                                                         "parse_row"}
     assert [f[:2] for f in _owned(_calls("_DigitRows"))] == [
         ("families", "digest"), ("fileio", "_point_rows")]
     assert [f[:2] for f in _owned(_calls("_point_rows"))] == [
