@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress, permutations, product
 from math import comb, factorial
+from operator import itemgetter, xor
 
 from .errors import DimMismatch, OddNodeSet, TooLarge
 
@@ -76,6 +77,11 @@ class _DigitRows:
     def row(self):
         return (self.head + self.gap.join("0" * self.d) + self.tail + self.sep).encode()
 
+    @cached_property
+    def columns(self):
+        """text's copy of each coordinate column, for every piece."""
+        return [(s, None, self.width, k, None, self.d) for k, s in enumerate(self.slots)]
+
     def pieces(self, rows, digits=None):
         """The text of rows, in pieces of as many rows as fill about 64 KB
         at one digit a value; the caller holds the only reference to each.
@@ -94,11 +100,19 @@ class _DigitRows:
     def text(self, digits, start, stop):
         """The text of the buffer's rows start..stop - 1 (sep after the last
         only when rows follow)."""
-        d, width = self.d, self.width
+        d, width, slots = self.d, self.width, self.slots
         block = digits[start * d:stop * d].translate(_ASCII)
-        out = bytearray(self.row) * (len(block) // d)
-        for k, s in enumerate(self.slots):
-            out[s::width] = block[k::d]
+        rows = len(block) // d
+        out = bytearray(self.row) * rows
+        # block[i:j:t] is copied to out[o:e:step] along the piece's shorter
+        # side: each coordinate column, or each row when rows are fewer
+        moves = self.columns
+        if rows < d:
+            span = slots[-1] - slots[0] + 1
+            moves = [(o, o + span, slots.step, i, i + d, 1) for i, o in
+                     zip(range(0, len(block), d), range(slots[0], len(out), width))]
+        for o, e, step, i, j, t in moves:
+            out[o:e:step] = block[i:j:t]
         if stop * d >= len(digits) and self.sep:
             del out[-len(self.sep):]
         return out
@@ -121,6 +135,13 @@ class _DigitRows:
                 return None
             start += len(piece)
         return digits
+
+
+class _DigitList(list):
+    """A set's point tuples, carrying their digit buffer as `digits`, so
+    that a writer handed only the list writes the rows off the buffer."""
+
+    __slots__ = ("digits",)
 
 
 class EdgeIndexer:
@@ -172,6 +193,27 @@ class EdgeIndexer:
             out[self.index(u, v)] += 1
         return tuple(out)
 
+    @cached_property
+    def _table(self):
+        """Edge (u, v)'s index at u·(n + 1) + v, both ways round when
+        undirected; None off the edges."""
+        w = self.n + 1
+        table = [None] * w * w
+        for k, (u, v) in enumerate(self.pairs):
+            table[u * w + v] = k
+            if not self.directed:
+                table[v * w + u] = k
+        return table
+
+    def row(self, edges):
+        """vector(edges) as a bytes row, for edges listed once each (or
+        fewer than 256 times), read off a flat index table."""
+        out = bytearray(self.dim)
+        table, w = self._table, self.n + 1
+        for u, v in edges:
+            out[table[u * w + v]] += 1
+        return bytes(out)
+
 
 class PointSet:
     """A finite set of integer points in a fixed dimension."""
@@ -205,10 +247,11 @@ class PointSet:
     def _from_digits(cls, dim, digits, family=None, legend=None):
         """The set whose points are the rows of a digit buffer, in the
         buffer's order and unchecked, keeping the buffer for digest(),
-        bounds() and _columns()."""
-        pts = zip(*[iter(digits)] * dim)
-        X = cls(dim, pts, family=family, legend=legend, validate=False)
-        X._digits = digits
+        bounds() and _columns(), and with the points (a _DigitList) for
+        the writer."""
+        X = cls(dim, (), family=family, legend=legend, validate=False)
+        X.points = _DigitList(zip(*[iter(digits)] * dim))
+        X.points.digits = X._digits = digits
         return X
 
     def __len__(self):
@@ -305,18 +348,28 @@ def _tag(name, **params):
     return {"name": name, "params": params}
 
 
+def _digit_set(dim, rows, family, legend=None):
+    """The set of distinct bytes rows of single-digit values, each of
+    length dim, sorted and joined into its digit buffer; the row list
+    sorted() builds is freed before the points' tuples are. Rows of
+    dimension 0 give the one empty point, or none."""
+    if not dim:
+        return PointSet(0, set(map(tuple, rows)), family=family, legend=legend,
+                        validate=False)
+    return PointSet._from_digits(dim, b"".join(sorted(rows)), family=family,
+                                 legend=legend)
+
+
 def cube(d, max_candidates=None):
     """All 0/1 vectors of length d."""
     _cap_check(2**d, max_candidates, f"cube({d})")
-    pts = [tuple(p) for p in product((0, 1), repeat=d)]
-    return PointSet(d, pts, family=_tag("cube", d=d), validate=False)
+    return _digit_set(d, map(bytes, product((0, 1), repeat=d)), _tag("cube", d=d))
 
 
 def simplex(d):
     """The origin together with the d unit vectors."""
-    pts = sorted([(0,) * d] + [tuple(int(j == k) for j in range(d))
-                               for k in range(d)])
-    return PointSet(d, pts, family=_tag("simplex", d=d), validate=False)
+    rows = [bytes(d)] + [bytes(int(j == k) for j in range(d)) for k in range(d)]
+    return _digit_set(d, rows, _tag("simplex", d=d))
 
 
 def _parity(name, d, r, max_candidates, width=0):
@@ -328,8 +381,8 @@ def _parity(name, d, r, max_candidates, width=0):
         count = 2**d // 2 if d else 1 - r
         _cap_check(count * width, _COORDINATE_CAP,
                    f"{name}({d}) points x {width} coordinates")
-    pts = [p for p in product((0, 1), repeat=d) if sum(p) % 2 == r]
-    return PointSet(d, pts, family=_tag(name, d=d), validate=False)
+    rows = (bytes(p) for p in product((0, 1), repeat=d) if sum(p) % 2 == r)
+    return _digit_set(d, rows, _tag(name, d=d))
 
 
 def even(d, max_candidates=None):
@@ -356,12 +409,9 @@ def diff(m, n, max_candidates=None):
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     _cap_check(2**(m * n), max_candidates, f"diff({m},{n})")
-    pts = []
-    for p in product((0, 1), repeat=m * n):
-        blocks = [p[i * n:(i + 1) * n] for i in range(m)]
-        if len(set(blocks)) == m:
-            pts.append(tuple(p))
-    return PointSet(m * n, pts, family=_tag("diff", m=m, n=n), validate=False)
+    rows = (bytes(p) for p in product((0, 1), repeat=m * n)
+            if len({p[i * n:(i + 1) * n] for i in range(m)}) == m)
+    return _digit_set(m * n, rows, _tag("diff", m=m, n=n))
 
 
 def _tours(name, n, directed, max_candidates):
@@ -370,14 +420,10 @@ def _tours(name, n, directed, max_candidates):
     per direction."""
     _cap_check(factorial(n - 1), max_candidates, f"{name}({n})")
     idx = EdgeIndexer(n, directed=directed)
-    pts = []
-    for tail in permutations(range(2, n + 1)):
-        if directed or tail[0] < tail[-1]:
-            seq = (1,) + tail + (1,)
-            pts.append(idx.vector(zip(seq, seq[1:])))
-    pts.sort()
-    return PointSet(idx.dim, pts, family=_tag(name, n=n),
-                    legend=idx.legend(), validate=False)
+    rows = (idx.row(zip((1,) + tail, tail + (1,)))
+            for tail in permutations(range(2, n + 1))
+            if directed or tail[0] < tail[-1])
+    return _digit_set(idx.dim, rows, _tag(name, n=n), idx.legend())
 
 
 def stsp(n, max_candidates=None):
@@ -400,10 +446,9 @@ def _edge_subsets(name, n, directed, max_candidates, keep, **params):
     generated."""
     idx = EdgeIndexer(n, directed=directed)
     _cap_check(2**idx.dim, max_candidates, f"{name}({n})")
-    pts = [bits for bits in product((0, 1), repeat=idx.dim)
-           if keep(compress(idx.pairs, bits))]
-    return PointSet(idx.dim, pts, family=_tag(name, n=n, **params),
-                    legend=idx.legend(), validate=False)
+    rows = (bytes(bits) for bits in product((0, 1), repeat=idx.dim)
+            if keep(compress(idx.pairs, bits)))
+    return _digit_set(idx.dim, rows, _tag(name, n=n, **params), idx.legend())
 
 
 def conn(n, max_candidates=None):
@@ -427,9 +472,10 @@ def conn(n, max_candidates=None):
             if not s:
                 break
             s = (s - 1) & comp
-    pts = list(compress(product((0, 1), repeat=m), connected))
-    return PointSet(m, pts, family=_tag("conn", n=n), legend=idx.legend(),
-                    validate=False)
+    # each mask's row is the bytes of its high half plus those of its low half
+    highs, lows = (map(bytes, product((0, 1), repeat=k)) for k in (m - m // 2, m // 2))
+    rows = (high + low for high, low in compress(product(highs, lows), connected))
+    return _digit_set(m, rows, _tag("conn", n=n), idx.legend())
 
 
 def _trees(n):
@@ -457,9 +503,7 @@ def spt(n, max_candidates=None):
     idx = EdgeIndexer(n)
     m = idx.dim
     _cap_check(comb(m, n - 1), max_candidates, f"spt({n})")
-    pts = sorted(map(idx.vector, _trees(n)))
-    return PointSet(m, pts, family=_tag("spt", n=n), legend=idx.legend(),
-                    validate=False)
+    return _digit_set(m, map(idx.row, _trees(n)), _tag("spt", n=n), idx.legend())
 
 
 def _acyclic(n, edges):
@@ -486,25 +530,25 @@ def arb(n, root=None, max_candidates=None):
 
     Each tree of _trees(n) with the labels r and n swapped, its edges
     written as arcs parent -> child, is one arborescence rooted at r, and
-    every one comes once. The cap counts the parent picks (every node but
-    the root picks a parent): n·(n-1)^(n-1), or (n-1)^(n-1) with a fixed
-    root.
+    every one comes once. The swap moves arc (u, v) to (σu, σv), so each
+    row rooted at r picks, for every arc (u, v), the entry of (σu, σv) in
+    the tree's row rooted at n. The cap counts the parent picks (every
+    node but the root picks a parent): n·(n-1)^(n-1), or (n-1)^(n-1)
+    with a fixed root.
     """
     if root is not None and not 1 <= root <= n:
         raise ValueError("root out of range")
     idx = EdgeIndexer(n, directed=True)
     picks = (n - 1) ** (n - 1) * (n if root is None else 1)
     _cap_check(picks, max_candidates, f"arb({n})")
-    trees = list(_trees(n))
-    pts = []
+    trees = [idx.row([(p, c) for c, p in tree]) for tree in _trees(n)]
+    rows = []
     for r in range(1, n + 1) if root is None else (root,):
-        label = list(range(n + 1))
-        label[r], label[n] = n, r
-        pts += [idx.vector([(label[p], label[c]) for c, p in tree])
-                for tree in trees]
-    pts.sort()
-    return PointSet(idx.dim, pts, family=_tag("arb", n=n, root=root),
-                    legend=idx.legend(), validate=False)
+        sigma = list(range(n + 1))
+        sigma[r], sigma[n] = n, r
+        moved = [idx.index(sigma[u], sigma[v]) for u, v in idx.pairs]
+        rows += map(bytes, map(itemgetter(*moved), trees)) if r < n else trees
+    return _digit_set(idx.dim, rows, _tag("arb", n=n, root=root), idx.legend())
 
 
 def branch(n, root=None, max_candidates=None):
@@ -552,17 +596,20 @@ def tjoins(n, terminals=(), max_candidates=None):
     m = idx.dim
     _cap_check(2**m, max_candidates, f"tjoins({n})")
     rest = idx.pairs[n - 1:]  # the edges off node 1; {1, v} comes first
-    masks = [(1 << u) | (1 << v) for u, v in rest]
-    want = sum(1 << t for t in T)  # bit t: node t has odd degree
-    pts = []
-    for bits in product((0, 1), repeat=len(rest)):
-        wrong = want  # bit v: node v's parity is wrong, so {1, v} is taken
-        for mask in compress(masks, bits):
-            wrong ^= mask
-        pts.append(tuple([wrong >> v & 1 for v in range(2, n + 1)]) + bits)
-    pts.sort()
-    return PointSet(m, pts, family=_tag("tjoins", n=n, terminals=list(T)),
-                    legend=idx.legend(), validate=False)
+    # bit v - 2 of w: the subset flips node v's parity; heads[w] is the
+    # row's {1, v} part, {1, v} taken where v's parity is then wrong
+    masks = [(1 << u - 2) | (1 << v - 2) for u, v in rest]
+    want = sum(1 << t >> 2 for t in T)  # node 1 is no bit: its parity follows
+    heads = [bytes((w ^ want) >> v & 1 for v in range(n - 1)) for w in range(2 ** (n - 1))]
+
+    def half(part):  # each subset of part: its bytes and the parities it flips
+        return [(bytes(bits), reduce(xor, compress(part, bits), 0))
+                for bits in product((0, 1), repeat=len(part))]
+
+    k = len(rest) - len(rest) // 2
+    lows = half(masks[k:])
+    rows = (heads[hw ^ lw] + hb + lb for hb, hw in half(masks[:k]) for lb, lw in lows)
+    return _digit_set(m, rows, _tag("tjoins", n=n, terminals=list(T)), idx.legend())
 
 
 FAMILIES = {

@@ -15,7 +15,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import lt
 
-from .families import _INT, PointSet, _as_digits, _DigitRows, _int_rows
+from .families import _INT, PointSet, _as_digits, _DigitList, _DigitRows, _int_rows
 from .linprog import SENSES, Halfspace, HPolyhedron
 from .rational import format_rational, parse_rational
 
@@ -66,9 +66,11 @@ def _encode(v, newline):
             yield sep.join(map(str, v))
         elif _STR.issuperset(map(type, v)):
             yield sep.join(map(encode_basestring_ascii, v))
-        elif d := _int_rows(v, _ROW):
-            # integer rows of one length, in pieces of about 64 KB
-            yield from _point_rows(d, inner).pieces(v, _as_digits(v))
+        elif type(v) is _DigitList or _int_rows(v, _ROW):
+            # integer rows of one length, in pieces of about 64 KB: a set's
+            # rows off the digit buffer they carry, others packed when they can be
+            digits = v.digits if type(v) is _DigitList else _as_digits(v)
+            yield from _point_rows(len(v[0]), inner).pieces(v, digits)
         else:
             for k, u in enumerate(v):
                 if k:

@@ -559,7 +559,9 @@ def _hull_point(C, X, mismatch):
     mismatch raises DimMismatch(mismatch).
     """
     S = _point_set(X)
-    pts = S.points
+    # a plain list: CPython indexes a list subclass (the _DigitList of a
+    # generated or read set) on its slower generic path
+    pts = S.points[:]
     if not pts:
         return None, None
     d = S.dim

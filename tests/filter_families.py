@@ -1,19 +1,125 @@
-"""The connected-subgraph, spanning-tree, arborescence and T-join
-generators that filter candidates, kept as a test-only reference for the
-generators in rcx.families that build each point from its structure (a
-cut sieve, Prüfer sequences, one cycle-space coset).
+"""Test-only reference generators for every family in rcx.families.
 
-conn scans all 2^m edge subsets and spt the C(m, n-1) edge subsets of
-size n - 1, each with a flood fill; arb scans every parent pick with
+Each builds its points as tuples, through EdgeIndexer.vector for edge
+sets, and hands PointSet the sorted list, where rcx builds bytes rows
+straight into a digit buffer.
+
+The connected-subgraph, spanning-tree, arborescence and T-join
+generators filter candidates, where rcx builds each point from its
+structure (a cut sieve, Prüfer sequences, one cycle-space coset): conn
+scans all 2^m edge subsets and spt the C(m, n-1) edge subsets of size
+n - 1, each with a flood fill; arb scans every parent pick with
 _reaches, and tjoins is a depth-first sweep over the edges with
-degree-parity pruning.
+degree-parity pruning. The others are rcx's generators as they were
+written with tuples.
 """
 
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, compress, permutations, product
+from math import comb, factorial
 
-from rcx.families import (EdgeIndexer, PointSet, _cap_check, _edge_subsets, _tag,
+from rcx.families import (EdgeIndexer, PointSet, _acyclic, _cap_check, _tag,
                           tjoin_terminals)
+
+
+def cube(d, max_candidates=None):
+    """All 0/1 vectors of length d."""
+    _cap_check(2**d, max_candidates, f"cube({d})")
+    pts = [tuple(p) for p in product((0, 1), repeat=d)]
+    return PointSet(d, pts, family=_tag("cube", d=d), validate=False)
+
+
+def simplex(d):
+    """The origin together with the d unit vectors."""
+    pts = sorted([(0,) * d] + [tuple(int(j == k) for j in range(d))
+                               for k in range(d)])
+    return PointSet(d, pts, family=_tag("simplex", d=d), validate=False)
+
+
+def _parity(name, d, r, max_candidates):
+    _cap_check(2**d, max_candidates, f"{name}({d})")
+    pts = [p for p in product((0, 1), repeat=d) if sum(p) % 2 == r]
+    return PointSet(d, pts, family=_tag(name, d=d), validate=False)
+
+
+def even(d, max_candidates=None):
+    return _parity("even", d, 0, max_candidates)
+
+
+def odd(d, max_candidates=None):
+    return _parity("odd", d, 1, max_candidates)
+
+
+def perm(n, max_candidates=None):
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _cap_check(factorial(n), max_candidates, f"perm({n})")
+    pts = list(permutations(range(1, n + 1)))
+    return PointSet(n, pts, family=_tag("perm", n=n), validate=False)
+
+
+def diff(m, n, max_candidates=None):
+    """Concatenations of m pairwise distinct 0/1 blocks of length n."""
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
+    _cap_check(2**(m * n), max_candidates, f"diff({m},{n})")
+    pts = []
+    for p in product((0, 1), repeat=m * n):
+        blocks = [p[i * n:(i + 1) * n] for i in range(m)]
+        if len(set(blocks)) == m:
+            pts.append(tuple(p))
+    return PointSet(m * n, pts, family=_tag("diff", m=m, n=n), validate=False)
+
+
+def _tours(name, n, directed, max_candidates):
+    _cap_check(factorial(n - 1), max_candidates, f"{name}({n})")
+    idx = EdgeIndexer(n, directed=directed)
+    pts = []
+    for tail in permutations(range(2, n + 1)):
+        if directed or tail[0] < tail[-1]:
+            seq = (1,) + tail + (1,)
+            pts.append(idx.vector(zip(seq, seq[1:])))
+    pts.sort()
+    return PointSet(idx.dim, pts, family=_tag(name, n=n),
+                    legend=idx.legend(), validate=False)
+
+
+def stsp(n, max_candidates=None):
+    if n < 3:
+        raise ValueError("cycles need n >= 3")
+    return _tours("stsp", n, False, max_candidates)
+
+
+def atsp(n, max_candidates=None):
+    if n < 2:
+        raise ValueError("directed cycles need n >= 2")
+    return _tours("atsp", n, True, max_candidates)
+
+
+def _edge_subsets(name, n, directed, max_candidates, keep, **params):
+    idx = EdgeIndexer(n, directed=directed)
+    _cap_check(2**idx.dim, max_candidates, f"{name}({n})")
+    pts = [bits for bits in product((0, 1), repeat=idx.dim)
+           if keep(compress(idx.pairs, bits))]
+    return PointSet(idx.dim, pts, family=_tag(name, n=n, **params),
+                    legend=idx.legend(), validate=False)
+
+
+def forests(n, max_candidates=None):
+    return _edge_subsets("forests", n, False, max_candidates,
+                         lambda edges: _acyclic(n, edges))
+
+
+def branch(n, root=None, max_candidates=None):
+    if root is not None and not 1 <= root <= n:
+        raise ValueError("root out of range")
+
+    def keep(arcs):
+        arcs = list(arcs)
+        heads = [v for _, v in arcs]
+        return (len(set(heads)) == len(heads) and root not in heads
+                and _acyclic(n, arcs))
+
+    return _edge_subsets("branch", n, True, max_candidates, keep, root=root)
 
 
 def _spanning_connected(n, edges):

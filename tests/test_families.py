@@ -1,16 +1,19 @@
 import ast
 import hashlib
+import random
 from fractions import Fraction
-from itertools import compress, product
+from itertools import chain, compress, product
 from pathlib import Path
 
 import pytest
 
 import rcx
+from rcx import fileio
 from rcx.errors import DimMismatch, OddNodeSet, TooLarge
 from rcx.families import (
     EdgeIndexer,
     PointSet,
+    _DigitRows,
     arb,
     atsp,
     branch,
@@ -399,6 +402,18 @@ def _past_the_chunk(k):
         "one 64 KB piece", "past one 64 KB piece"])
 def test_digest_edge_sets_match_the_joined_text(X):
     assert X.digest() == _joined_digest(X)
+
+
+@pytest.mark.parametrize("d, n", [(5, 1), (181, 400), (182, 400), (700, 3), (700, 47)])
+def test_digit_text_is_the_str_text_in_every_piece_shape(d, n):
+    # a piece with fewer rows than columns is copied off the buffer row by
+    # row, any other column by column (digest pieces of 182 columns hold
+    # 180 rows, of 181 columns 181 rows); both give the text of str
+    rng = random.Random(d * n)
+    pts = [tuple(rng.randrange(10) for _ in range(d)) for _ in range(n)]
+    digits = bytes(chain.from_iterable(pts))
+    for layout in (_DigitRows(d, "", ",", "\n"), fileio._point_rows(d, fileio._ITEMS)):
+        assert b"".join(layout.pieces(None, digits)) == b"".join(layout.pieces(pts))
 
 
 def test_digest_tells_a_bool_from_its_int():

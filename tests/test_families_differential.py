@@ -1,25 +1,55 @@
-"""The structural generators against the filters they replaced.
+"""Every generator against a reference that builds its points as tuples.
 
-conn sieves its cuts, spt and arb decode Prüfer sequences and tjoins
-walks one cycle-space coset; tests/filter_families.py keeps the candidate
-filters. Both must give the same points in the same order, the same tag,
-legend, digest and bounds(), which every PointSet reads off its points.
+rcx builds the rows of its 0/1 families as bytes, straight into the
+set's digit buffer; conn sieves its cuts, spt and arb decode Prüfer
+sequences and tjoins walks one cycle-space coset. tests/filter_families.py
+keeps tuple generators: the candidate filters these replaced, and the
+others as they were written with tuples. Both must give the same points
+(tuples of ints) in the same order, the same tag, legend, digest and
+bounds(), and the same written bytes.
 """
 
 import pytest
 
 import filter_families as ref
-from rcx import families
+from rcx import families, fileio
 from rcx.errors import TooLarge
+from test_fileio import FAMILY_SIZES
 
 TERMINALS = [(), (1, 2), (2, 3), (3, 4), (5, 6), (1, 2, 3, 4), (2, 3, 5, 7)]
 
 
 def same(got, want):
     assert got.points == want.points
+    assert all(type(p) is tuple for p in got.points)
     assert (got.dim, got.family, got.legend) == (want.dim, want.family, want.legend)
     assert got.digest() == want.digest()
-    assert got.bounds() == want.bounds()
+    if want.points:
+        assert got.bounds() == want.bounds()
+    if want.dim:  # a point file may not have dimension 0
+        assert fileio.dumps(fileio.pointset_doc(got)) == fileio.dumps(fileio.pointset_doc(want))
+
+
+@pytest.mark.parametrize("name, params", FAMILY_SIZES,
+                         ids=[f"{n}{p}".replace(" ", "") for n, p in FAMILY_SIZES])
+def test_every_family_matches_its_tuple_reference(name, params):
+    same(families.generate(name, *params), getattr(ref, name)(*params))
+
+
+# sets of dimension 0 (one empty point, or none) and sets with no points,
+# with their number of points
+EDGE_SIZES = {("conn", (1,)): 1, ("spt", (1,)): 1, ("arb", (1,)): 1, ("arb", (1, 1)): 1,
+              ("tjoins", (1,)): 1, ("tjoins", (2,)): 1, ("cube", (0,)): 1,
+              ("simplex", (0,)): 1, ("even", (0,)): 1, ("odd", (0,)): 0,
+              ("diff", (3, 1)): 0, ("diff", (5, 2)): 0}
+
+
+@pytest.mark.parametrize("name, params", list(EDGE_SIZES),
+                         ids=[f"{n}{p}".replace(" ", "") for n, p in EDGE_SIZES])
+def test_dimension_0_and_empty_sets(name, params):
+    X = families.generate(name, *params)
+    same(X, getattr(ref, name)(*params))
+    assert len(X) == EDGE_SIZES[name, params]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from rcx import families, fileio, linprog, rational, relaxations, separation
+from rcx import cli, families, fileio, linprog, rational, relaxations, separation
 from rcx.errors import Infeasible
 from rcx.families import PointSet, _DigitRows, cube
 from rcx.linprog import Halfspace, HPolyhedron, _le_rows, solve_lp
@@ -52,6 +52,7 @@ from rcx.relaxations import (
     irredundant_count,
     verify_relaxation,
 )
+from test_fileio import READABLE_SIZES
 from test_lattice_differential import FLAVORS, _random_case, outcome
 
 
@@ -349,6 +350,26 @@ def test_point_row_text_has_one_formatter():
         ("families", "digest"), ("families", "read"), ("fileio", "_encode")]
     assert list(inspect.signature(_DigitRows.pieces).parameters) == [
         "self", "rows", "digits"]
+
+
+def test_generated_sets_carry_their_digit_buffer(monkeypatch, tmp_path):
+    # every 0/1 family is generated straight into its digit buffer: rcx gen
+    # writes it, and digest() and bounds() read it, without checking or
+    # packing any value again
+    def refuse(*args):
+        raise AssertionError("a generated set's values were checked or packed again")
+
+    for module in (families, fileio):
+        monkeypatch.setattr(module, "_int_rows", refuse)
+        monkeypatch.setattr(module, "_as_digits", refuse)
+    zero_one = [(name, params) for name, params in READABLE_SIZES if name != "perm"]
+    assert {name for name, _ in zero_one} == set(families.FAMILIES) - {"perm"}
+    for name, params in zero_one:
+        args = [",".join(map(str, p)) if isinstance(p, tuple) else str(p) for p in params]
+        res = cli.run(["gen", name, *args, "-o", str(tmp_path / "x.json")])
+        assert res.exit_code == 0, (name, res.summary)
+        X = families.generate(name, *params)
+        assert X.digest() and X.bounds()
 
 
 def test_digit_sets_are_read_through_their_columns(monkeypatch, tmp_path):
