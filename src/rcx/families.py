@@ -62,7 +62,8 @@ class _DigitRows:
 
     Single digits give every row the same width, so the text of a digit
     buffer is a repeated zero row into which each coordinate column is
-    copied by one strided slice assignment, and read back by one strided
+    copied by one strided slice assignment (each row instead, when a
+    piece has fewer rows than columns), and read back by one strided
     slice. The width is counted, not built: a reader's d comes from the
     file, and only a width the file's rows fit builds anything of size d.
     """
@@ -79,7 +80,8 @@ class _DigitRows:
 
     @cached_property
     def columns(self):
-        """text's copy of each coordinate column, for every piece."""
+        """text's moves that copy each coordinate column of a piece; the
+        same for every piece."""
         return [(s, None, self.width, k, None, self.d) for k, s in enumerate(self.slots)]
 
     def pieces(self, rows, digits=None):
