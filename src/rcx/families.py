@@ -146,6 +146,14 @@ class _DigitList(list):
     __slots__ = ("digits",)
 
 
+def _row_digits(rows):
+    """The digit buffer rows carry, a _DigitList's while it still holds one
+    byte per value of the rows; else None."""
+    if type(rows) is _DigitList and rows and len(rows.digits) == len(rows) * len(rows[0]):
+        return rows.digits
+    return None
+
+
 class EdgeIndexer:
     """Lexicographic numbering of the edges (or arcs) on nodes 1..n.
 
@@ -169,17 +177,13 @@ class EdgeIndexer:
                          for v in range(1, n + 1) if u != v)
         return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
 
-    @cached_property
-    def _index(self):
-        return {p: k for k, p in enumerate(self.pairs)}
-
     def index(self, u, v):
-        if not self.directed and u > v:
-            u, v = v, u
-        try:
-            return self._index[(u, v)]
-        except KeyError:
-            raise ValueError(f"no edge between {u} and {v}") from None
+        """Edge (u, v)'s index off the flat table, either way if undirected."""
+        n = self.n
+        k = self._table[u * (n + 1) + v] if 0 < u <= n and 0 < v <= n else None
+        if k is None:
+            raise ValueError(f"no edge between {u} and {v}")
+        return k
 
     def label(self, k):
         u, v = self.pairs[k]
@@ -218,7 +222,10 @@ class EdgeIndexer:
 
 
 class PointSet:
-    """A finite set of integer points in a fixed dimension."""
+    """A finite set of integer points in a fixed dimension. `points` is a
+    list of tuples (a generated or read single-digit set's is a _DigitList
+    carrying its digit buffer), not to be changed in place: digest(),
+    bounds() and the buffer are read off it once and kept."""
 
     def __init__(self, dim, points, family=None, legend=None, validate=True):
         self.dim = dim

@@ -15,7 +15,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import lt
 
-from .families import _INT, PointSet, _as_digits, _DigitList, _DigitRows, _int_rows
+from .families import _INT, PointSet, _as_digits, _DigitRows, _int_rows, _row_digits
 from .linprog import SENSES, Halfspace, HPolyhedron
 from .rational import format_rational, parse_rational
 
@@ -66,11 +66,10 @@ def _encode(v, newline):
             yield sep.join(map(str, v))
         elif _STR.issuperset(map(type, v)):
             yield sep.join(map(encode_basestring_ascii, v))
-        elif type(v) is _DigitList or _int_rows(v, _ROW):
+        elif (digits := _row_digits(v)) or _int_rows(v, _ROW):
             # integer rows of one length, in pieces of about 64 KB: a set's
             # rows off the digit buffer they carry, others packed when they can be
-            digits = v.digits if type(v) is _DigitList else _as_digits(v)
-            yield from _point_rows(len(v[0]), inner).pieces(v, digits)
+            yield from _point_rows(len(v[0]), inner).pieces(v, digits or _as_digits(v))
         else:
             for k, u in enumerate(v):
                 if k:

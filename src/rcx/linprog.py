@@ -559,9 +559,9 @@ def _hull_point(C, X, mismatch):
     mismatch raises DimMismatch(mismatch).
     """
     S = _point_set(X)
-    # a plain list: CPython indexes a list subclass (the _DigitList of a
-    # generated or read set) on its slower generic path
-    pts = S.points[:]
+    # a plain list: CPython indexes a list subclass (a generated or read
+    # set's rows, carrying their digit buffer) on its slower generic path
+    pts = S.points if type(S.points) is list else list(S.points)
     if not pts:
         return None, None
     d = S.dim

@@ -14,7 +14,7 @@ from math import gcd
 from operator import mul
 
 from .errors import DimMismatch, EmptySet
-from .families import _DigitList, _point_set
+from .families import _point_set, _row_digits
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
@@ -211,8 +211,8 @@ def affine_hull(points):
         raise EmptySet("affine hull of no points")
     d = len(pts[0])
     base = min(pts)
-    # a _DigitList's rows have one length by construction
-    if type(pts) is not _DigitList and len(set(map(len, pts))) > 1:
+    # rows that carry a digit buffer have one length by construction
+    if _row_digits(pts) is None and len(set(map(len, pts))) > 1:
         raise DimMismatch("points of mixed dimension")
     ech = _Echelon(d)
     sampled = len(pts) > 4 * d

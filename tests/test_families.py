@@ -53,6 +53,15 @@ def test_edge_indexer_directed():
     assert idx.index(2, 1) == 1
 
 
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("u, v", [(1, 1), (0, 1), (1, 0), (4, 1), (1, 4), (-1, 2), (2, -1)])
+def test_edge_indexer_refuses_pairs_off_its_edges(directed, u, v):
+    idx = EdgeIndexer(3, directed=directed)
+    with pytest.raises(ValueError, match=f"no edge between {u} and {v}"):
+        idx.index(u, v)
+    assert [idx.index(*p) for p in idx.pairs] == list(range(idx.dim))
+
+
 def test_pointset_sorts_and_dedups():
     ps = PointSet(2, [(1, 0), (0, 1), (1, 0)])
     assert ps.points == [(0, 1), (1, 0)]

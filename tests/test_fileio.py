@@ -142,6 +142,15 @@ class TestWriterMatchesTheLibrary:
         fileio.write_doc(tmp_path / "conn6.json", doc)
         assert (tmp_path / "conn6.json").read_bytes() == library_bytes(doc).encode()
 
+    @pytest.mark.parametrize("change", ["append", "pop"])
+    def test_rows_that_no_longer_fit_their_buffer_are_written_as_they_are(self, change):
+        # a generated set's rows grown or shrunk after the fact are written
+        # from the rows, not from the digit buffer they still carry
+        rows = generate("cube", 3).points
+        rows.append((2, 0, 7)) if change == "append" else rows.pop(0)
+        doc = {"points": rows}
+        assert fileio.dumps(doc) == library_bytes(doc)
+
     def test_wide_rows_come_in_small_pieces(self):
         # 4,097 rows of 120 digits: a row is about 1 KB of text, and no
         # piece holds more than 64 KB of rows plus one row
