@@ -10,9 +10,9 @@ from __future__ import annotations
 import hashlib
 import inspect
 from functools import cached_property, reduce
-from itertools import chain, compress, permutations, product
+from itertools import chain, compress, permutations, product, repeat
 from math import comb, factorial
-from operator import itemgetter, xor
+from operator import eq, itemgetter, xor
 
 from .errors import DimMismatch, OddNodeSet, TooLarge
 
@@ -41,6 +41,9 @@ def _int_rows(rows, kinds):
 _DIGITS = bytes(range(10))
 _ASCII = bytes.maketrans(_DIGITS, b"0123456789")
 _VALUES = bytes.maketrans(b"0123456789", _DIGITS)
+# per value 0..9, the table that turns its byte into "1" and every other
+# byte into "0": a column, translated, is the bits of its rows at the value
+_BIT = [b"0" * v + b"1" + b"0" * (255 - v) for v in range(10)]
 _PIECE_BYTES = 1 << 16
 
 
@@ -225,7 +228,8 @@ class PointSet:
     """A finite set of integer points in a fixed dimension. `points` is a
     list of tuples (a generated or read single-digit set's is a _DigitList
     carrying its digit buffer), not to be changed in place: digest(),
-    bounds() and the buffer are read off it once and kept."""
+    bounds(), the buffer and the hull LP's column masks are read off it
+    once and kept."""
 
     def __init__(self, dim, points, family=None, legend=None, validate=True):
         self.dim = dim
@@ -251,6 +255,7 @@ class PointSet:
         self._bounds = None
         self._digest = None
         self._digits = None  # the points' digit buffer (b"" for none), once read or built
+        self._masks = {}  # (k, v): the bitmask of the points at v on coordinate k
 
     @classmethod
     def _from_digits(cls, dim, digits, family=None, legend=None):
@@ -309,6 +314,41 @@ class PointSet:
         sliced anew on every call and not kept; None without a buffer."""
         digits = self._buffer()
         return [digits[k::self.dim] for k in range(self.dim)] if digits else None
+
+    def _rows_at(self, pins):
+        """The ascending indices of the points at v on every pin (k, v, s).
+
+        One bitmask per pin is ANDed: point i is bit n - 1 - i, set when
+        its coordinate k is v. A mask is built on first use and kept,
+        n/8 bytes: the digit buffer's column k translated to bits in one
+        pass, or == over the points' column k, as bounds() chooses its
+        columns. A value off the column's bounds, or equal to no digit
+        0..9 on a digit buffer, keeps no point and builds no mask.
+        """
+        n = len(self.points)
+        if not pins or not n:
+            return range(n)
+        lo, hi = self.bounds()
+        acc = -1
+        for k, v, _ in pins:
+            mask = self._masks.get((k, v))
+            if mask is None:
+                digits = self._buffer()
+                bit = next((j for j in range(10) if v == j), None) if digits else 1
+                if bit is None or not lo[k] <= v <= hi[k]:
+                    return []
+                col = (digits[k::self.dim] if digits else
+                       bytes(map(eq, map(itemgetter(k), self.points), repeat(v))))
+                mask = self._masks[k, v] = int(col.translate(_BIT[bit]), 2)
+            acc &= mask
+            if not acc:
+                return []
+        bits, kept = format(acc, f"0{n}b"), []
+        i = bits.find("1")
+        while i >= 0:
+            kept.append(i)
+            i = bits.find("1", i + 1)
+        return kept
 
     def digest(self):
         """Content hash of (dim, points); stable across runs. Each point is

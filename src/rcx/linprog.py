@@ -547,21 +547,21 @@ def _hull_point(C, X, mismatch):
     C's last point is the base, and each other point c gets a weight
     column with entries base - c. A hit is (multipliers aligned with X,
     the point: tuple(C[0]) for one point, else base + sum w_c (c - base)),
-    re-checked: weights >= 0, X's summing to 1 and C's to at most 1, and
-    X's combination the point. Exact presolve: a coordinate on which all
-    of C agree at v is pinned unless all of X is at v there, and only the
-    points of X at v on every pin are kept (none when v is off X's
-    bounds). A miss is (None, (a, sigma, pins)), the pieces of
-    strict_separation's row: a . x <= sigma on the kept points and
-    a . y > sigma on C (a = 0 and sigma = -1 when none is kept), and a
-    pin (k, v, s) has s (x_k - v) <= 0 on X, < 0 at some pin off the
-    kept points. An empty X misses with (None, None); a dimension
-    mismatch raises DimMismatch(mismatch).
+    re-checked in integers: weights >= 0, X's summing to 1 and C's to at
+    most 1, and X's combination den times the point. Exact presolve: a
+    coordinate on which all of C agree at v is pinned unless all of X is
+    at v there, and only the points of X at v on every pin are kept (none
+    when v is off X's bounds). They are found by ANDing X's column
+    bitmasks, one per pin (PointSet._rows_at), with no Python loop over
+    X, and only they are indexed. A miss is (None, (a, sigma, pins)),
+    the pieces of strict_separation's row: a . x <= sigma on the kept
+    points and a . y > sigma on C (a = 0 and sigma = -1 when none is
+    kept), and a pin (k, v, s) has s (x_k - v) <= 0 on X, < 0 at some
+    pin off the kept points. An empty X misses with (None, None); a
+    dimension mismatch raises DimMismatch(mismatch).
     """
     S = _point_set(X)
-    # a plain list: CPython indexes a list subclass (a generated or read
-    # set's rows, carrying their digit buffer) on its slower generic path
-    pts = S.points if type(S.points) is list else list(S.points)
+    pts = S.points
     if not pts:
         return None, None
     d = S.dim
@@ -571,30 +571,29 @@ def _hull_point(C, X, mismatch):
     others, base = C[:-1], C[-1]
     lo, hi = S.bounds()
     free, pins = [], []
-    idx = range(len(pts))
     for k, col in enumerate(zip(*C)):
         v = col[-1]
         if col.count(v) < len(col) or lo[k] < v < hi[k]:
             free.append(k)
         elif not lo[k] == v == hi[k]:
             pins.append((k, v, -1 if v <= lo[k] else 1))
-            idx = [i for i in idx if pts[i][k] == v]
+    idx = S._rows_at(pins)
     if not idx:
         return None, ([0] * d, -1, pins)
+    kept = [pts[i] for i in idx] if pins else pts
     if not others:
         tup = tuple(base)
-        for i in idx:
-            if pts[i] == tup:
-                mult = [Fraction(0)] * len(pts)
-                mult[i] = Fraction(1)
-                return tuple(mult), tup
+        if tup in kept:
+            mult = [Fraction(0)] * len(pts)
+            mult[idx[kept.index(tup)]] = Fraction(1)
+            return tuple(mult), tup
     # columns: one multiplier per kept point, then one weight per other point
     # of C; a coordinate's row is cleared of denominators once for both copies
     n, nt = len(idx), len(others)
     rows = []
     for k in free:
         vb = base[k]
-        coeffs, scale = _int_row([pts[i][k] for i in idx] + [vb - c[k] for c in others] + [vb])
+        coeffs, scale = _int_row([p[k] for p in kept] + [vb - c[k] for c in others] + [vb])
         rhs = coeffs.pop()
         rows.append((coeffs, rhs, scale))
         rows.append(([-v for v in coeffs], -rhs, scale))
@@ -608,22 +607,25 @@ def _hull_point(C, X, mismatch):
         for j, k in enumerate(free):
             a[k] = (y[2 * j + 1] - y[2 * j]) * rows[2 * j][2]
         return None, (a, y[2 * len(free)] - y[2 * len(free) + 1], pins)
+    # den times the point, den base + sum w_c (c - base), is checked against
+    # the kept points' combination in integers (for integer C); the point's
+    # Fractions are built once, for the answer
     z, den = z
     lam, w = z[:n], z[n:]
-    point = tuple(base)
+    target = [den * v for v in base]
     if others:
         _check(min(w) >= 0 and sum(w) <= den, "weights on C")
-        point = tuple(map(Fraction, base))
         for wc, c in zip(w, others):
             if wc:
-                t = Fraction(wc, den)
-                point = tuple([u + t * (ck - bk) for u, ck, bk in zip(point, c, base)])
+                target = [u + wc * (ck - bk) for u, ck, bk in zip(target, c, base)]
     _check(min(lam) >= 0 and sum(lam) == den, "hull multipliers")
-    comb = [sum(l * pts[i][k] for i, l in zip(idx, lam) if l) for k in range(d)]
-    _check(all(u == den * v for u, v in zip(comb, point)), "hull point lies in the hull")
+    used = [(i, p, l) for i, p, l in zip(idx, kept, lam) if l]
+    comb = [sum(l * p[k] for _, p, l in used) for k in range(d)]
+    _check(comb == target, "hull point lies in the hull")
     mult = [Fraction(0)] * len(pts)
-    for i, l in zip(idx, lam):
+    for i, _, l in used:
         mult[i] = Fraction(l, den)
+    point = tuple([Fraction(u, den) for u in target]) if others else tuple(base)
     return tuple(mult), point
 
 

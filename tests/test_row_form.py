@@ -25,7 +25,10 @@ point file the CLI reads goes through `fileio.read_pointset`, and
 the reader and the digest share, and its `pieces` the one formatter of
 their text, in pieces of about 64 KB; only `families` touches a set's
 digit buffer. A set with one reads its bounds, and affine_hull checks
-its points, through the buffer's columns.
+its points, through the buffer's columns. The hull LP keeps the points
+of X at its pins by `PointSet._rows_at`, the one home of X's column
+bitmasks, indexes only those points, and keeps the pinned number of
+them on each family-certify chain.
 """
 
 import ast
@@ -40,6 +43,7 @@ import pytest
 from rcx import cli, families, fileio, linprog, rational, relaxations, separation
 from rcx.errors import Infeasible
 from rcx.families import PointSet, _DigitRows, cube
+from rcx.hiding import build_arb_hiding, build_tsp_hiding, verify_hiding
 from rcx.linprog import Halfspace, HPolyhedron, _le_rows, solve_lp
 from rcx.relaxations import (
     LatticeBox,
@@ -328,6 +332,15 @@ def test_point_files_are_read_and_digit_rows_laid_out_in_one_place():
         ("fileio", "_digit_pointset"), ("fileio", "_encode")]
     assert [f[:2] for f in _owned(strided_store)] == [
         ("families", "read"), ("families", "text"), ("rational", "_lanes")]
+    # and the strided reads are the layout's and a set's buffer columns:
+    # all of them for _columns, one per new mask for _rows_at
+    def strided_load(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.slice, ast.Slice) and node.slice.step is not None)
+
+    assert [f[:2] for f in _owned(strided_load)] == [
+        ("families", "_columns"), ("families", "_rows_at"), ("families", "read"),
+        ("families", "text")]
     # the buffer is PointSet's private cache: nothing outside families
     # reads or sets it
     assert {f[0] for f in _owned(lambda node: getattr(node, "attr", None) == "_digits")} == {
@@ -410,6 +423,74 @@ def test_digit_sets_are_read_through_their_columns(monkeypatch, tmp_path):
         checks.clear()
         assert len(rational.affine_hull(Y).equations) == 8
         assert checks == [True, False] and products == []
+
+
+def test_hull_lp_indexes_only_the_points_its_masks_keep(monkeypatch):
+    # _hull_point asks PointSet._rows_at for the points of X at v on every
+    # pin; no comprehension there filters or walks X's points, the masks
+    # are kept and read only in _rows_at, and a hull LP indexes X's rows
+    # at the kept indices and nowhere else
+    def walks_points(node):
+        return isinstance(node, ast.comprehension) and (
+            ast.unparse(node.iter) in {"pts", "S.points", "range(len(pts))"}
+            or any("pts[" in ast.unparse(cond) for cond in node.ifs))
+
+    assert [f for f in _owned(walks_points) if f[:2] == ("linprog", "_hull_point")] == []
+    assert [f[:2] for f in _owned(_calls("_rows_at"))] == [("linprog", "_hull_point")]
+    masks = {f[:2] for f in _owned(lambda node: getattr(node, "attr", None) == "_masks")}
+    assert masks == {("families", "__init__"), ("families", "_rows_at")}
+
+    class Rows(list):
+        def __getitem__(self, i):
+            read.append(i)
+            return list.__getitem__(self, i)
+
+        def __iter__(self):
+            raise AssertionError("a hull LP walked X's points")
+
+    def rows_at(self, pins, _real=PointSet._rows_at):
+        kept.append(_real(self, pins))
+        return kept[-1]
+
+    monkeypatch.setattr(PointSet, "_rows_at", rows_at)
+    X = families.generate("conn", 6)
+    X.bounds()
+    X.points = Rows(X.points)
+    H = build_tsp_hiding(2, directed=False).points
+    for a, b in [(H[0], H[0]), (H[1], H[1]), (H[0], H[1])]:
+        read, kept = [], []
+        linprog.segment_hits_hull(a, b, X)
+        assert read == list(kept[0])
+    assert len(kept[0]) == 189
+
+
+# each family-certify chain: the family, its size and its hiding set
+CHAINS = {("atsp", 8): lambda: build_tsp_hiding(3),
+          ("stsp", 8): lambda: build_tsp_hiding(3, directed=False),
+          ("conn", 6): lambda: build_tsp_hiding(2, directed=False),
+          ("arb", 6): lambda: build_arb_hiding(2),
+          ("spt", 6): lambda: build_arb_hiding(2, directed=False)}
+# the points each hull LP of its verify_hiding keeps, each point of H and
+# then each pair in turn; the parent's per-pin filter kept the same
+KEPT = {("atsp", 8): [0, 0, 0, 0, 2, 2, 2, 2, 2, 2],
+        ("stsp", 8): [0, 0, 0, 0, 4, 2, 4, 4, 2, 4],
+        ("conn", 6): [0, 0, 189],
+        ("arb", 6): [0, 0, 8],
+        ("spt", 6): [0, 0, 32]}
+
+
+@pytest.mark.parametrize("chain", list(CHAINS), ids=[f"{f}{n}" for f, n in CHAINS])
+def test_hull_lps_keep_the_pinned_number_of_points(monkeypatch, chain):
+    kept = []
+
+    def rows_at(self, pins, _real=PointSet._rows_at):
+        idx = _real(self, pins)
+        kept.append(len(idx))
+        return idx
+
+    monkeypatch.setattr(PointSet, "_rows_at", rows_at)
+    assert verify_hiding(CHAINS[chain](), families.generate(*chain)).valid
+    assert kept == KEPT[chain]
 
 
 # the smallest valid size past each family's floor limit
