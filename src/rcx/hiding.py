@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, compress, product
 from math import comb
+from operator import add, sub
 
 from .errors import DimMismatch, EmptySet
 from .families import (EdgeIndexer, PointSet, _cap_check, _parity, _tag, odd,
                        tjoin_terminals)
-from .linprog import Halfspace, HPolyhedron, conv_membership, segment_hits_hull
-from .rational import affine_hull, in_affine_hull
+from .linprog import (Halfspace, HPolyhedron, _check, _pinned, conv_membership,
+                      segment_hits_hull, strict_separation)
+from .rational import affine_hull, in_affine_hull, vdot
 from .relaxations import LatticeBox, enumerate_lattice
 
 
@@ -251,14 +253,50 @@ def verify_hiding(H, X):
     return done(True, integral, in_aff, excluded, pairs)
 
 
+def _midpoint(s, kept, members):
+    """(x, s - x) for the first x of kept with s - x in members, or None."""
+    for x in kept:
+        y = tuple(map(sub, s, x))
+        if y in members:
+            return x, y
+    return None
+
+
 def _conflict_graph(points, X):
-    """Adjacency bitmasks: i and j are joined when segment_hits_hull hits,
-    so every edge rests on a re-checked witness in conv(X)."""
-    adj = [0] * len(points)
+    """Adjacency bitmasks: i and j are joined when their segment meets
+    conv(X), each pair settled by a checked certificate.
+
+    A hit is a midpoint witness p + q = x + x' with x, x' in X, whose
+    midpoint lies in conv(X) and on the segment, or else strict_separation's
+    None, the hull LP's checked point. Where p and q agree at a bound of X,
+    x and x' agree with them, so the witness is searched only among the
+    points of X at the hull LP's pins (_pinned). A miss is a row
+    a . x <= gamma that strict_separation checked on all of X; it becomes
+    pool row r, with bit r of cut[k] set for each point k that it cuts off,
+    in integers, and a later pair that one pool row cuts off at both ends
+    misses with no LP.
+    """
+    pts = X.points
+    members = set(pts)
+    adj, cut = [0] * len(points), [0] * len(points)
+    pool = 0
     for i, j in combinations(range(len(points)), 2):
-        if segment_hits_hull(points[i], points[j], X)[0]:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+        if cut[i] & cut[j]:
+            continue
+        p, q = points[i], points[j]
+        s = tuple(map(add, p, q))
+        w = _midpoint(s, [pts[k] for k in _pinned(X, (p, q))[2]], members)
+        if w is not None:
+            _check(w[0] in members and w[1] in members and tuple(map(add, *w)) == s,
+                   "midpoint witness")
+        elif (h := strict_separation(X, [p, q])) is not None:
+            for k, y in enumerate(points):
+                if vdot(h._int_a, y) > h._int_rhs:
+                    cut[k] |= 1 << pool
+            pool += 1
+            continue
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
     return adj
 
 

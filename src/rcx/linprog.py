@@ -541,6 +541,25 @@ def _solve(P, c, maximize=True, dropped=()):
                      point=vector(x, den), dual=multipliers(w, sign * yden * cs))
 
 
+def _pinned(S, C):
+    """The hull LP's presolve of the point list C against the nonempty set
+    S: (free coordinates, pins, the ascending indices of S's points at
+    every pin). A coordinate on which all of C agree at v is pinned, as
+    (k, v, s) with s (x_k - v) <= 0 on S, unless v is strictly between
+    S's bounds there or all of S is at v. Only the points of S at v on
+    every pin can be terms of a convex combination that is at v there:
+    none when v is off S's bounds. Every other coordinate is free."""
+    lo, hi = S.bounds()
+    free, pins = [], []
+    for k, col in enumerate(zip(*C)):
+        v = col[-1]
+        if col.count(v) < len(col) or lo[k] < v < hi[k]:
+            free.append(k)
+        elif not lo[k] == v == hi[k]:
+            pins.append((k, v, -1 if v <= lo[k] else 1))
+    return free, pins, S._rows_at(pins)
+
+
 def _hull_point(C, X, mismatch):
     """Does conv(C) meet conv(X)? C is a nonempty list of points.
 
@@ -548,15 +567,13 @@ def _hull_point(C, X, mismatch):
     column with entries base - c. A hit is (multipliers aligned with X,
     the point: tuple(C[0]) for one point, else base + sum w_c (c - base)),
     re-checked in integers: weights >= 0, X's summing to 1 and C's to at
-    most 1, and X's combination den times the point. Exact presolve: a
-    coordinate on which all of C agree at v is pinned unless all of X is
-    at v there, and only the points of X at v on every pin are kept (none
-    when v is off X's bounds). They are found by ANDing X's column
-    bitmasks, one per pin (PointSet._rows_at), with no Python loop over
-    X, and only they are indexed. A miss is (None, (a, sigma, pins)),
-    the pieces of strict_separation's row: a . x <= sigma on the kept
-    points and a . y > sigma on C (a = 0 and sigma = -1 when none is
-    kept), and a pin (k, v, s) has s (x_k - v) <= 0 on X, < 0 at some
+    most 1, and X's combination den times the point. Exact presolve
+    (_pinned): only the points of X at every pin are kept. They are found
+    by ANDing X's column bitmasks, one per pin (PointSet._rows_at), with
+    no Python loop over X, and only they are indexed. A miss is
+    (None, (a, sigma, pins)), the pieces of strict_separation's row:
+    a . x <= sigma on the kept points and a . y > sigma on C (a = 0 and
+    sigma = -1 when none is kept), and a pin (k, v, s) has s (x_k - v) <= 0 on X, < 0 at some
     pin off the kept points. An empty X misses with (None, None); a
     dimension mismatch raises DimMismatch(mismatch).
     """
@@ -569,15 +586,7 @@ def _hull_point(C, X, mismatch):
         if len(c) != d:
             raise DimMismatch(mismatch)
     others, base = C[:-1], C[-1]
-    lo, hi = S.bounds()
-    free, pins = [], []
-    for k, col in enumerate(zip(*C)):
-        v = col[-1]
-        if col.count(v) < len(col) or lo[k] < v < hi[k]:
-            free.append(k)
-        elif not lo[k] == v == hi[k]:
-            pins.append((k, v, -1 if v <= lo[k] else 1))
-    idx = S._rows_at(pins)
+    free, pins, idx = _pinned(S, C)
     if not idx:
         return None, ([0] * d, -1, pins)
     kept = [pts[i] for i in idx] if pins else pts
@@ -649,8 +658,9 @@ def strict_separation(X, C):
     scaled to it, so None really means no strict separation exists. It
     is the hull LP's checked point of conv(C) in conv(X). Otherwise the
     row is a . x <= sigma from the LP's miss (_hull_point), lifted over
-    the pins with the least M that keeps all of X, scaled to the unit gap
-    and checked against every point of X and C.
+    the pins with the least M = num / den that keeps all of X, kept times
+    den so that it stays integer, checked against every point of X and C
+    and scaled to the unit gap.
     """
     X, C = _point_set(X), _point_set(C)
     ptsx, ptsc, d = X.points, C.points, X.dim
@@ -666,19 +676,23 @@ def strict_separation(X, C):
     if mult is not None:
         return None
     a, sigma, pins = miss
-    # adding M * s (x_k - v) per pin changes nothing on C
-    M = max([0] + [Fraction(vdot(a, x) - sigma, off) for x in ptsx
-                   if (off := sum(abs(x[k] - v) for k, v, _ in pins))])
+    # adding M * s (x_k - v) per pin changes nothing on C; on X that sum
+    # is e . x - top <= 0, its size the point's distance off the pins, and
+    # the ratios are compared cross-multiplied
+    e, top = [0] * d, 0
     for k, v, s in pins:
-        a[k] += s * M
-        sigma += s * M * v
-    gap = Fraction(min(vdot(a, y) for y in ptsc) - sigma)
+        e[k], top = s, top + s * v
+    num, den = 0, 1
+    for x in ptsx:
+        over = vdot(a, x) - sigma
+        if over > 0 and (off := top - vdot(e, x)) and over * den > num * off:
+            num, den = over, off
+    a = [den * u + num * t for u, t in zip(a, e)]
+    sigma = den * sigma + num * top
+    gap = min(vdot(a, y) for y in ptsc) - sigma
     _check(gap > 0, "separation gap positive")
-    h = Halfspace([u / gap for u in a], "<=", sigma / gap)
-    far = Halfspace(h.a, ">=", h.rhs + 1)
-    _check(all(_holds(h, x) for x in ptsx) and all(_holds(far, y) for y in ptsc),
-           "separation row")
-    return h
+    _check(all(vdot(a, x) <= sigma for x in ptsx), "separation row")
+    return Halfspace([Fraction(u, gap) for u in a], "<=", Fraction(sigma, gap))
 
 
 def _unit_ray(ray):

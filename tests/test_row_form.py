@@ -28,7 +28,9 @@ digit buffer. A set with one reads its bounds, and affine_hull checks
 its points, through the buffer's columns. The hull LP keeps the points
 of X at its pins by `PointSet._rows_at`, the one home of X's column
 bitmasks, indexes only those points, and keeps the pinned number of
-them on each family-certify chain.
+them on each family-certify chain. `linprog._pinned` is the one home of
+the pin rule, which the hull LP and the conflict graph's midpoint
+search share.
 """
 
 import ast
@@ -426,8 +428,9 @@ def test_digit_sets_are_read_through_their_columns(monkeypatch, tmp_path):
 
 
 def test_hull_lp_indexes_only_the_points_its_masks_keep(monkeypatch):
-    # _hull_point asks PointSet._rows_at for the points of X at v on every
-    # pin; no comprehension there filters or walks X's points, the masks
+    # _hull_point asks PointSet._rows_at, through _pinned, for the points
+    # of X at v on every pin, as the conflict graph's midpoint search does;
+    # no comprehension there filters or walks X's points, the masks
     # are kept and read only in _rows_at, and a hull LP indexes X's rows
     # at the kept indices and nowhere else
     def walks_points(node):
@@ -436,7 +439,9 @@ def test_hull_lp_indexes_only_the_points_its_masks_keep(monkeypatch):
             or any("pts[" in ast.unparse(cond) for cond in node.ifs))
 
     assert [f for f in _owned(walks_points) if f[:2] == ("linprog", "_hull_point")] == []
-    assert [f[:2] for f in _owned(_calls("_rows_at"))] == [("linprog", "_hull_point")]
+    assert [f[:2] for f in _owned(_calls("_rows_at"))] == [("linprog", "_pinned")]
+    assert [f[:2] for f in _owned(_calls("_pinned"))] == [
+        ("hiding", "_conflict_graph"), ("linprog", "_hull_point")]
     masks = {f[:2] for f in _owned(lambda node: getattr(node, "attr", None) == "_masks")}
     assert masks == {("families", "__init__"), ("families", "_rows_at")}
 
@@ -462,6 +467,22 @@ def test_hull_lp_indexes_only_the_points_its_masks_keep(monkeypatch):
         linprog.segment_hits_hull(a, b, X)
         assert read == list(kept[0])
     assert len(kept[0]) == 189
+
+
+def test_pin_rule_has_one_home():
+    # the hull LP's presolve and the conflict graph's midpoint search pin
+    # the same coordinates: _pinned alone reads X's bounds for them and
+    # asks _rows_at, and the graph asks no LP but strict_separation
+    def reads_bounds(node):
+        return _calls("bounds")(node) or (
+            isinstance(node, ast.Subscript) and ast.unparse(node.value) in {"lo", "hi"})
+
+    assert {f[:2] for f in _owned(reads_bounds) if f[0] in {"hiding", "linprog"}} == {
+        ("linprog", "_pinned")}
+    assert not [f for name in ("segment_hits_hull", "conv_membership", "_hull_point")
+                for f in _owned(_calls(name)) if f[:2] == ("hiding", "_conflict_graph")]
+    assert [f[:2] for f in _owned(_calls("strict_separation"))
+            if f[0] == "hiding"] == [("hiding", "_conflict_graph")]
 
 
 # each family-certify chain: the family, its size and its hiding set

@@ -12,11 +12,12 @@ import pytest
 
 from rcx.errors import EmptySet, TooLarge
 from rcx.families import PointSet, cube, even, generate, odd
-from rcx import linprog, relaxations, separation
+from rcx import hiding, linprog, relaxations, separation
 from rcx.hiding import _conflict_graph, build_tjoin_hiding, max_hiding_in_box
-from rcx.linprog import Halfspace, HPolyhedron, strict_separation
-from rcx.rational import vdot
-from rcx.relaxations import build_cube_relaxation, verify_relaxation
+from rcx.linprog import Halfspace, HPolyhedron, conv_membership, strict_separation
+from rcx.rational import affine_hull, vdot
+from rcx.relaxations import (LatticeBox, build_cube_relaxation, enumerate_lattice,
+                             verify_relaxation)
 from rcx.separation import (RcBoundReport, bound_report, build_binary_relaxation,
                             conflict_clique_bound, jeroslow_index,
                             rationalize_halfspace)
@@ -167,6 +168,41 @@ def _separation_graph(points, X):
     return adj
 
 
+# (family, box) of each box search; small-oracles runs the simplex 2,
+# simplex 3 and even 3 ones
+BOX_SEARCHES = [
+    (("simplex", 2), ((-3, -3), (3, 3))),
+    (("simplex", 3), ((-1,) * 3, (1,) * 3)),
+    (("even", 2), ((-1, -1), (2, 2))),
+    (("even", 3), ((-1,) * 3, (1,) * 3)),
+    (("cube", 2), ((-1, -1), (2, 2))),
+    (("diff", 2, 2), ((-1,) * 4, (1,) * 4)),
+]
+# the 0/1 boxes of four graph families, where the midpoint witnesses
+# and the row pool settle most pairs
+CUBE_BOXES = [("atsp", 5), ("stsp", 6), ("spt", 5), ("conn", 4)]
+
+
+def _box_candidates(X, box):
+    """The points max_hiding_in_box joins: its box's lattice points of
+    aff(X) outside conv(X)."""
+    P = HPolyhedron(X.dim, [Halfspace(a, "=", b) for a, b in affine_hull(X).equations])
+    return [p for p in enumerate_lattice(P, LatticeBox(*box))
+            if not conv_membership(p, X)[0]]
+
+
+GRAPH_BOXES = BOX_SEARCHES + [(f, None) for f in CUBE_BOXES]
+
+
+@pytest.mark.parametrize("family, box", GRAPH_BOXES, ids=[
+    "".join(map(str, f)) + ("" if box else "-01") for f, box in GRAPH_BOXES])
+def test_box_candidate_graphs_match_strict_separation(family, box):
+    X = generate(*family)
+    cands = _box_candidates(X, box or ((0,) * X.dim, (1,) * X.dim))
+    got = _conflict_graph(cands, X)
+    assert got == _separation_graph(cands, X) and any(got)
+
+
 @pytest.mark.parametrize("corpus", ["cube subsets", "even5"])
 def test_conflict_graph_matches_strict_separation(corpus):
     # for points outside conv(X), the segment between two of them meets
@@ -184,14 +220,87 @@ def test_conflict_graph_matches_strict_separation(corpus):
     assert edges > 0
 
 
-BOX_SEARCHES = [
-    (("simplex", 2), ((-3, -3), (3, 3))),
-    (("simplex", 3), ((-1,) * 3, (1,) * 3)),
-    (("even", 2), ((-1, -1), (2, 2))),
-    (("even", 3), ((-1,) * 3, (1,) * 3)),
-    (("cube", 2), ((-1, -1), (2, 2))),
-    (("diff", 2, 2), ((-1,) * 4, (1,) * 4)),
-]
+# the graph operations of small-oracles
+GRAPH_OPS = {
+    **{f"{f}{n}.box_search": (lambda f=(f, n), box=box: max_hiding_in_box(generate(*f), box))
+       for (f, n, *_), box in BOX_SEARCHES if f"{f}{n}" in {"simplex2", "simplex3", "even3"}},
+    **{f"even{d}.index": (lambda d=d: jeroslow_index(even(d))) for d in (2, 3, 4)},
+    "even5.conflict_clique": lambda: conflict_clique_bound(even(5)),
+}
+# how _conflict_graph settles the pairs of each: (pairs, midpoint witnesses,
+# hull LPs that hit, hull LPs that miss); the rest miss on a pool row
+GRAPH_WORK = {
+    "simplex2.box_search": (1035, 106, 86, 35),
+    "simplex3.box_search": (253, 49, 0, 23),
+    "even3.box_search": (253, 25, 18, 28),
+    "even2.index": (1, 1, 0, 0),
+    "even3.index": (6, 6, 0, 0),
+    "even4.index": (28, 28, 0, 0),
+    "even5.conflict_clique": (120, 120, 0, 0),
+}
+
+
+@pytest.mark.parametrize("op", list(GRAPH_OPS))
+def test_conflict_graph_runs_the_pinned_number_of_hull_lps(monkeypatch, op):
+    work = [0, 0, 0, 0]
+
+    def graph(points, X, _real=_conflict_graph):
+        work[0] += len(points) * (len(points) - 1) // 2
+        return _real(points, X)
+
+    def midpoint(*args, _real=hiding._midpoint):
+        w = _real(*args)
+        work[1] += w is not None
+        return w
+
+    def separate(X, C, _real=strict_separation):
+        h = _real(X, C)
+        work[2 if h is None else 3] += 1
+        return h
+
+    for module in (hiding, separation):
+        monkeypatch.setattr(module, "_conflict_graph", graph)
+    monkeypatch.setattr(hiding, "_midpoint", midpoint)
+    monkeypatch.setattr(hiding, "strict_separation", separate)
+    GRAPH_OPS[op]()
+    assert tuple(work) == GRAPH_WORK[op]
+
+
+def test_a_miss_whose_lifted_row_cuts_off_x_enters_no_pool(monkeypatch):
+    # (1, 1, 0) and (1, 0, 1) agree at X's high bound 1 on x_1, where only
+    # (1, 0, 0) of simplex 3 is kept, and their segment misses conv(X). A
+    # miss 0 . x <= -1 lifts to x_1 <= 0, which cuts (1, 0, 0) off: the check
+    # refuses it before any candidate is tested against the row
+    X, pair = generate("simplex", 3), [(1, 1, 0), (1, 0, 1)]
+    assert _conflict_graph(pair, X) == [0, 0]
+
+    def hull_point(C, X, mismatch, _real=linprog._hull_point):
+        mult, miss = _real(C, X, mismatch)
+        return (mult, miss) if mult is not None else (None, ([0] * 3, -1, miss[2]))
+
+    pooled = []
+    monkeypatch.setattr(linprog, "_hull_point", hull_point)
+    monkeypatch.setattr(hiding, "vdot", lambda *args: pooled.append(args))
+    with pytest.raises(RuntimeError,
+                       match="internal certificate check failed: separation row"):
+        _conflict_graph(pair, X)
+    assert pooled == []
+
+
+def test_a_midpoint_of_a_non_member_makes_no_edge(monkeypatch):
+    # the segment from (1, 1) to (2, 0) misses the triangle; a lookup fed
+    # the non-member (3, 1) as a member finds (3, 1) + (0, 0), and the
+    # graph's own check refuses it
+    X, pair = generate("simplex", 2), [(1, 1), (2, 0)]
+    assert _conflict_graph(pair, X) == [0, 0]
+
+    def midpoint(s, kept, members, _real=hiding._midpoint):
+        return _real(s, [(3, 1)] + kept, members | {(3, 1)})
+
+    monkeypatch.setattr(hiding, "_midpoint", midpoint)
+    with pytest.raises(RuntimeError,
+                       match="internal certificate check failed: midpoint witness"):
+        _conflict_graph(pair, X)
 
 
 @cache
