@@ -18,7 +18,7 @@ from .errors import DimMismatch, EmptySet
 from .families import (EdgeIndexer, PointSet, _cap_check, _parity, _tag, odd,
                        tjoin_terminals)
 from .linprog import (Halfspace, HPolyhedron, _check, _pinned, conv_membership,
-                      segment_hits_hull, strict_separation)
+                      strict_separation)
 from .rational import affine_hull, in_affine_hull, vdot
 from .relaxations import LatticeBox, enumerate_lattice
 
@@ -214,7 +214,8 @@ class HidingCertificate:
 
 
 def verify_hiding(H, X):
-    """Exactly check every hiding-set condition of H against X."""
+    """Exactly check every hiding-set condition of H against X, each pair
+    by the pair rule _pair_row."""
     if H.dim != X.dim:
         raise DimMismatch("hiding set and target set dimensions differ")
     if not X.points:
@@ -245,7 +246,7 @@ def verify_hiding(H, X):
                         ("inside_hull", h))
     pairs = []
     for i, j in combinations(range(len(H.points)), 2):
-        hit, _ = segment_hits_hull(H.points[i], H.points[j], X)
+        hit = _pair_row(H.points[i], H.points[j], X) is None
         pairs.append(((i, j), hit))
         if not hit:
             return done(False, integral, in_aff, excluded, pairs,
@@ -262,34 +263,38 @@ def _midpoint(s, kept, members):
     return None
 
 
-def _conflict_graph(points, X):
-    """Adjacency bitmasks: i and j are joined when their segment meets
-    conv(X), each pair settled by a checked certificate.
+def _pair_row(p, q, X):
+    """None when the segment [p, q] meets conv(X), else strict_separation's
+    row a . x <= gamma, checked on all of X, that cuts off p and q.
 
     A hit is a midpoint witness p + q = x + x' with x, x' in X, whose
     midpoint lies in conv(X) and on the segment, or else strict_separation's
     None, the hull LP's checked point. Where p and q agree at a bound of X,
-    x and x' agree with them, so the witness is searched only among the
-    points of X at the hull LP's pins (_pinned). A miss is a row
-    a . x <= gamma that strict_separation checked on all of X; it becomes
+    x and x' agree with them, so the witness is searched, and its members
+    checked, only among the points of X at the hull LP's pins (_pinned).
+    """
+    kept = [X.points[k] for k in _pinned(X, (p, q))[2]]
+    members, s = set(kept), tuple(map(add, p, q))
+    if (w := _midpoint(s, kept, members)) is None:
+        return strict_separation(X, [p, q])
+    _check(w[0] in members and w[1] in members and tuple(map(add, *w)) == s,
+           "midpoint witness")
+    return None
+
+
+def _conflict_graph(points, X):
+    """Adjacency bitmasks: i and j are joined when their segment meets
+    conv(X), each pair settled by _pair_row. Its row for a miss becomes
     pool row r, with bit r of cut[k] set for each point k that it cuts off,
     in integers, and a later pair that one pool row cuts off at both ends
     misses with no LP.
     """
-    pts = X.points
-    members = set(pts)
     adj, cut = [0] * len(points), [0] * len(points)
     pool = 0
     for i, j in combinations(range(len(points)), 2):
         if cut[i] & cut[j]:
             continue
-        p, q = points[i], points[j]
-        s = tuple(map(add, p, q))
-        w = _midpoint(s, [pts[k] for k in _pinned(X, (p, q))[2]], members)
-        if w is not None:
-            _check(w[0] in members and w[1] in members and tuple(map(add, *w)) == s,
-                   "midpoint witness")
-        elif (h := strict_separation(X, [p, q])) is not None:
+        if (h := _pair_row(points[i], points[j], X)) is not None:
             for k, y in enumerate(points):
                 if vdot(h._int_a, y) > h._int_rhs:
                     cut[k] |= 1 << pool

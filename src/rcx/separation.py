@@ -335,12 +335,12 @@ class _ReportFamily:
 _REPORTS = {
     "stsp": _ReportFamily(
         _graph_params, lambda n: _pattern_floor("tsp_hiding", n, False, "cycle-pair"),
-        lambda n: build_tsp_hiding(n // 2 - 1, directed=False), (8, 6),
+        lambda n: build_tsp_hiding(n // 2 - 1, directed=False), (10, 6),
         lambda n: n * n + 2 ** (n - 1) - 1, "subtour relaxation with {upper} rows",
         lambda n: build_subtour_relaxation(n, directed=False)),
     "atsp": _ReportFamily(
         _graph_params, lambda n: _pattern_floor("tsp_hiding", n, True, "cycle-pair"),
-        lambda n: build_tsp_hiding(n // 2 - 1, directed=True), (8, 5),
+        lambda n: build_tsp_hiding(n // 2 - 1, directed=True), (10, 5),
         lambda n: 2 * n * n + 2 ** n - 2, "subtour relaxation with {upper} rows",
         lambda n: build_subtour_relaxation(n, directed=True)),
     "conn": _ReportFamily(
@@ -368,7 +368,7 @@ _REPORTS = {
         lambda n: {"n": int(n)},
         lambda n: _sized(comb(n, n // 2), n, comb(n, n // 2), f"perm_hiding({n})",
                          "{} sorted-block swap points"),
-        lambda n: build_perm_hiding(n), (6, 4),
+        lambda n: build_perm_hiding(n), (7, 4),
         lambda n: 2 ** n + n - 1, "permutahedron description with {upper} rows",
         lambda n: build_rado_permutahedron(n)),
     "even": _ReportFamily(

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from rcx import hiding
+from rcx import hiding, linprog
 from rcx.errors import DimMismatch, EmptySet
 from rcx.families import PointSet, atsp, arb, cube, diff, even, odd, perm, simplex, spt, stsp, tjoins
 from rcx.hiding import (
@@ -287,6 +287,33 @@ class TestVerifyHiding:
         cert = verify_hiding(H, simplex(2))
         assert not cert.valid
         assert cert.failure[0] == "not_integral"
+
+    def test_a_midpoint_of_a_non_member_is_refused(self, monkeypatch):
+        # the segment from (1, 1) to (2, 0) misses the triangle; a lookup
+        # fed the non-member (3, 1) as a member finds (3, 1) + (0, 0), and
+        # the pair rule's own check refuses it
+        H = PointSet(2, [(1, 1), (2, 0)])
+        assert verify_hiding(H, simplex(2)).failure[0] == "segment_misses"
+
+        def midpoint(s, kept, members, _real=hiding._midpoint):
+            return _real(s, [(3, 1)] + kept, members | {(3, 1)})
+
+        monkeypatch.setattr(hiding, "_midpoint", midpoint)
+        with pytest.raises(RuntimeError,
+                           match="internal certificate check failed: midpoint witness"):
+            verify_hiding(H, simplex(2))
+
+    def test_a_tampered_miss_is_refused(self, monkeypatch):
+        # a pair miss is strict_separation's row, checked on all of X: the
+        # hull LP's miss tampered to 0 . x <= -1 cuts off every point of X
+        def hull_point(C, X, mismatch, _real=linprog._hull_point):
+            mult, miss = _real(C, X, mismatch)
+            return (mult, miss) if mult is not None else (None, ([0] * 2, -1, miss[2]))
+
+        monkeypatch.setattr(linprog, "_hull_point", hull_point)
+        with pytest.raises(RuntimeError,
+                           match="internal certificate check failed: separation row"):
+            verify_hiding(PointSet(2, [(1, 1), (2, 2)]), simplex(2))
 
     def test_errors(self):
         with pytest.raises(DimMismatch):

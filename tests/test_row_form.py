@@ -29,8 +29,10 @@ its points, through the buffer's columns. The hull LP keeps the points
 of X at its pins by `PointSet._rows_at`, the one home of X's column
 bitmasks, indexes only those points, and keeps the pinned number of
 them on each family-certify chain. `linprog._pinned` is the one home of
-the pin rule, which the hull LP and the conflict graph's midpoint
-search share.
+the pin rule, which the hull LP and the midpoint search of
+`hiding._pair_row` share, and `_pair_row` is the one pair rule that
+`verify_hiding` and the conflict graph ask; no rcx.hiding function asks
+`segment_hits_hull`.
 """
 
 import ast
@@ -42,7 +44,7 @@ from pathlib import Path
 
 import pytest
 
-from rcx import cli, families, fileio, linprog, rational, relaxations, separation
+from rcx import cli, families, fileio, hiding, linprog, rational, relaxations, separation
 from rcx.errors import Infeasible
 from rcx.families import PointSet, _DigitRows, cube
 from rcx.hiding import build_arb_hiding, build_tsp_hiding, verify_hiding
@@ -429,7 +431,7 @@ def test_digit_sets_are_read_through_their_columns(monkeypatch, tmp_path):
 
 def test_hull_lp_indexes_only_the_points_its_masks_keep(monkeypatch):
     # _hull_point asks PointSet._rows_at, through _pinned, for the points
-    # of X at v on every pin, as the conflict graph's midpoint search does;
+    # of X at v on every pin, as the pair rule's midpoint search does;
     # no comprehension there filters or walks X's points, the masks
     # are kept and read only in _rows_at, and a hull LP indexes X's rows
     # at the kept indices and nowhere else
@@ -441,7 +443,7 @@ def test_hull_lp_indexes_only_the_points_its_masks_keep(monkeypatch):
     assert [f for f in _owned(walks_points) if f[:2] == ("linprog", "_hull_point")] == []
     assert [f[:2] for f in _owned(_calls("_rows_at"))] == [("linprog", "_pinned")]
     assert [f[:2] for f in _owned(_calls("_pinned"))] == [
-        ("hiding", "_conflict_graph"), ("linprog", "_hull_point")]
+        ("hiding", "_pair_row"), ("linprog", "_hull_point")]
     masks = {f[:2] for f in _owned(lambda node: getattr(node, "attr", None) == "_masks")}
     assert masks == {("families", "__init__"), ("families", "_rows_at")}
 
@@ -470,19 +472,26 @@ def test_hull_lp_indexes_only_the_points_its_masks_keep(monkeypatch):
 
 
 def test_pin_rule_has_one_home():
-    # the hull LP's presolve and the conflict graph's midpoint search pin
-    # the same coordinates: _pinned alone reads X's bounds for them and
-    # asks _rows_at, and the graph asks no LP but strict_separation
+    # the hull LP's presolve and the pair rule's midpoint search pin the
+    # same coordinates: _pinned alone reads X's bounds for them and asks
+    # _rows_at. _pair_row is the one pair rule of rcx.hiding, which
+    # verify_hiding and the conflict graph both ask: it alone asks
+    # _pinned and strict_separation, and no LP but strict_separation
     def reads_bounds(node):
         return _calls("bounds")(node) or (
             isinstance(node, ast.Subscript) and ast.unparse(node.value) in {"lo", "hi"})
 
     assert {f[:2] for f in _owned(reads_bounds) if f[0] in {"hiding", "linprog"}} == {
         ("linprog", "_pinned")}
-    assert not [f for name in ("segment_hits_hull", "conv_membership", "_hull_point")
-                for f in _owned(_calls(name)) if f[:2] == ("hiding", "_conflict_graph")]
-    assert [f[:2] for f in _owned(_calls("strict_separation"))
-            if f[0] == "hiding"] == [("hiding", "_conflict_graph")]
+    assert not [f for name in ("segment_hits_hull", "_hull_point")
+                for f in _owned(_calls(name)) if f[0] == "hiding"]
+    assert not [f for f in _owned(_calls("conv_membership"))
+                if f[:2] in {("hiding", "_pair_row"), ("hiding", "_conflict_graph")}]
+    for name in ("_pinned", "strict_separation"):
+        assert [f[:2] for f in _owned(_calls(name)) if f[0] == "hiding"] == [
+            ("hiding", "_pair_row")], name
+    assert [f[:2] for f in _owned(_calls("_pair_row"))] == [
+        ("hiding", "_conflict_graph"), ("hiding", "verify_hiding")]
 
 
 # each family-certify chain: the family, its size and its hiding set
@@ -514,9 +523,39 @@ def test_hull_lps_keep_the_pinned_number_of_points(monkeypatch, chain):
     assert kept == KEPT[chain]
 
 
+# the report hiding sets of family-certify, next to its chains' sets
+REPORT_SETS = [("perm", 4), ("diff", 2, 3), ("even", 5), ("stsp", 6)]
+
+
+@pytest.mark.parametrize("args", list(CHAINS) + REPORT_SETS,
+                         ids=lambda a: "".join(map(str, a)))
+def test_verify_hiding_witnesses_every_pair(monkeypatch, args):
+    # each pair of these hiding sets has a midpoint witness, so
+    # verify_hiding asks strict_separation, and so the hull LP, for none
+    found = []
+
+    def midpoint(*a, _real=hiding._midpoint):
+        found.append(_real(*a))
+        return found[-1]
+
+    def refuse(*a):
+        raise AssertionError("verify_hiding asked strict_separation")
+
+    monkeypatch.setattr(hiding, "_midpoint", midpoint)
+    monkeypatch.setattr(hiding, "strict_separation", refuse)
+    if args in CHAINS:
+        H = CHAINS[args]()
+    else:
+        spec = separation._REPORTS[args[0]]
+        H = spec.hiding(**spec.parse(*args[1:]))
+    n = len(H.points)
+    assert verify_hiding(H, families.generate(*args)).valid
+    assert len(found) == n * (n - 1) // 2 and None not in found
+
+
 # the smallest valid size past each family's floor limit
-PAST_THE_FLOOR = {"stsp": (10,), "atsp": (10,), "conn": (8,), "spt": (8,),
-                  "arb": (6,), "diff": (2, 5), "perm": (7,), "even": (7,),
+PAST_THE_FLOOR = {"stsp": (12,), "atsp": (12,), "conn": (8,), "spt": (8,),
+                  "arb": (6,), "diff": (2, 5), "perm": (8,), "even": (7,),
                   "tjoins": (8, (1, 2))}
 
 

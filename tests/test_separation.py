@@ -13,8 +13,10 @@ import pytest
 from rcx.errors import EmptySet, TooLarge
 from rcx.families import PointSet, cube, even, generate, odd
 from rcx import hiding, linprog, relaxations, separation
-from rcx.hiding import _conflict_graph, build_tjoin_hiding, max_hiding_in_box
-from rcx.linprog import Halfspace, HPolyhedron, conv_membership, strict_separation
+from rcx.hiding import (_conflict_graph, _pair_row, build_tjoin_hiding,
+                        max_hiding_in_box)
+from rcx.linprog import (Halfspace, HPolyhedron, conv_membership, segment_hits_hull,
+                         strict_separation)
 from rcx.rational import affine_hull, vdot
 from rcx.relaxations import (LatticeBox, build_cube_relaxation, enumerate_lattice,
                              verify_relaxation)
@@ -220,6 +222,45 @@ def test_conflict_graph_matches_strict_separation(corpus):
     assert edges > 0
 
 
+def _pair_corpus():
+    """(p, q, X) triples, seeded: pairs of points in [-1, 2]^d, equal
+    ones and members of X included, against the cube subsets, and pairs
+    of points in [-4, 4]^d against integer clouds in [-3, 3]^d."""
+    rng = random.Random(36)
+    out = []
+    for X in _cube_subsets():
+        if X.points:
+            pts = list(product((0, 1), repeat=X.dim)) + [
+                tuple(rng.randint(-1, 2) for _ in range(X.dim)) for _ in range(4)]
+            out += [(rng.choice(pts), rng.choice(pts), X) for _ in range(4)]
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        X = PointSet(d, sorted({tuple(rng.randint(-3, 3) for _ in range(d))
+                                for _ in range(rng.randint(1, 8))}))
+        pts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(3)]
+        out += [(p, q, X) for p, q in combinations(pts + [pts[0]], 2)]
+    return out
+
+
+def test_pair_rule_matches_segment_hits_hull(monkeypatch):
+    # _pair_row, which settles every pair of verify_hiding and of the
+    # conflict graph, against the segment LP that verify_hiding asked;
+    # the corpus has hits by a witness, hits by the hull LP and misses
+    counts = [0, 0, 0]
+
+    def separate(X, C, _real=strict_separation):
+        h = _real(X, C)
+        counts[h is not None] += 1
+        return h
+
+    monkeypatch.setattr(hiding, "strict_separation", separate)
+    corpus = _pair_corpus()
+    for p, q, X in corpus:
+        assert (_pair_row(p, q, X) is None) == segment_hits_hull(p, q, X)[0], (p, q, X)
+    counts[2] = len(corpus) - counts[0] - counts[1]
+    assert min(counts) > 100, counts
+
+
 # the graph operations of small-oracles
 GRAPH_OPS = {
     **{f"{f}{n}.box_search": (lambda f=(f, n), box=box: max_hiding_in_box(generate(*f), box))
@@ -420,13 +461,13 @@ class TestRationalizeHalfspace:
 
 # every valid report size up to two past each family's floor limit
 FLOOR_SIZES = {
-    "stsp": [(n,) for n in (4, 6, 8, 10)],
-    "atsp": [(n,) for n in (4, 6, 8, 10)],
+    "stsp": [(n,) for n in (4, 6, 8, 10, 12)],
+    "atsp": [(n,) for n in (4, 6, 8, 10, 12)],
     "conn": [(n,) for n in (4, 6, 8)],
     "spt": [(n,) for n in (4, 6, 8)],
     "arb": [(n,) for n in (4, 6)],
     "diff": [(2, n) for n in range(1, 7)],
-    "perm": [(n,) for n in range(4, 9)],
+    "perm": [(n,) for n in range(4, 10)],
     "even": [(n,) for n in range(2, 9)],
     "tjoins": [(n, T) for n in (2, 4, 6, 8)
                for T in ((), (1, 2), (2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6))
@@ -435,6 +476,16 @@ FLOOR_SIZES = {
 
 
 class TestBoundReport:
+    @pytest.mark.parametrize("args, floor", [
+        (("perm", 7), 35), (("stsp", 10), 8), (("atsp", 10), 8)], ids=str)
+    def test_floor_certified_at_its_limit(self, args, floor):
+        # every pair of these hiding sets has a midpoint witness
+        with deadline(15):
+            r = bound_report(*args)
+        assert (r.lower_bound, r.lower_certified) == (floor, True)
+        assert args[1] == separation._REPORTS[args[0]].limits[0]
+        assert r.notes == ("ceiling carries the row count only at this size",)
+
     def test_tour_families(self):
         r = bound_report("stsp", 8)
         assert (r.lower_bound, r.upper_bound) == (4, 191)
